@@ -25,103 +25,138 @@ let rec selectivity e (p : Pred.t) =
     Float.min 1. (sa +. sb -. (sa *. sb))
   | Not a -> 1. -. selectivity e a
 
-let rec term ?(vars = []) stats (t : Term.t) : est =
-  match t with
-  | Rel n -> (
-    match Stats.count stats n with
-    | Some c ->
-      let card = float_of_int (max c 1) in
-      let tenv = Stats.typing_env stats in
-      let distincts =
-        List.map
-          (fun col ->
-            ( col,
-              match Stats.distinct stats n col with
-              | Some d -> float_of_int (max d 1)
-              | None -> Float.max 1. (card /. 10.) ))
-          (Relation.Schema.cols (Mura.Typing.env_find tenv n))
-      in
-      { card; distincts }
-    | None -> { card = default_card; distincts = [] })
-  | Cst r ->
-    let card = float_of_int (max (Relation.Rel.cardinal r) 1) in
-    {
-      card;
-      distincts =
-        List.map
-          (fun c -> (c, float_of_int (max 1 (Relation.Rel.distinct_count r c))))
-          (Relation.Schema.cols (Relation.Rel.schema r));
-    }
-  | Var x -> (
-    match List.assoc_opt x vars with
-    | Some e -> e
-    | None -> { card = default_card; distincts = [] })
-  | Select (p, u) ->
-    let e = term ~vars stats u in
-    let sel = Float.max 1e-9 (selectivity e p) in
+let default = { card = default_card; distincts = [] }
+
+(* A base relation's estimate, read straight from its statistics. *)
+let rel_estimate stats n =
+  match Stats.find stats n with
+  | Some r ->
+    let card = float_of_int (max r.count 1) in
     let distincts =
       List.map
-        (fun (c, d) ->
-          match p with
-          | Pred.Eq_const (c', _) when c = c' -> (c, 1.)
-          | _ -> (c, d))
-        e.distincts
+        (fun col ->
+          ( col,
+            match List.assoc_opt col r.distincts with
+            | Some d -> float_of_int (max d 1)
+            | None -> Float.max 1. (card /. 10.) ))
+        (Relation.Schema.cols r.schema)
     in
-    clamp { card = Float.max 1. (e.card *. sel); distincts }
-  | Project (keep, u) ->
-    let e = term ~vars stats u in
-    let kept = List.filter (fun (c, _) -> List.mem c keep) e.distincts in
-    let domain = List.fold_left (fun acc (_, d) -> acc *. d) 1. kept in
-    clamp { card = Float.min e.card domain; distincts = kept }
-  | Antiproject (drop, u) ->
-    let e = term ~vars stats u in
-    let kept = List.filter (fun (c, _) -> not (List.mem c drop)) e.distincts in
-    let domain = List.fold_left (fun acc (_, d) -> acc *. d) 1. kept in
-    clamp { card = Float.min e.card domain; distincts = kept }
-  | Rename (m, u) ->
-    let e = term ~vars stats u in
-    {
-      e with
-      distincts =
-        List.map
-          (fun (c, d) ->
-            match List.assoc_opt c m with Some fresh -> (fresh, d) | None -> (c, d))
-          e.distincts;
-    }
-  | Join (a, b) ->
-    let ea = term ~vars stats a and eb = term ~vars stats b in
-    let shared = List.filter (fun (c, _) -> List.mem_assoc c eb.distincts) ea.distincts in
-    let denom =
-      List.fold_left (fun acc (c, da) -> acc *. Float.max da (dcount eb c)) 1. shared
-    in
-    let card = Float.max 1. (ea.card *. eb.card /. Float.max 1. denom) in
-    let merged =
-      ea.distincts
-      @ List.filter (fun (c, _) -> not (List.mem_assoc c ea.distincts)) eb.distincts
-    in
-    clamp { card; distincts = merged }
-  | Antijoin (a, _) ->
-    let ea = term ~vars stats a in
-    clamp { ea with card = Float.max 1. (ea.card *. 0.5) }
-  | Union (a, b) ->
-    let ea = term ~vars stats a and eb = term ~vars stats b in
-    let merged =
-      List.map
-        (fun (c, d) -> (c, Float.max d (dcount eb c)))
-        ea.distincts
-    in
-    clamp { card = ea.card +. eb.card; distincts = merged }
-  | Fix (x, body) -> fix_estimate ~vars stats x body
+    { card; distincts }
+  | None -> default
 
-and fix_estimate ~vars stats x body =
-  match Fcond.split ~var:x body with
-  | exception Fcond.Not_fcond _ -> { card = default_card; distincts = [] }
-  | [], _ -> { card = default_card; distincts = [] }
-  | consts, recs ->
+let cst_estimate r =
+  let card = float_of_int (max (Relation.Rel.cardinal r) 1) in
+  {
+    card;
+    distincts =
+      List.map (fun (c, d) -> (c, float_of_int (max 1 d))) (Relation.Rel.distinct_counts r);
+  }
+
+let select_estimate p e =
+  let sel = Float.max 1e-9 (selectivity e p) in
+  let distincts =
+    List.map
+      (fun (c, d) ->
+        match p with
+        | Pred.Eq_const (c', _) when c = c' -> (c, 1.)
+        | _ -> (c, d))
+      e.distincts
+  in
+  clamp { card = Float.max 1. (e.card *. sel); distincts }
+
+let keep_estimate keep e =
+  let kept = List.filter (fun (c, _) -> keep c) e.distincts in
+  let domain = List.fold_left (fun acc (_, d) -> acc *. d) 1. kept in
+  clamp { card = Float.min e.card domain; distincts = kept }
+
+let rename_estimate m e =
+  {
+    e with
+    distincts =
+      List.map
+        (fun (c, d) -> match List.assoc_opt c m with Some fresh -> (fresh, d) | None -> (c, d))
+        e.distincts;
+  }
+
+let join_estimate ea eb =
+  let shared = List.filter (fun (c, _) -> List.mem_assoc c eb.distincts) ea.distincts in
+  let denom = List.fold_left (fun acc (c, da) -> acc *. Float.max da (dcount eb c)) 1. shared in
+  let card = Float.max 1. (ea.card *. eb.card /. Float.max 1. denom) in
+  let merged =
+    ea.distincts @ List.filter (fun (c, _) -> not (List.mem_assoc c ea.distincts)) eb.distincts
+  in
+  clamp { card; distincts = merged }
+
+let antijoin_estimate ea = clamp { ea with card = Float.max 1. (ea.card *. 0.5) }
+
+let union_estimate ea eb =
+  let merged = List.map (fun (c, d) -> (c, Float.max d (dcount eb c))) ea.distincts in
+  clamp { card = ea.card +. eb.card; distincts = merged }
+
+(* One node of a plan: its estimate, its total cost, and whether it
+   contains a fixpoint. *)
+type node = { est : est; cost : float; has_fix : bool }
+
+let leaf est = { est; cost = est.card; has_fix = false }
+
+(* A single bottom-up pass: every operator's estimate is computed once,
+   from its operands' estimates, and its cost added to theirs. *)
+let rec walk ~vars stats (t : Term.t) : node =
+  match t with
+  | Rel n -> leaf (rel_estimate stats n)
+  | Cst r -> leaf (cst_estimate r)
+  | Var x -> leaf (match List.assoc_opt x vars with Some e -> e | None -> default)
+  | Select (p, u) -> unary (walk ~vars stats u) (select_estimate p)
+  | Project (keep, u) -> unary (walk ~vars stats u) (keep_estimate (fun c -> List.mem c keep))
+  | Antiproject (drop, u) ->
+    unary (walk ~vars stats u) (keep_estimate (fun c -> not (List.mem c drop)))
+  | Rename (m, u) -> unary (walk ~vars stats u) (rename_estimate m)
+  | Join (a, b) ->
+    let na = walk ~vars stats a and nb = walk ~vars stats b in
+    let n = binary na nb (join_estimate na.est nb.est) in
+    (* Joining two recursive results is the worst case for a distributed
+       engine: both closures must be fully materialised and shuffled.
+       Penalising it steers the planner towards merged or seeded
+       fixpoints, as Dist-mu-RA's plan selection does. *)
+    if na.has_fix && nb.has_fix then { n with cost = n.cost +. (5. *. (na.est.card +. nb.est.card)) }
+    else n
+  | Antijoin (a, b) ->
+    let na = walk ~vars stats a and nb = walk ~vars stats b in
+    binary na nb (antijoin_estimate na.est)
+  | Union (a, b) ->
+    let na = walk ~vars stats a and nb = walk ~vars stats b in
+    binary na nb (union_estimate na.est nb.est)
+  | Fix (x, body) ->
+    let consts, recs = Fcond.split ~var:x body in
+    let cs = List.map (walk ~vars stats) consts in
+    let est = fix_estimate ~vars stats x (List.map (fun c -> c.est) cs) recs in
+    let c_init = List.fold_left (fun acc c -> acc +. c.cost) 0. cs in
+    (* Semi-naive accounting: over the whole run the variable part is
+       applied to each delta once, and the deltas sum to the result —
+       so the total recursive work is one application of the variable
+       part to the final fixpoint, not depth-many applications. *)
+    let rec_work =
+      List.fold_left (fun acc r -> acc +. (walk ~vars:((x, est) :: vars) stats r).cost) 0. recs
+    in
+    { est; cost = c_init +. rec_work +. est.card; has_fix = true }
+
+and unary nu f =
+  let est = f nu.est in
+  { est; cost = nu.cost +. est.card; has_fix = nu.has_fix }
+
+and binary na nb est =
+  { est; cost = na.cost +. nb.cost +. est.card; has_fix = na.has_fix || nb.has_fix }
+
+(* The fixpoint's estimate from its constant branches' estimates. The
+   variable branches are walked once more, with the variable bound to
+   the constant part, to measure the one-step growth ratio. *)
+and fix_estimate ~vars stats x consts recs =
+  match consts with
+  | [] -> default
+  | _ -> (
     let e0 =
       List.fold_left
-        (fun acc c ->
-          let e = term ~vars stats c in
+        (fun acc e ->
           {
             card = acc.card +. e.card;
             distincts =
@@ -133,14 +168,14 @@ and fix_estimate ~vars stats x body =
         consts
     in
     let e0 = { e0 with card = Float.max 1. e0.card } in
-    (match recs with
+    match recs with
     | [] -> e0
     | _ ->
       (* one-step growth ratio of the variable part applied to the
          constant part *)
       let step =
         List.fold_left
-          (fun acc r -> acc +. (term ~vars:((x, e0) :: vars) stats r).card)
+          (fun acc r -> acc +. (walk ~vars:((x, e0) :: vars) stats r).est.card)
           0. recs
       in
       let ratio = Float.max 0.1 (step /. e0.card) in
@@ -158,49 +193,6 @@ and fix_estimate ~vars stats x body =
       let card = Float.min sum_growth domain in
       clamp { card = Float.max e0.card card; distincts = e0.distincts })
 
+let term ?(vars = []) stats t = (walk ~vars stats t).est
 let cardinality stats t = (term stats t).card
-
-let rec cost_aux ?(vars = []) stats (t : Term.t) : float * est =
-  match t with
-  | Rel _ | Cst _ | Var _ ->
-    let e = term ~vars stats t in
-    (e.card, e)
-  | Select (_, u) | Project (_, u) | Antiproject (_, u) | Rename (_, u) ->
-    let cu, _ = cost_aux ~vars stats u in
-    let e = term ~vars stats t in
-    (cu +. e.card, e)
-  | Join (a, b) ->
-    let ca, ea = cost_aux ~vars stats a in
-    let cb, eb = cost_aux ~vars stats b in
-    let e = term ~vars stats t in
-    (* Joining two recursive results is the worst case for a distributed
-       engine: both closures must be fully materialised and shuffled.
-       Penalising it steers the planner towards merged or seeded
-       fixpoints, as Dist-mu-RA's plan selection does. *)
-    let penalty =
-      if Term.fix_count a > 0 && Term.fix_count b > 0 then 5. *. (ea.card +. eb.card) else 0.
-    in
-    (ca +. cb +. e.card +. penalty, e)
-  | Antijoin (a, b) | Union (a, b) ->
-    let ca, _ = cost_aux ~vars stats a in
-    let cb, _ = cost_aux ~vars stats b in
-    let e = term ~vars stats t in
-    (ca +. cb +. e.card, e)
-  | Fix (x, body) -> (
-    let e = term ~vars stats t in
-    match Fcond.split ~var:x body with
-    | exception Fcond.Not_fcond _ -> (e.card, e)
-    | consts, recs ->
-      let c_init = List.fold_left (fun acc c -> acc +. fst (cost_aux ~vars stats c)) 0. consts in
-      (* Semi-naive accounting: over the whole run the variable part is
-         applied to each delta once, and the deltas sum to the result —
-         so the total recursive work is one application of the variable
-         part to the final fixpoint, not depth-many applications. *)
-      let rec_work =
-        List.fold_left
-          (fun acc r -> acc +. fst (cost_aux ~vars:((x, e) :: vars) stats r))
-          0. recs
-      in
-      (c_init +. rec_work +. e.card, e))
-
-let cost stats t = fst (cost_aux stats t)
+let cost stats t = (walk ~vars:[] stats t).cost

@@ -7,14 +7,11 @@ type t = (string * rel_stats) list
 let of_tables tables =
   List.map
     (fun (name, rel) ->
-      let schema = Rel.schema rel in
-      let distincts = List.map (fun c -> (c, Rel.distinct_count rel c)) (Schema.cols schema) in
-      (name, { count = Rel.cardinal rel; distincts; schema }))
+      let distincts = Rel.distinct_counts rel in
+      (name, { count = Rel.cardinal rel; distincts; schema = Rel.schema rel }))
     tables
 
-let count stats name = Option.map (fun r -> r.count) (List.assoc_opt name stats)
-
+let find stats name = List.assoc_opt name stats
+let count stats name = Option.map (fun r -> r.count) (find stats name)
 let distinct stats name col =
-  Option.bind (List.assoc_opt name stats) (fun r -> List.assoc_opt col r.distincts)
-
-let typing_env stats = Mura.Typing.env (List.map (fun (n, r) -> (n, r.schema)) stats)
+  Option.bind (find stats name) (fun r -> List.assoc_opt col r.distincts)

@@ -5,9 +5,15 @@
     ingredients — counts, distincts, join selectivities, and a bounded
     expansion model for fixpoints). *)
 
+type rel_stats = { count : int; distincts : (string * int) list; schema : Relation.Schema.t }
+(** One base relation: tuple count, distinct values per column (in
+    schema order) and schema. *)
+
 type t
 
 val of_tables : (string * Relation.Rel.t) list -> t
+
+val find : t -> string -> rel_stats option
 
 val count : t -> string -> int option
 (** Tuple count of a base relation. *)
@@ -15,4 +21,3 @@ val count : t -> string -> int option
 val distinct : t -> string -> string -> int option
 (** [distinct stats rel col]: distinct values in that column. *)
 
-val typing_env : t -> Mura.Typing.env

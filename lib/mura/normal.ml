@@ -24,21 +24,49 @@ let rec flatten_join = function
 (* Injective serialization                                             *)
 (* ------------------------------------------------------------------ *)
 
-let str buf s = Printf.bprintf buf "%d:%s" (String.length s) s
+(* Decimal digits written straight into the buffer: [string_of_int]
+   goes through the C formatter, which dominates short keys. *)
+let rec int buf n =
+  if n < 0 && n <> min_int then begin
+    Buffer.add_char buf '-';
+    int buf (-n)
+  end
+  else if n < 0 then Buffer.add_string buf (string_of_int n)
+  else begin
+    if n >= 10 then int buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+let str buf s =
+  int buf (String.length s);
+  Buffer.add_char buf ':';
+  Buffer.add_string buf s
 
 let strs buf l =
-  Printf.bprintf buf "%d[" (List.length l);
+  int buf (List.length l);
+  Buffer.add_char buf '[';
   List.iter (str buf) l;
   Buffer.add_char buf ']'
+
+(* A predicate on one column and a constant: [tag(<col><value>)]. *)
+let cmp buf tag c v =
+  Buffer.add_string buf tag;
+  str buf c;
+  int buf v;
+  Buffer.add_char buf ')'
 
 let rec pred buf (p : Pred.t) =
   match p with
   | Pred.True -> Buffer.add_char buf 't'
-  | Pred.Eq_const (c, v) -> Printf.bprintf buf "e(%a%d)" (fun b -> str b) c v
-  | Pred.Neq_const (c, v) -> Printf.bprintf buf "n(%a%d)" (fun b -> str b) c v
-  | Pred.Eq_col (c, d) -> Printf.bprintf buf "c(%a%a)" (fun b -> str b) c (fun b -> str b) d
-  | Pred.Lt_const (c, v) -> Printf.bprintf buf "l(%a%d)" (fun b -> str b) c v
-  | Pred.Gt_const (c, v) -> Printf.bprintf buf "g(%a%d)" (fun b -> str b) c v
+  | Pred.Eq_const (c, v) -> cmp buf "e(" c v
+  | Pred.Neq_const (c, v) -> cmp buf "n(" c v
+  | Pred.Eq_col (c, d) ->
+    Buffer.add_string buf "c(";
+    str buf c;
+    str buf d;
+    Buffer.add_char buf ')'
+  | Pred.Lt_const (c, v) -> cmp buf "l(" c v
+  | Pred.Gt_const (c, v) -> cmp buf "g(" c v
   | Pred.And (a, b) ->
     Buffer.add_string buf "&(";
     pred buf a;
@@ -61,10 +89,15 @@ let rec pred buf (p : Pred.t) =
 let cst buf r =
   strs buf (Schema.cols (Rel.schema r));
   let rows = List.sort Tuple.compare (Rel.to_list r) in
-  Printf.bprintf buf "%d{" (List.length rows);
+  int buf (List.length rows);
+  Buffer.add_char buf '{';
   List.iter
     (fun tu ->
-      Array.iter (fun v -> Printf.bprintf buf "%d," v) tu;
+      Array.iter
+        (fun v ->
+          int buf v;
+          Buffer.add_char buf ',')
+        tu;
       Buffer.add_char buf ';')
     rows;
   Buffer.add_char buf '}'

@@ -79,10 +79,12 @@ type local_actual = {
 }
 
 (* Shared cache of typing-only shell analyses ([Pipeline.Shell.analyze]
-   results), keyed by the printed term. A long-lived service passes one
-   cache to every session it opens so a repeated query is analyzed once;
-   the analysis depends only on the catalog's schemas, so the owner must
-   drop the cache when those change. *)
+   results), keyed by the serialized term ([Mura.Normal.serialize]; not
+   the rewriter's dedup key, which renames working columns the analysis
+   refers to). A long-lived service passes one cache to every session it
+   opens so a repeated query is analyzed once; the analysis depends only
+   on the catalog's schemas, so the owner must drop the cache when those
+   change. *)
 type shell_cache = (string, Pipeline.Shell.static) Hashtbl.t
 
 let shell_cache () : shell_cache = Hashtbl.create 64
@@ -199,9 +201,9 @@ let tele_fallback ~reason ~site =
   if Telemetry.enabled reg then
     Telemetry.inc reg ~labels:[ ("reason", reason); ("site", site) ] "pipeline_fallback_total"
 
-(* Literal relations embedded in a term make [Term.to_string] arbitrarily
-   large (and the term transient), so such terms bypass the shell-static
-   cache. *)
+(* Literal relations embedded in a term make its serialized key
+   arbitrarily large (and the term transient), so such terms bypass the
+   shell-static cache. *)
 let rec has_cst : Term.t -> bool = function
   | Term.Cst _ -> true
   | Term.Rel _ | Term.Var _ -> false
@@ -329,7 +331,7 @@ and shell_static ctx (term : Term.t) : Sh.static =
   in
   if has_cst term then analyze ()
   else begin
-    let key = Term.to_string term in
+    let key = Mura.Normal.serialize term in
     match Hashtbl.find_opt ctx.shell_statics key with
     | Some st -> st
     | None ->

@@ -131,10 +131,10 @@ type ctx
 
 type shell_cache
 (** Cache of typing-only shell analyses ({!Pipeline.Shell.analyze}
-    results, keyed by printed term). Pass one long-lived cache to every
-    {!session} of a service so a repeated query's shell is analyzed
-    once; the analyses depend only on the catalog's schemas, so drop the
-    cache when those change. *)
+    results, keyed by {!Mura.Normal.serialize}). Pass one long-lived
+    cache to every {!session} of a service so a repeated query's shell
+    is analyzed once; the analyses depend only on the catalog's schemas,
+    so drop the cache when those change. *)
 
 val shell_cache : unit -> shell_cache
 

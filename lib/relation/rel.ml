@@ -146,11 +146,59 @@ let equal a b =
     let perm = Schema.reorder_positions ~from:a.schema ~into:b.schema in
     Tset.for_all (fun tu -> Tset.mem b.data (Tuple.project perm tu)) a.data
 
-let distinct_count r col =
-  let i = Schema.index_of r.schema col in
-  let seen = Hashtbl.create 1024 in
-  Tset.iter (fun tu -> Hashtbl.replace seen tu.(i) ()) r.data;
-  Hashtbl.length seen
+module Vtbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
+(* Two scans: one for each column's value range, one to mark the values
+   seen. A column whose range is at most four times the tuple count
+   (node ids, interned labels) is marked in a byte map of that range, so
+   the map never outgrows a few bytes per tuple; a sparser column goes
+   through an int-keyed table. *)
+let distinct_counts r =
+  let arity = Schema.arity r.schema and n = cardinal r in
+  let lo = Array.make arity max_int and hi = Array.make arity min_int in
+  Tset.iter
+    (fun tu ->
+      for i = 0 to arity - 1 do
+        let v = tu.(i) in
+        if v < lo.(i) then lo.(i) <- v;
+        if v > hi.(i) then hi.(i) <- v
+      done)
+    r.data;
+  let counts = Array.make arity 0 in
+  let note =
+    Array.init arity (fun i ->
+        let base = lo.(i) and span = hi.(i) - lo.(i) in
+        if n > 0 && span >= 0 && span <= 4 * n then begin
+          let seen = Bytes.make (span + 1) '\000' in
+          fun v ->
+            if Bytes.get seen (v - base) = '\000' then begin
+              Bytes.set seen (v - base) '\001';
+              counts.(i) <- counts.(i) + 1
+            end
+        end
+        else begin
+          let seen = Vtbl.create 1024 in
+          fun v ->
+            if not (Vtbl.mem seen v) then begin
+              Vtbl.add seen v ();
+              counts.(i) <- counts.(i) + 1
+            end
+        end)
+  in
+  Tset.iter
+    (fun tu ->
+      for i = 0 to arity - 1 do
+        note.(i) tu.(i)
+      done)
+    r.data;
+  List.mapi (fun i c -> (c, counts.(i))) (Schema.cols r.schema)
+
+let distinct_count r col = snd (List.nth (distinct_counts r) (Schema.index_of r.schema col))
 
 let sorted_tuples r =
   let arr = Tset.to_array r.data in

@@ -81,6 +81,9 @@ val equal : t -> t -> bool
 val distinct_count : t -> string -> int
 (** Number of distinct values in a column (for statistics). *)
 
+val distinct_counts : t -> (string * int) list
+(** [distinct_count] of every column, in schema order, counted together. *)
+
 val pp : Format.formatter -> t -> unit
 (** Schema plus cardinality plus (small) contents; stable order. *)
 

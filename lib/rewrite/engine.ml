@@ -8,28 +8,36 @@ module Pred = Relation.Pred
 let is_internal_col c = String.length c >= 2 && c.[0] = '_' && c.[1] = 'm'
 let is_internal_var v = String.length v >= 2 && v.[0] = '_' && v.[1] = 'X'
 
+(* Canonical names "<prefix><i>", built once for the usual small [i]. *)
+let canonical_names prefix =
+  let pre = Array.init 64 (fun i -> prefix ^ string_of_int i) in
+  fun i -> if i < Array.length pre then pre.(i) else prefix ^ string_of_int i
+
+let col_name = canonical_names "_m"
+let var_name = canonical_names "_X"
+
+(* Internal names are renumbered in first-occurrence order, so two plans
+   share a key exactly when a bijective renaming of their working columns
+   and recursion variables makes them equal. The renamed term is then
+   written flat by [Normal.serialize], except that a literal relation
+   stands in as a relation named after its cardinality: literals are
+   never rewritten, and keying them by size keeps the key as cheap as
+   the rest of the term. *)
 let canonical_key t =
-  let cols = Hashtbl.create 8 and vars = Hashtbl.create 8 in
-  let col c =
-    if not (is_internal_col c) then c
+  (* A plan has a handful of internal names: association lists beat
+     hash tables here. *)
+  let rename names canonical is_internal x =
+    if not (is_internal x) then x
     else
-      match Hashtbl.find_opt cols c with
-      | Some c' -> c'
+      match List.assoc_opt x !names with
+      | Some x' -> x'
       | None ->
-        let c' = Printf.sprintf "_m%d" (Hashtbl.length cols) in
-        Hashtbl.replace cols c c';
-        c'
+        let x' = canonical (List.length !names) in
+        names := (x, x') :: !names;
+        x'
   in
-  let var v =
-    if not (is_internal_var v) then v
-    else
-      match Hashtbl.find_opt vars v with
-      | Some v' -> v'
-      | None ->
-        let v' = Printf.sprintf "_X%d" (Hashtbl.length vars) in
-        Hashtbl.replace vars v v';
-        v'
-  in
+  let col = rename (ref []) col_name is_internal_col
+  and var = rename (ref []) var_name is_internal_var in
   let rec pred p =
     match (p : Pred.t) with
     | True -> Pred.True
@@ -44,7 +52,8 @@ let canonical_key t =
   in
   let rec go (t : Term.t) : Term.t =
     match t with
-    | Rel _ | Cst _ -> t
+    | Rel _ -> t
+    | Cst r -> Rel ("<const:" ^ string_of_int (Relation.Rel.cardinal r) ^ ">")
     | Var x -> Var (var x)
     | Select (p, u) -> Select (pred p, go u)
     | Project (c, u) -> Project (List.map col c, go u)
@@ -55,7 +64,7 @@ let canonical_key t =
     | Union (a, b) -> Union (go a, go b)
     | Fix (x, body) -> Fix (var x, go body)
   in
-  Term.to_string (go t)
+  Normal.serialize (go t)
 
 (* ------------------------------------------------------------------ *)
 (* Positional application                                              *)
@@ -93,18 +102,25 @@ let explore ?(rules = Rules.all) ?(max_plans = 200) tenv t =
   let seen = Hashtbl.create 64 in
   let order = ref [] in
   let frontier = Queue.create () in
+  (* Once [max_plans] plans are recorded no candidate can be, so the
+     search stops there instead of rewriting the rest of the frontier. *)
+  let full () = Hashtbl.length seen >= max_plans in
   let visit t =
-    let key = canonical_key t in
-    if (not (Hashtbl.mem seen key)) && Hashtbl.length seen < max_plans then begin
-      Hashtbl.replace seen key ();
-      order := t :: !order;
-      Queue.add t frontier
+    if not (full ()) then begin
+      let key = canonical_key t in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.replace seen key ();
+        order := t :: !order;
+        Queue.add t frontier
+      end
     end
   in
   visit t;
-  while not (Queue.is_empty frontier) do
+  while not (Queue.is_empty frontier || full ()) do
     let current = Queue.pop frontier in
-    List.iter (fun rule -> List.iter visit (apply_everywhere tenv rule current)) rules
+    List.iter
+      (fun rule -> if not (full ()) then List.iter visit (apply_everywhere tenv rule current))
+      rules
   done;
   List.rev !order
 

@@ -101,6 +101,66 @@ let prop_estimates_positive =
          let c = Estimate.cost stats t and card = Estimate.cardinality stats t in
          c > 0. && card > 0. && Float.is_finite c && Float.is_finite card))
 
+(* --- single-pass cost ------------------------------------------------ *)
+
+(* The cost model written node by node: every operator's estimate is
+   [Estimate.term] of its own subterm, computed on its own. *)
+let rec reference_cost ?(vars = []) stats (t : Term.t) =
+  let card u = (Estimate.term ~vars stats u).Estimate.card in
+  let sub u = reference_cost ~vars stats u in
+  match t with
+  | Rel _ | Cst _ | Var _ -> card t
+  | Select (_, u) | Project (_, u) | Antiproject (_, u) | Rename (_, u) -> sub u +. card t
+  | Join (a, b) ->
+    let penalty =
+      if Term.fix_count a > 0 && Term.fix_count b > 0 then 5. *. (card a +. card b) else 0.
+    in
+    sub a +. sub b +. card t +. penalty
+  | Antijoin (a, b) | Union (a, b) -> sub a +. sub b +. card t
+  | Fix (x, body) ->
+    let e = Estimate.term ~vars stats t in
+    let consts, recs = Mura.Fcond.split ~var:x body in
+    let c_init = List.fold_left (fun acc c -> acc +. sub c) 0. consts in
+    let rec_work =
+      List.fold_left (fun acc r -> acc +. reference_cost ~vars:((x, e) :: vars) stats r) 0. recs
+    in
+    c_init +. rec_work +. e.card
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let agrees stats t = same_bits (Estimate.cost stats t) (reference_cost stats t)
+
+(* Generated path terms, some under an antijoin or beside a literal so
+   every operator occurs. *)
+let shaped_term_gen =
+  let open QCheck2.Gen in
+  let lit = Term.Cst (Rel.of_list (sch [ "src"; "trg" ]) [ [ 0; 1 ]; [ 1; 2 ]; [ 1; 3 ] ]) in
+  let* t = Gen_terms.term_gen () in
+  oneofl [ t; Term.Antijoin (t, Term.Rel "S"); Term.Union (t, lit); Term.Project ([ "src" ], t) ]
+
+let prop_cost_single_pass =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"single-pass cost = per-node reference, bit for bit"
+       QCheck2.Gen.(pair shaped_term_gen Gen_terms.env_gen)
+       (fun (t, tables) -> agrees (Stats.of_tables tables) t))
+
+let test_cost_single_pass_corpus () =
+  (* every plan the rewriter explores for the corpus queries *)
+  let yago = Graphgen.Yago_like.generate ~seed:3 ~scale:300 () in
+  let uniprot = Graphgen.Uniprot_like.generate ~seed:3 ~scale:300 () in
+  List.iter
+    (fun (g, specs) ->
+      let stats = Stats.of_tables [ ("E", g) ] in
+      let tenv = Mura.Typing.env [ ("E", Rel.schema g) ] in
+      List.iter
+        (fun (spec : Harness.Queries.spec) ->
+          let term = Rpq.Query.union_to_term (Rpq.Query.parse_union spec.text) in
+          List.iteri
+            (fun i p -> check_bool (Printf.sprintf "%s plan %d" spec.id i) true (agrees stats p))
+            (Rewrite.Engine.explore ~max_plans:120 tenv term))
+        specs)
+    [ (yago, Harness.Queries.yago); (uniprot, Harness.Queries.uniprot uniprot) ]
+
 (* --- estimate-vs-actual feedback ------------------------------------- *)
 
 module Feedback = Cost.Feedback
@@ -187,6 +247,8 @@ let () =
           Alcotest.test_case "fixpoint" `Quick test_fix_estimate_grows;
           Alcotest.test_case "total" `Quick test_estimator_total;
           prop_estimates_positive;
+          prop_cost_single_pass;
+          Alcotest.test_case "single pass on corpus plans" `Quick test_cost_single_pass_corpus;
         ] );
       ( "ranking",
         [

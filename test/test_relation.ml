@@ -340,7 +340,14 @@ let test_union_diff_reorder () =
 let test_distinct_count () =
   let r = e_rel () in
   check_int "src distinct" 3 (Rel.distinct_count r "src");
-  check_int "trg distinct" 3 (Rel.distinct_count r "trg")
+  check_int "trg distinct" 3 (Rel.distinct_count r "trg");
+  (* a column whose values are far apart, beside a dense one, and
+     negative (interned) values *)
+  let wide = rel [ "a"; "b" ] [ [ 0; -3 ]; [ 1_000_000_000; -3 ]; [ 5; -1 ]; [ 5; 0 ] ] in
+  Alcotest.(check (list (pair string int)))
+    "all columns" [ ("a", 3); ("b", 3) ] (Rel.distinct_counts wide);
+  Alcotest.(check (list (pair string int)))
+    "empty" [ ("a", 0); ("b", 0) ] (Rel.distinct_counts (rel [ "a"; "b" ] []))
 
 let test_rel_io () =
   let path = Filename.temp_file "distmura" ".edges" in

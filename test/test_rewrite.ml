@@ -269,6 +269,166 @@ let prop_random_terms_rewrites_sound =
            (fun p -> Rel.equal expected (Mura.Eval.eval env p))
            (Engine.explore ~max_plans:25 tenv t)))
 
+(* ------------------------------------------------------------------ *)
+(* Dedup keys                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Suffixes every internal working column and recursion variable: a
+   bijective renaming that keeps them internal. *)
+let rename_internal suffix t =
+  let col c = if String.starts_with ~prefix:"_m" c then c ^ suffix else c in
+  let var x = if String.starts_with ~prefix:"_X" x then x ^ suffix else x in
+  let rec pred (p : Pred.t) : Pred.t =
+    match p with
+    | True -> True
+    | Eq_const (c, v) -> Eq_const (col c, v)
+    | Neq_const (c, v) -> Neq_const (col c, v)
+    | Lt_const (c, v) -> Lt_const (col c, v)
+    | Gt_const (c, v) -> Gt_const (col c, v)
+    | Eq_col (a, b) -> Eq_col (col a, col b)
+    | And (a, b) -> And (pred a, pred b)
+    | Or (a, b) -> Or (pred a, pred b)
+    | Not a -> Not (pred a)
+  in
+  let rec go (t : Term.t) : Term.t =
+    match t with
+    | Rel _ | Cst _ -> t
+    | Var x -> Var (var x)
+    | Select (p, u) -> Select (pred p, go u)
+    | Project (c, u) -> Project (List.map col c, go u)
+    | Antiproject (c, u) -> Antiproject (List.map col c, go u)
+    | Rename (m, u) -> Rename (List.map (fun (o, n) -> (col o, col n)) m, go u)
+    | Join (a, b) -> Join (go a, go b)
+    | Antijoin (a, b) -> Antijoin (go a, go b)
+    | Union (a, b) -> Union (go a, go b)
+    | Fix (x, body) -> Fix (var x, go body)
+  in
+  go t
+
+(* Single-node changes that make a different plan: a predicate constant,
+   a predicate column, or the operator of a binary node. Applied at every
+   position through the engine's own positional rewriting. *)
+let mutate : Rules.rule =
+  {
+    name = "mutate";
+    apply =
+      (fun _ (t : Term.t) ->
+        match t with
+        | Select (Eq_const (c, v), u) ->
+          [ Select (Eq_const (c, v + 1), u); Select (Eq_const (c ^ "'", v), u) ]
+        | Join (a, b) -> [ Antijoin (a, b); Union (a, b) ]
+        | Union (a, b) -> [ Join (a, b) ]
+        | _ -> []);
+  }
+
+let prop_key_renaming =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"key: renaming internal names keeps the key"
+       (Gen_terms.term_gen ()) (fun t ->
+         String.equal (Engine.canonical_key t) (Engine.canonical_key (rename_internal "'" t))))
+
+let prop_key_mutations =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"key: a changed constant, column or operator changes it"
+       (Gen_terms.term_gen ()) (fun t ->
+         let k = Engine.canonical_key t in
+         List.for_all
+           (fun m -> not (String.equal k (Engine.canonical_key m)))
+           (Engine.apply_everywhere tenv mutate t)))
+
+let test_key_literals () =
+  let lit rows = Term.Cst (Rel.of_list (sch [ "src"; "trg" ]) rows) in
+  let key = Engine.canonical_key in
+  check_bool "equal-size literals share a key" true
+    (String.equal (key (lit [ [ 0; 1 ] ])) (key (lit [ [ 2; 3 ] ])));
+  check_bool "sizes differ" false
+    (String.equal (key (lit [ [ 0; 1 ] ])) (key (lit [ [ 0; 1 ]; [ 2; 3 ] ])));
+  let long = Rpq.Query.to_term (Rpq.Query.parse "?x, ?y <- ?x a+/b+ ?y") in
+  check_bool "flat" false (String.contains (key long) '\n')
+
+(* ------------------------------------------------------------------ *)
+(* Corpus pin                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* For Q1-Q49 on fixed graphs (seed 2; Yago scale 1000, Uniprot scale
+   1500): the number of plans [explore] records at the 120-plan cap the
+   systems use, and the chosen plan's estimated cost printed with [%h],
+   so bit for bit. They pin both the plan search and the cost model. *)
+let corpus_pin =
+  [
+    ("Q1", 118, "0x1.283b8p+15");
+    ("Q2", 118, "0x1.283b8p+15");
+    ("Q3", 118, "0x1.283b8p+15");
+    ("Q4", 85, "0x1.e978p+14");
+    ("Q5", 118, "0x1.283b8p+15");
+    ("Q6", 118, "0x1.283b8p+15");
+    ("Q7", 118, "0x1.283b8p+15");
+    ("Q8", 52, "0x1.7c89p+14");
+    ("Q9", 11, "0x1.6a788p+14");
+    ("Q10", 39, "0x1.134eep+16");
+    ("Q11", 120, "0x1.2ff63p+17");
+    ("Q12", 3, "0x1.d1d2cp+15");
+    ("Q13", 11, "0x1.0939d58p+19");
+    ("Q14", 6, "0x1.1d948p+18");
+    ("Q15", 1, "0x1.0de3a7p+20");
+    ("Q16", 30, "0x1.ac5ffp+17");
+    ("Q17", 16, "0x1.aa69d08p+19");
+    ("Q18", 14, "0x1.6dbfp+16");
+    ("Q19", 22, "0x1.fd8ep+13");
+    ("Q20", 120, "0x1.5fce68p+18");
+    ("Q21", 1, "0x1.0cb3588p+21");
+    ("Q22", 11, "0x1.6a788p+14");
+    ("Q23", 14, "0x1.153b8p+15");
+    ("Q24", 19, "0x1.1e6a8p+15");
+    ("Q25", 11, "0x1.0ff4ad8p+19");
+    ("Q26", 3, "0x1.449b249249248p+15");
+    ("Q27", 3, "0x1.449b249249248p+15");
+    ("Q28", 3, "0x1.449b249249248p+15");
+    ("Q29", 3, "0x1.42fdb6db6db6cp+15");
+    ("Q30", 3, "0x1.42fdb6db6db6cp+15");
+    ("Q31", 11, "0x1.3414e1f58d0fap+18");
+    ("Q32", 11, "0x1.3414e1f58d0fap+18");
+    ("Q33", 33, "0x1.742afbc14e5ep+20");
+    ("Q34", 3, "0x1.1359924924922p+16");
+    ("Q35", 3, "0x1.42fdb6db6db6cp+15");
+    ("Q36", 11, "0x1.0cd2492492492p+13");
+    ("Q37", 4, "0x1.11efd24924923p+18");
+    ("Q38", 19, "0x1.58e412f053976p+19");
+    ("Q39", 57, "0x1.fc48924924924p+15");
+    ("Q40", 120, "0x1.0973492492491p+16");
+    ("Q41", 47, "0x1.66aa492492491p+13");
+    ("Q42", 3, "0x1.886f249249246p+15");
+    ("Q43", 2, "0x1.2dff249249248p+15");
+    ("Q44", 3, "0x1.b409b6db6db6ap+15");
+    ("Q45", 19, "0x1.12a8p+13");
+    ("Q46", 3, "0x1.1a9ep+16");
+    ("Q47", 2, "0x1.8b251cbc14e5bp+18");
+    ("Q48", 11, "0x1.b64a4fac687d3p+18");
+    ("Q49", 19, "0x1.12a8p+13");
+  ]
+
+let test_corpus_pin () =
+  let yago = Graphgen.Yago_like.generate ~seed:2 ~scale:1000 () in
+  let uniprot = Graphgen.Uniprot_like.generate ~seed:2 ~scale:1500 () in
+  let queries =
+    List.map (fun s -> (s, yago)) Harness.Queries.yago
+    @ List.map (fun s -> (s, uniprot)) (Harness.Queries.uniprot uniprot)
+  in
+  check_int "corpus size" (List.length corpus_pin) (List.length queries);
+  List.iter2
+    (fun ((spec : Harness.Queries.spec), g) (id, plans, cost) ->
+      Alcotest.(check string) "query id" id spec.id;
+      let tables = [ ("E", g) ] in
+      let term = Rpq.Query.union_to_term (Rpq.Query.parse_union spec.text) in
+      let tenv = Mura.Typing.env [ ("E", Rel.schema g) ] in
+      check_int (id ^ " explored plans") plans
+        (List.length (Engine.explore ~max_plans:120 tenv term));
+      let best = Harness.Systems.optimize tables term in
+      Alcotest.(check string)
+        (id ^ " chosen plan cost") cost
+        (Printf.sprintf "%h" (Cost.Estimate.cost (Cost.Stats.of_tables tables) best)))
+    queries corpus_pin
+
 let () =
   Alcotest.run "rewrite"
     [
@@ -296,4 +456,12 @@ let () =
       ( "properties",
         [ prop_all_plans_equivalent; prop_optimized_equivalent; prop_random_terms_rewrites_sound ]
       );
+      ( "dedup key",
+        [
+          prop_key_renaming;
+          prop_key_mutations;
+          Alcotest.test_case "literals and layout" `Quick test_key_literals;
+        ] );
+      ( "corpus pin",
+        [ Alcotest.test_case "Q1-Q49 plan counts and chosen costs" `Quick test_corpus_pin ] );
     ]
