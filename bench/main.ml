@@ -516,463 +516,20 @@ module Micro = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Fixpoint hot path: domain pool + prepared broadcast joins           *)
+(* Shared micro-bench helpers                                          *)
 (* ------------------------------------------------------------------ *)
 
-module MicroFixpoint = struct
-  (* Times one TC fixpoint under {sequential, parallel-pool} ×
-     {prepared, unprepared} broadcast joins, plus the stage-dispatch
-     overhead of the persistent pool against the old per-stage
-     Domain.spawn. Acts as the hot-path regression gate: the four runs
-     must agree on results and on the deterministic communication
-     counters (plan shape unchanged), and — at full bench scale — the
-     prepared joins must be >= 2x faster and pool dispatch cheaper than
-     spawning.
+(* A directed path 0 -> 1 -> ... -> n-1: many fixpoint iterations with a
+   tiny frontier delta. *)
+let path_graph n =
+  Rel.of_tuples
+    (Relation.Schema.of_list [ "src"; "trg" ])
+    (List.init (n - 1) (fun i -> [| i; i + 1 |]))
 
-     The workload is single-source reachability over a long path graph:
-     many iterations with a tiny frontier delta against a broadcast of
-     the whole edge set — exactly the regime where the unprepared join
-     rescans O(|G|) per iteration and the prepared one probes O(|delta|). *)
-
-  let path_graph n =
-    Rel.of_tuples
-      (Relation.Schema.of_list [ "src"; "trg" ])
-      (List.init (n - 1) (fun i -> [| i; i + 1 |]))
-
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-
-  type run = {
-    tuples : int;
-    iterations : int;
-    wall_s : float;
-    shuffles : int;
-    shuffled_records : int;
-    broadcasts : int;
-    broadcast_records : int;
-  }
-
-  let measure g term ~parallel ~prepared =
-    let cluster = Distsim.Cluster.make ~parallel ~workers:4 () in
-    let config =
-      {
-        (Physical.Exec.default_config cluster) with
-        force_plan = Some Physical.Exec.P_plw_s;
-        use_prepared_broadcast = prepared;
-      }
-    in
-    let ctx = Physical.Exec.session config [ ("E", g) ] in
-    let result, wall_s = time (fun () -> Physical.Exec.run ctx term) in
-    let m = Distsim.Cluster.metrics cluster in
-    let iterations =
-      match (Physical.Exec.report ctx).Physical.Exec.fixpoints with
-      | f :: _ -> f.Physical.Exec.iterations
-      | [] -> 0
-    in
-    Distsim.Cluster.shutdown cluster;
-    {
-      tuples = Rel.cardinal result;
-      iterations;
-      wall_s;
-      shuffles = m.Distsim.Metrics.shuffles;
-      shuffled_records = m.Distsim.Metrics.shuffled_records;
-      broadcasts = m.Distsim.Metrics.broadcasts;
-      broadcast_records = m.Distsim.Metrics.broadcast_records;
-    }
-
-  let counters r = (r.shuffles, r.shuffled_records, r.broadcasts, r.broadcast_records)
-
-  (* Dispatch overhead of one trivial parallel stage: persistent pool vs
-     the old spawn-per-stage scheme (4 workers, driver doubles as worker
-     0, 3 remote workers either way). *)
-  let dispatch_overhead () =
-    let stages = sc 400 40 in
-    let cluster = Distsim.Cluster.make ~parallel:true ~workers:4 () in
-    ignore (Distsim.Cluster.run_stage cluster (fun w -> w));
-    (* warm-up *)
-    let (), t_pool =
-      time (fun () ->
-          for _ = 1 to stages do
-            ignore (Distsim.Cluster.run_stage cluster (fun w -> w))
-          done)
-    in
-    Distsim.Cluster.shutdown cluster;
-    let (), t_spawn =
-      time (fun () ->
-          for _ = 1 to stages do
-            let domains = Array.init 3 (fun i -> Domain.spawn (fun () -> i + 1)) in
-            ignore (Array.map Domain.join domains)
-          done)
-    in
-    (stages, t_pool /. float_of_int stages *. 1e6, t_spawn /. float_of_int stages *. 1e6)
-
-  let run () =
-    section "micro_fixpoint — fixpoint hot path (domain pool + prepared broadcast joins)";
-    let n = sc 2_500 150 in
-    let g = path_graph n in
-    let term = Mura.Patterns.reach (Relation.Value.of_int 0) in
-    heading "single-source TC over a %d-node path (%d edges), P_plw^s, 4 workers" n (Rel.cardinal g);
-    let combos =
-      [
-        ("seq_unprepared", false, false);
-        ("seq_prepared", false, true);
-        ("pool_unprepared", true, false);
-        ("pool_prepared", true, true);
-      ]
-    in
-    let runs = List.map (fun (name, parallel, prepared) -> (name, measure g term ~parallel ~prepared)) combos in
-    heading "%-16s %10s %8s %10s %10s %12s" "variant" "tuples" "iters" "time(s)" "shuffles" "bcast rec";
-    List.iter
-      (fun (name, r) ->
-        heading "%-16s %10d %8d %10.3f %10d %12d" name r.tuples r.iterations r.wall_s r.shuffles
-          r.broadcast_records)
-      runs;
-    let get name = List.assoc name runs in
-    let seq_u = get "seq_unprepared" and seq_p = get "seq_prepared" in
-    let pool_u = get "pool_unprepared" and pool_p = get "pool_prepared" in
-    let speedup_seq = seq_u.wall_s /. Float.max 1e-9 seq_p.wall_s in
-    let speedup_pool = pool_u.wall_s /. Float.max 1e-9 pool_p.wall_s in
-    let results_identical = List.for_all (fun (_, r) -> r.tuples = seq_u.tuples) runs in
-    let counters_identical = List.for_all (fun (_, r) -> counters r = counters seq_u) runs in
-    let stages, pool_us, spawn_us = dispatch_overhead () in
-    heading "prepared-broadcast speedup: %.2fx sequential, %.2fx pool" speedup_seq speedup_pool;
-    heading "stage dispatch (%d trivial stages): pool %.1f us/stage, spawn-per-stage %.1f us/stage"
-      stages pool_us spawn_us;
-    let oc = open_out "BENCH_fixpoint_hotpath.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let run_json r =
-          Printf.sprintf
-            "{\"tuples\":%d,\"iterations\":%d,\"wall_s\":%.6f,\"shuffles\":%d,\"shuffled_records\":%d,\"broadcasts\":%d,\"broadcast_records\":%d}"
-            r.tuples r.iterations r.wall_s r.shuffles r.shuffled_records r.broadcasts
-            r.broadcast_records
-        in
-        Printf.fprintf oc
-          "{\"name\":\"fixpoint_hotpath\",\"quick\":%b,\"graph_nodes\":%d,\"edges\":%d,\n\
-           \"runs\":{%s},\n\
-           \"prepared_speedup_seq\":%.3f,\"prepared_speedup_pool\":%.3f,\n\
-           \"results_identical\":%b,\"counters_identical\":%b,\n\
-           \"dispatch\":{\"stages\":%d,\"pool_us_per_stage\":%.2f,\"spawn_us_per_stage\":%.2f,\"pool_below_spawn\":%b}}\n"
-          !quick n (Rel.cardinal g)
-          (String.concat "," (List.map (fun (name, r) -> Printf.sprintf "\"%s\":%s" name (run_json r)) runs))
-          speedup_seq speedup_pool results_identical counters_identical stages pool_us spawn_us
-          (pool_us < spawn_us));
-    heading "wrote BENCH_fixpoint_hotpath.json";
-    (* hard gates: correctness always; performance only at full scale
-       (quick mode is a smoke test where the workload is too small for
-       stable ratios) *)
-    if not results_identical then failwith "micro_fixpoint: result sizes differ across variants";
-    if not counters_identical then
-      failwith "micro_fixpoint: shuffle/broadcast counters differ across variants (plan shape changed)";
-    if not !quick then begin
-      if speedup_seq < 2.0 then
-        failwith
-          (Printf.sprintf "micro_fixpoint: prepared broadcast join speedup %.2fx < 2x" speedup_seq);
-      if pool_us >= spawn_us then
-        failwith
-          (Printf.sprintf
-             "micro_fixpoint: pool dispatch (%.1f us/stage) not below Domain.spawn baseline (%.1f us/stage)"
-             pool_us spawn_us)
-    end
-end
-
-module MicroShuffle = struct
-  (* Times the exchange path — one hash-repartition by a non-partitioning
-     column — sequential driver-side vs the two-phase pooled shuffle,
-     across worker counts and key-skew levels. Acts as the shuffle
-     regression gate: the two paths must produce bit-identical result
-     partitions and communication counters (always, --quick included);
-     at full bench scale on a multi-core host the pooled path must also
-     be >= 2x faster at 4 workers. On a single-core host the parallelism
-     gate is vacuous and skipped (recorded as host_cores in the JSON). *)
-
-  let time = MicroFixpoint.time
-
-  (* [src] unique (the initial partitioning key); a [skew] fraction of
-     tuples share one hot [trg] key, the rest spread uniformly — so the
-     repartition by [trg] funnels that fraction to a single worker. *)
-  let make_rel ~n ~skew =
-    let hot = int_of_float (skew *. float_of_int n) in
-    Rel.of_tuples
-      (Relation.Schema.of_list [ "src"; "trg" ])
-      (List.init n (fun i -> [| i; (if i < hot then 0 else (i * 3) + 1) |]))
-
-  type run = {
-    wall_s : float;
-    tuples : int;
-    shuffles : int;
-    shuffled_records : int;
-    shuffled_bytes : int;
-    parts : Relation.Tset.t array;
-    map_ns : float;
-    merge_ns : float;
-  }
-
-  let counters r = (r.shuffles, r.shuffled_records, r.shuffled_bytes)
-
-  let measure ~pooled ~workers ~iters rel =
-    (* adaptivity off: this bench measures the static pooled path itself,
-       not the per-exchange mode choice (which would go sequential at the
-       --quick volumes) *)
-    let cluster = Distsim.Cluster.make ~parallel:pooled ~adaptive_shuffle:false ~workers () in
-    let d = Distsim.Dds.of_rel ~by:[ "src" ] cluster rel in
-    ignore (Distsim.Dds.repartition ~by:[ "trg" ] d);
-    (* warm-up *)
-    Distsim.Metrics.reset (Distsim.Cluster.metrics cluster);
-    let last = ref d in
-    let (), wall_s =
-      time (fun () ->
-          for _ = 1 to iters do
-            last := Distsim.Dds.repartition ~by:[ "trg" ] d
-          done)
-    in
-    let out = !last in
-    let m = Distsim.Cluster.metrics cluster in
-    let parts =
-      Array.init (Distsim.Dds.num_partitions out) (Distsim.Dds.partition out)
-    in
-    Distsim.Cluster.shutdown cluster;
-    {
-      wall_s;
-      tuples = Distsim.Dds.cardinal out;
-      shuffles = m.Distsim.Metrics.shuffles;
-      shuffled_records = m.Distsim.Metrics.shuffled_records;
-      shuffled_bytes = m.Distsim.Metrics.shuffled_bytes;
-      parts;
-      map_ns = m.Distsim.Metrics.exchange_map_ns;
-      merge_ns = m.Distsim.Metrics.exchange_merge_ns;
-    }
-
-  let run () =
-    section "micro_shuffle — two-phase pooled exchange vs sequential driver-side";
-    let n = sc 60_000 2_000 in
-    let iters = sc 8 2 in
-    let host_cores = Domain.recommended_domain_count () in
-    heading "repartition %d tuples by [trg] x%d, host cores: %d" n iters host_cores;
-    heading "%8s %6s %14s %14s %9s %7s %9s" "workers" "skew" "seq tup/s" "pool tup/s" "speedup"
-      "parts=" "counters=";
-    let throughput r = float_of_int (n * iters) /. Float.max 1e-9 r.wall_s in
-    let rows =
-      List.concat_map
-        (fun workers ->
-          List.map
-            (fun skew ->
-              let rel = make_rel ~n ~skew in
-              let seq = measure ~pooled:false ~workers ~iters rel in
-              let pool = measure ~pooled:true ~workers ~iters rel in
-              let parts_ok =
-                Array.length seq.parts = Array.length pool.parts
-                && seq.tuples = pool.tuples
-                && Array.for_all2 Relation.Tset.equal seq.parts pool.parts
-              in
-              let counters_ok = counters seq = counters pool in
-              let speedup = throughput pool /. Float.max 1e-9 (throughput seq) in
-              heading "%8d %6.1f %14.0f %14.0f %8.2fx %7b %9b" workers skew (throughput seq)
-                (throughput pool) speedup parts_ok counters_ok;
-              (workers, skew, seq, pool, speedup, parts_ok, counters_ok))
-            [ 0.0; 0.5; 0.9 ])
-        [ 1; 2; 4 ]
-    in
-    let oc = open_out "BENCH_shuffle.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let row_json (workers, skew, seq, pool, speedup, parts_ok, counters_ok) =
-          Printf.sprintf
-            "{\"workers\":%d,\"skew\":%.1f,\"seq_tuples_per_s\":%.0f,\"pool_tuples_per_s\":%.0f,\"speedup\":%.3f,\"shuffled_records\":%d,\"shuffled_bytes\":%d,\"pool_map_ns\":%.0f,\"pool_merge_ns\":%.0f,\"partitions_identical\":%b,\"counters_identical\":%b}"
-            workers skew (throughput seq) (throughput pool) speedup seq.shuffled_records
-            seq.shuffled_bytes pool.map_ns pool.merge_ns parts_ok counters_ok
-        in
-        Printf.fprintf oc
-          "{\"name\":\"shuffle\",\"quick\":%b,\"tuples\":%d,\"iterations\":%d,\"host_cores\":%d,\n\
-           \"rows\":[%s]}\n"
-          !quick n iters host_cores
-          (String.concat ",\n" (List.map row_json rows)));
-    heading "wrote BENCH_shuffle.json";
-    (* hard gates: parity always; parallel speedup only at full scale on
-       a host that can actually run workers concurrently *)
-    List.iter
-      (fun (workers, skew, _, _, _, parts_ok, counters_ok) ->
-        if not parts_ok then
-          failwith
-            (Printf.sprintf "micro_shuffle: partitions differ (workers=%d skew=%.1f)" workers skew);
-        if not counters_ok then
-          failwith
-            (Printf.sprintf
-               "micro_shuffle: shuffle counters differ between paths (workers=%d skew=%.1f)"
-               workers skew))
-      rows;
-    if (not !quick) && host_cores >= 2 then
-      List.iter
-        (fun (workers, skew, _, _, speedup, _, _) ->
-          if workers = 4 && skew = 0.0 && speedup < 2.0 then
-            failwith
-              (Printf.sprintf "micro_shuffle: pooled speedup %.2fx < 2x at 4 workers" speedup))
-        rows
-end
-
-module MicroFixpointDelta = struct
-  (* Times the delta-maintenance step of the semi-naive loop — the fused
-     in-place diff+union accumulator plus the map-side iteration-shuffle
-     seen filter — against the unfused diff-then-copy-then-union
-     baseline, on transitive closure over graphs of increasing size and
-     iteration depth. Acts as the delta regression gate: fused and
-     unfused runs must agree on result sizes, iteration counts and the
-     per-iteration delta curve (always, --quick included); at full bench
-     scale on a multi-core host the fused path must also be no slower
-     overall and must strictly reduce the records moved by P_gld's
-     iteration shuffles (the dense cyclic workload re-derives pairs
-     every round; the seen filter drops them before they are routed). *)
-
-  let time = MicroFixpoint.time
-  let path_graph = MicroFixpoint.path_graph
-
-  type run = {
-    tuples : int;
-    iterations : int;
-    deltas : int list;
-    wall_s : float;
-    shuffled_records : int;
-    dedup_dropped : int;
-  }
-
-  let measure g plan ~fused =
-    let cluster = Distsim.Cluster.make ~parallel:true ~workers:4 () in
-    let config =
-      {
-        (Physical.Exec.default_config cluster) with
-        force_plan = Some plan;
-        use_fused_delta = fused;
-        use_shuffle_dedup = fused;
-      }
-    in
-    let ctx = Physical.Exec.session config [ ("E", g) ] in
-    let result, wall_s =
-      time (fun () -> Physical.Exec.run ctx (Mura.Patterns.closure (Term.Rel "E")))
-    in
-    let m = Distsim.Cluster.metrics cluster in
-    let iterations, deltas =
-      match (Physical.Exec.report ctx).Physical.Exec.fixpoints with
-      | f :: _ -> (f.Physical.Exec.iterations, f.Physical.Exec.deltas)
-      | [] -> (0, [])
-    in
-    Distsim.Cluster.shutdown cluster;
-    {
-      tuples = Rel.cardinal result;
-      iterations;
-      deltas;
-      wall_s;
-      shuffled_records = m.Distsim.Metrics.shuffled_records;
-      dedup_dropped = m.Distsim.Metrics.dedup_dropped_records;
-    }
-
-  let run () =
-    section "micro_fixpoint_delta — fused accumulator + iteration-shuffle dedup vs baseline";
-    let host_cores = Domain.recommended_domain_count () in
-    let er ~seed ~nodes ~deg =
-      G.erdos_renyi ~seed ~nodes ~p:(float_of_int deg /. float_of_int nodes) ()
-    in
-    let workloads =
-      [
-        (* deep: many iterations, each growing the accumulator that the
-           unfused path copies wholesale *)
-        ("path", path_graph (sc 300 60));
-        (* shallow but wide *)
-        ("er_sparse", er ~seed:44 ~nodes:(sc 500 80) ~deg:3);
-        (* cyclic and duplicate-heavy: the seen filter's regime *)
-        ("er_dense", er ~seed:45 ~nodes:(sc 250 60) ~deg:12);
-      ]
-    in
-    heading "transitive closure, 4 pooled workers, host cores: %d" host_cores;
-    heading "%-10s %-8s %10s %7s %12s %12s %13s %9s" "workload" "plan" "tuples" "iters"
-      "unfused(s)" "fused(s)" "shuffle rec" "dropped";
-    let rows =
-      List.concat_map
-        (fun (wname, g) ->
-          List.map
-            (fun plan ->
-              let base = measure g plan ~fused:false in
-              let fast = measure g plan ~fused:true in
-              let parity =
-                base.tuples = fast.tuples
-                && base.iterations = fast.iterations
-                && base.deltas = fast.deltas
-              in
-              heading "%-10s %-8s %10d %7d %12.3f %12.3f %6d->%-6d %9d" wname
-                (Physical.Exec.plan_name plan) fast.tuples fast.iterations base.wall_s
-                fast.wall_s base.shuffled_records fast.shuffled_records fast.dedup_dropped;
-              (wname, Rel.cardinal g, plan, base, fast, parity))
-            [ Physical.Exec.P_gld; Physical.Exec.P_plw_s ])
-        workloads
-    in
-    let total f = List.fold_left (fun acc (_, _, _, base, fast, _) -> acc +. f base fast) 0. rows in
-    let total_base = total (fun b _ -> b.wall_s) and total_fused = total (fun _ f -> f.wall_s) in
-    let overall_speedup = total_base /. Float.max 1e-9 total_fused in
-    let gld_records which =
-      List.fold_left
-        (fun acc (_, _, plan, base, fast, _) ->
-          if plan = Physical.Exec.P_gld then acc + (which base fast).shuffled_records else acc)
-        0 rows
-    in
-    let gld_base_rec = gld_records (fun b _ -> b) and gld_fused_rec = gld_records (fun _ f -> f) in
-    heading "overall: unfused %.3fs, fused %.3fs (%.2fx); P_gld iteration-shuffle records %d -> %d"
-      total_base total_fused overall_speedup gld_base_rec gld_fused_rec;
-    let oc = open_out "BENCH_fixpoint_delta.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let run_json r =
-          Printf.sprintf
-            "{\"tuples\":%d,\"iterations\":%d,\"wall_s\":%.6f,\"shuffled_records\":%d,\"dedup_dropped\":%d}"
-            r.tuples r.iterations r.wall_s r.shuffled_records r.dedup_dropped
-        in
-        let row_json (wname, edges, plan, base, fast, parity) =
-          Printf.sprintf
-            "{\"workload\":\"%s\",\"edges\":%d,\"plan\":\"%s\",\"unfused\":%s,\"fused\":%s,\"speedup\":%.3f,\"parity\":%b}"
-            wname edges (Physical.Exec.plan_name plan) (run_json base) (run_json fast)
-            (base.wall_s /. Float.max 1e-9 fast.wall_s)
-            parity
-        in
-        Printf.fprintf oc
-          "{\"name\":\"fixpoint_delta\",\"quick\":%b,\"host_cores\":%d,\n\
-           \"rows\":[%s],\n\
-           \"total_unfused_wall_s\":%.6f,\"total_fused_wall_s\":%.6f,\"overall_speedup\":%.3f,\n\
-           \"gld_unfused_shuffled_records\":%d,\"gld_fused_shuffled_records\":%d}\n"
-          !quick host_cores
-          (String.concat ",\n" (List.map row_json rows))
-          total_base total_fused overall_speedup gld_base_rec gld_fused_rec);
-    heading "wrote BENCH_fixpoint_delta.json";
-    (* hard gates: parity always; performance and shuffle reduction only
-       at full scale on a host that can actually run workers concurrently
-       (quick mode is a smoke test where the workloads are too small for
-       stable ratios) *)
-    List.iter
-      (fun (wname, _, plan, base, fast, parity) ->
-        if not parity then
-          failwith
-            (Printf.sprintf
-               "micro_fixpoint_delta: %s/%s diverged (tuples %d vs %d, iterations %d vs %d)"
-               wname (Physical.Exec.plan_name plan) base.tuples fast.tuples base.iterations
-               fast.iterations);
-        if base.dedup_dropped <> 0 then
-          failwith
-            (Printf.sprintf "micro_fixpoint_delta: %s/%s baseline run recorded seen-filter drops"
-               wname (Physical.Exec.plan_name plan)))
-      rows;
-    if (not !quick) && host_cores >= 2 then begin
-      if overall_speedup < 1.0 then
-        failwith
-          (Printf.sprintf "micro_fixpoint_delta: fused path slower overall (%.2fx)" overall_speedup);
-      if gld_fused_rec >= gld_base_rec then
-        failwith
-          (Printf.sprintf
-             "micro_fixpoint_delta: seen filter did not reduce P_gld shuffle records (%d -> %d)"
-             gld_base_rec gld_fused_rec)
-    end
-end
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* micro_compiled: compiled columnar pipelines vs the interpreter      *)
@@ -992,8 +549,6 @@ module MicroCompiled = struct
      insert-triggered rehash counter must read zero over its P_plw^s
      runs (P_gld's seen-filter sets legitimately grow). *)
 
-  let time = MicroFixpoint.time
-  let path_graph = MicroFixpoint.path_graph
 
   type run = {
     tuples : int;
@@ -1149,8 +704,6 @@ module MicroShell = struct
      presized). At full scale on a multi-core host the compiled shell
      must additionally be at least 1.5x faster end-to-end. *)
 
-  let time = MicroFixpoint.time
-  let path_graph = MicroFixpoint.path_graph
 
   let shell_query =
     let two_hop =
@@ -1312,7 +865,6 @@ module MicroServe = struct
     parity : bool;
   }
 
-  let path_graph = MicroFixpoint.path_graph
 
   let measure ~cached ~repeat graph =
     let cluster = Distsim.Cluster.make ~workers:4 () in
@@ -1441,7 +993,6 @@ end
 module MicroTelemetry = struct
   module SM = Harness.Serve_mix
 
-  let path_graph = MicroFixpoint.path_graph
 
   let measure ?(telemetry = false) ?(sample = 0) ?(slow_ms = infinity) ~sessions ~repeat graph =
     if telemetry then Telemetry.install (Telemetry.make ()) else Telemetry.uninstall ();
@@ -1576,8 +1127,6 @@ end
    graph, where from-scratch convergence pays one iteration per hop)
    must be at least 5x faster than recomputation. *)
 module MicroIncremental = struct
-  let time = MicroFixpoint.time
-  let path_graph = MicroFixpoint.path_graph
   let closure () = Mura.Patterns.closure (Term.Rel "E")
 
   (* [k] fresh edges over [g]'s node universe, deterministic *)
@@ -1769,9 +1318,6 @@ let experiments =
     ("fig8", Fig8.run);
     ("ablation", Ablation.run);
     ("micro", Micro.run);
-    ("micro_fixpoint", MicroFixpoint.run);
-    ("micro_shuffle", MicroShuffle.run);
-    ("micro_fixpoint_delta", MicroFixpointDelta.run);
     ("micro_compiled", MicroCompiled.run);
     ("micro_shell", MicroShell.run);
     ("micro_serve", MicroServe.run);

@@ -63,29 +63,6 @@ else
 fi
 echo "report OK: $report"
 
-# fixpoint hot-path regression gate: quick-scale run of the pool +
-# prepared-broadcast micro bench; a crash or a counter/result mismatch
-# across the four variants fails the build (the >=2x speedup and
-# pool-vs-spawn dispatch gates only apply at full bench scale)
-echo "== bench micro_fixpoint (--quick) =="
-dune exec bench/main.exe -- --quick micro_fixpoint
-
-# shuffle parity gate: quick-scale run of the two-phase pooled exchange
-# micro bench; any drift between the pooled and sequential paths —
-# result partitions or shuffle counters — fails the build (the >=2x
-# pooled speedup gate only applies at full scale on multi-core hosts)
-echo "== bench micro_shuffle (--quick) =="
-dune exec bench/main.exe -- --quick micro_shuffle
-
-# delta-maintenance parity gate: quick-scale run of the fused
-# accumulator + iteration-shuffle dedup micro bench; any divergence from
-# the unfused baseline — result sizes, iteration counts or the
-# per-iteration delta curve — fails the build (the overall-speedup and
-# P_gld shuffle-reduction gates only apply at full scale on multi-core
-# hosts)
-echo "== bench micro_fixpoint_delta (--quick) =="
-dune exec bench/main.exe -- --quick micro_fixpoint_delta
-
 # compiled-execution parity gate: quick-scale run of the compiled
 # columnar core vs the interpreted loop; any divergence — result sizes,
 # iteration counts, delta curves or communication counters — fails the

@@ -100,8 +100,6 @@ end
 type t = {
   workers : int;
   parallel : bool;
-  use_parallel_shuffle : bool;
-  adaptive_shuffle : bool;
   host_cores : int;
   metrics : Metrics.t;
   mutable pool : Pool.t option;
@@ -121,8 +119,7 @@ let shutdown c =
     c.pool <- None;
     Pool.shutdown p
 
-let make ?(parallel = false) ?(use_parallel_shuffle = true) ?(adaptive_shuffle = true) ~workers
-    () =
+let make ?(parallel = false) ~workers () =
   if workers < 1 then invalid_arg "Cluster.make: workers < 1";
   let pool =
     if parallel && workers > 1 then Some (Pool.create (workers - 1)) else None
@@ -131,8 +128,6 @@ let make ?(parallel = false) ?(use_parallel_shuffle = true) ?(adaptive_shuffle =
     {
       workers;
       parallel;
-      use_parallel_shuffle;
-      adaptive_shuffle;
       host_cores = Domain.recommended_domain_count ();
       metrics = Metrics.create ();
       pool;
@@ -153,25 +148,21 @@ let parallel c = c.parallel
 
 (* The two-phase shuffle only pays off when stages actually fan out:
    sequential clusters and single-worker clusters keep the driver-side
-   exchange (also the [use_parallel_shuffle:false] regression baseline). *)
-let pooled_shuffle c = c.parallel && c.use_parallel_shuffle && c.workers > 1
+   exchange. *)
+let pooled_shuffle c = c.parallel && c.workers > 1
 let host_cores c = c.host_cores
-let adaptive_shuffle c = c.adaptive_shuffle
 
 (* Per-exchange mode selection. Pooling an exchange pays a fixed dispatch
-   cost per phase (two [run_stage]s plus bucket assembly); BENCH_shuffle
-   shows it losing to the driver-side loop below a volume threshold,
-   especially when the host has no spare cores for the pool domains. With
-   [adaptive_shuffle] (the default) each exchange picks its mode from the
-   measured record volume; the static knob behaviour ([use_parallel_shuffle]
-   forcing every exchange pooled) is kept as the bench baseline. Both paths
-   are bit-identical in results and counters, so the choice is purely a
+   cost per phase (two [run_stage]s plus bucket assembly), which loses to
+   the driver-side loop below a volume threshold, especially when the
+   host has no spare cores for the pool domains. Each exchange therefore
+   picks its mode from the measured record volume. Both paths are
+   bit-identical in results and counters, so the choice is purely a
    latency decision. *)
 let adaptive_pooled_cutoff = 2048
 
 let shuffle_mode c ~records =
   if not (pooled_shuffle c) then `Seq
-  else if not c.adaptive_shuffle then `Pooled
   else begin
     let cutoff =
       if c.host_cores > c.workers then adaptive_pooled_cutoff else 4 * adaptive_pooled_cutoff

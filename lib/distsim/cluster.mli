@@ -19,20 +19,12 @@
 
 type t
 
-val make :
-  ?parallel:bool -> ?use_parallel_shuffle:bool -> ?adaptive_shuffle:bool -> workers:int -> unit -> t
-(** [use_parallel_shuffle] (default [true]) lets [Dds] run its exchanges
-    as two-phase map/merge stages on the worker pool instead of
-    sequentially on the driver; it only takes effect on parallel
-    multi-worker clusters (see {!pooled_shuffle}). Results and
-    communication counters are identical either way — the [false]
-    setting exists as the regression baseline for [bench micro_shuffle].
-
-    [adaptive_shuffle] (default [true]) further lets each exchange pick
-    sequential or pooled from its measured record volume and the host's
-    core count (see {!shuffle_mode}); set it to [false] to force every
-    eligible exchange pooled, the pre-adaptive static behaviour the
-    shuffle micro bench measures.
+val make : ?parallel:bool -> workers:int -> unit -> t
+(** On parallel multi-worker clusters [Dds] may run its exchanges as
+    two-phase map/merge stages on the worker pool instead of sequentially
+    on the driver; each exchange picks its mode from its measured record
+    volume and the host's core count (see {!shuffle_mode}). Results and
+    communication counters are identical either way.
     @raise Invalid_argument if [workers < 1]. *)
 
 val workers : t -> int
@@ -40,20 +32,18 @@ val parallel : t -> bool
 
 val pooled_shuffle : t -> bool
 (** Whether exchanges {e may} run as pooled two-phase shuffles: parallel
-    mode, more than one worker, and [use_parallel_shuffle] not disabled.
-    The per-exchange decision is {!shuffle_mode}. *)
+    mode and more than one worker. The per-exchange decision is
+    {!shuffle_mode}. *)
 
 val host_cores : t -> int
 (** [Domain.recommended_domain_count] sampled at {!make}: the physical
     parallelism actually available to the pool, as opposed to the
     simulated [workers] count. *)
 
-val adaptive_shuffle : t -> bool
-
 val shuffle_mode : t -> records:int -> [ `Pooled | `Seq ]
 (** Mode for one exchange moving [records] tuples: [`Seq] when the
-    cluster cannot pool ({!pooled_shuffle} false), [`Pooled] when
-    adaptivity is disabled, otherwise pooled only above a volume cutoff
+    cluster cannot pool ({!pooled_shuffle} false), otherwise pooled only
+    above a volume cutoff
     that rises when the host has no spare cores ({!host_cores} <=
     [workers]). Both modes produce bit-identical partitions and
     communication counters; the exchange records the chosen mode as an

@@ -446,7 +446,7 @@ let relayout_set ~from ~into part =
 (* Size attributes for the narrow set-op spans: input cardinal on the
    driver, output sizes via [record_skew] without [~cluster] (trace attrs
    only — these ops never fed the partition-size histograms, and the
-   knob-off counter parity contract keeps it that way). *)
+   compiled/interpreted counter parity contract keeps it that way). *)
 let records_in_attr tr a b =
   if Trace.enabled tr then Trace.set_attr tr "records_in" (Trace.Int (cardinal a + cardinal b))
 
@@ -504,14 +504,14 @@ let set_inter_local a b =
 
 let copy_parts d = { d with parts = Array.map Tset.copy d.parts }
 
-(* Fused delta maintenance: one pooled stage replaces the unfused
-   diff-then-copy-then-union three passes. The accumulator's partitions
+(* Fused delta maintenance: one pooled stage instead of separate
+   diff, copy and union passes. The accumulator's partitions
    are mutated in place ([Tset.absorb_fresh]), so [acc] must be loop
    private — in the semi-naive drivers it is created by the initial
    repartition (or defensively [copy_parts]ed), never shared with the
    table cache. Returns [(acc', fresh)] where [fresh = produced \ acc]
-   and [acc' = acc ∪ produced], with the same partitioning transitions
-   as the unfused pair of calls. *)
+   and [acc' = acc ∪ produced]; [acc'] keeps [acc]'s partitioning when
+   both sides agree on it. *)
 let diff_union_in_place ~acc ~produced =
   if num_partitions acc <> num_partitions produced then
     invalid_arg "Dds.diff_union_in_place: partition counts";

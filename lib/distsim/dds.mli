@@ -21,7 +21,7 @@
     [dds.exchange.merge]) carrying per-phase skew attributes. Result
     partitions and the metered records/bytes/moved counts are
     bit-identical to the sequential driver-side exchange, which remains
-    the fallback (and the [use_parallel_shuffle:false] baseline). *)
+    the fallback for small exchanges (see {!Cluster.shuffle_mode}). *)
 
 type partitioning =
   | Arbitrary  (** no placement guarantee *)
@@ -110,20 +110,19 @@ val copy_parts : t -> t
     accumulator before handing it to {!diff_union_in_place}. *)
 
 val diff_union_in_place : acc:t -> produced:t -> t * t
-(** [diff_union_in_place ~acc ~produced] is the fused semi-naive delta
+(** [diff_union_in_place ~acc ~produced] is the semi-naive delta
     maintenance step: returns [(acc', fresh)] where [fresh = produced \
     acc] and [acc' = acc ∪ produced], computed in a single stage with one
-    probe per tuple ({!Relation.Tset.absorb_fresh}) instead of the unfused
-    [set_diff_local] + [set_union_local] pair (which rebuilds the fresh
-    set and copies the whole accumulator every iteration).
+    probe per tuple ({!Relation.Tset.absorb_fresh}); the accumulator is
+    grown in place rather than copied every iteration.
 
     {b Ownership:} [acc]'s partitions are mutated in place ([acc'] shares
     them). The caller must own [acc] exclusively — in the semi-naive
     drivers the accumulator is loop private, created by the initial
     repartition or defensively {!copy_parts}ed; it must never alias a
     cached base relation. Traced as [dds.diff_union] with input/output
-    size and skew attributes. Partitioning transitions match the unfused
-    pair. *)
+    size and skew attributes. [acc'] keeps [acc]'s partitioning when
+    both sides agree on it, and is [Arbitrary] otherwise. *)
 
 (** {2 Iteration-shuffle deduplication}
 
@@ -181,7 +180,7 @@ val antijoin_broadcast : t -> Relation.Rel.t -> t
     shared by all worker domains) and every subsequent join only probes
     it: O(|delta| * fanout) per iteration. Preparation meters nothing —
     the communication was already paid by {!broadcast}, so shuffle and
-    broadcast counters are identical to the unprepared plan. *)
+    broadcast counters are identical to the plain {!join_bcast}. *)
 
 type prepared_bcast
 

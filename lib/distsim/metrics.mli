@@ -44,7 +44,7 @@ type t = {
   mutable dedup_dropped_records : int;
       (** tuples dropped map-side by the iteration-shuffle seen filter
           (re-derivations that were already routed in an earlier fixpoint
-          iteration); 0 when [use_shuffle_dedup] is off *)
+          iteration); 0 outside fixpoint loops *)
 }
 
 val create : unit -> t

@@ -23,9 +23,6 @@ type config = {
   max_iterations : int;
   max_tuples : int;
   use_stable_partitioning : bool;
-  use_prepared_broadcast : bool;
-  use_fused_delta : bool;
-  use_shuffle_dedup : bool;
   collect_actuals : bool;
   use_compiled_exec : bool;
 }
@@ -38,9 +35,6 @@ let default_config cluster =
     max_iterations = 100_000;
     max_tuples = 500_000_000;
     use_stable_partitioning = true;
-    use_prepared_broadcast = true;
-    use_fused_delta = true;
-    use_shuffle_dedup = true;
     collect_actuals = false;
     use_compiled_exec = true;
   }
@@ -619,26 +613,11 @@ and compile_branch ctx ~var ~join_mode ~path branch : Dds.t -> Dds.t =
         in
         let f = go ~path:rpath recursive in
         (match join_mode with
-        | `Broadcast when ctx.config.use_prepared_broadcast ->
-          (* prepared handle: index over the broadcast side built once at
-             the first iteration (the delta schema is loop-invariant)
-             and probed by every later one *)
-          let bc = Dds.broadcast ctx.config.cluster (eval_const ctx ~path:cpath const) in
-          let prepared = ref None in
+        | `Broadcast ->
+          let probe = bcast_probe ctx ~path:cpath const in
           fun delta ->
             let left = f delta in
-            let p =
-              match !prepared with
-              | Some p -> p
-              | None ->
-                let p = Dds.prepare_bcast ~for_schema:(Dds.schema left) bc in
-                prepared := Some p;
-                p
-            in
-            Dds.join_bcast_prepared left p
-        | `Broadcast ->
-          let bc = Dds.broadcast ctx.config.cluster (eval_const ctx ~path:cpath const) in
-          fun delta -> Dds.join_bcast (f delta) bc
+            Dds.join_bcast_prepared left (probe left)
         | `Shuffle ->
           let const_dds = exec_any ctx ~path:cpath const in
           (* memoize the co-partitioned constant side across iterations:
@@ -664,23 +643,11 @@ and compile_branch ctx ~var ~join_mode ~path branch : Dds.t -> Dds.t =
         if Term.has_free_var var b then err "fixpoint on %s is not positive" var;
         let f = go ~path:(child path 0) a in
         (match join_mode with
-        | `Broadcast when ctx.config.use_prepared_broadcast ->
-          let bc = Dds.broadcast ctx.config.cluster (eval_const ctx ~path:(child path 1) b) in
-          let prepared = ref None in
+        | `Broadcast ->
+          let probe = bcast_probe ctx ~path:(child path 1) b in
           fun delta ->
             let left = f delta in
-            let p =
-              match !prepared with
-              | Some p -> p
-              | None ->
-                let p = Dds.prepare_bcast ~for_schema:(Dds.schema left) bc in
-                prepared := Some p;
-                p
-            in
-            Dds.antijoin_bcast_prepared left p
-        | `Broadcast ->
-          let bc = Dds.broadcast ctx.config.cluster (eval_const ctx ~path:(child path 1) b) in
-          fun delta -> Dds.antijoin_bcast (f delta) bc
+            Dds.antijoin_bcast_prepared left (probe left)
         | `Shuffle ->
           let const_dds = exec_any ctx ~path:(child path 1) b in
           fun delta -> Dds.antijoin_shuffle (f delta) const_dds)
@@ -689,6 +656,21 @@ and compile_branch ctx ~var ~join_mode ~path branch : Dds.t -> Dds.t =
       | Term.Rel _ | Term.Cst _ -> assert false (* constant, handled above *)
   in
   go ~path branch
+
+(* Broadcast the constant side [const] once and return a probe-handle
+   getter: the index over the broadcast side is built at the first
+   iteration (the delta schema is loop-invariant) and reused by every
+   later one. *)
+and bcast_probe ctx ~path const : Dds.t -> Dds.prepared_bcast =
+  let bc = Dds.broadcast ctx.config.cluster (eval_const ctx ~path const) in
+  let prepared = ref None in
+  fun left ->
+    match !prepared with
+    | Some p -> p
+    | None ->
+      let p = Dds.prepare_bcast ~for_schema:(Dds.schema left) bc in
+      prepared := Some p;
+      p
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint plans                                                      *)
@@ -765,19 +747,15 @@ and exec_fix ctx ~path var body : Dds.t =
    repartition ([per_iter]: the only step the two plans differ on — a
    shuffle for P_gld, the identity for P_plw^s) -> delta maintenance.
 
-   Delta maintenance runs fused when [use_fused_delta] is on: one
-   [Dds.diff_union_in_place] stage that mutates the accumulator's
-   partitions in place. The accumulator must therefore be loop private —
-   [x0_private] says whether the caller's initial repartition actually
-   allocated fresh partitions; when it no-opped (so [x0] may alias a
-   cached table), the fused path takes a one-time defensive copy. The
-   unfused diff-then-union pair is kept verbatim as the knob-off
-   baseline: with [use_fused_delta = false] this loop is step-for-step
-   the pre-fusion code path. *)
+   Delta maintenance is one [Dds.diff_union_in_place] stage that mutates
+   the accumulator's partitions in place. The accumulator must therefore
+   be loop private — [x0_private] says whether the caller's initial
+   repartition actually allocated fresh partitions; when it no-opped (so
+   [x0] may alias a cached table), the loop takes a one-time defensive
+   copy. *)
 and run_semi_naive ctx ~var ~plan_label ~x0 ~x0_private ?delta0 ~branch_fns ~per_iter () =
   let m = Cluster.metrics ctx.config.cluster in
-  let fused = ctx.config.use_fused_delta in
-  let x = ref (if fused && not x0_private then Dds.copy_parts x0 else x0) in
+  let x = ref (if x0_private then x0 else Dds.copy_parts x0) in
   (* [delta0] resumes the loop with a given frontier (already absorbed
      into [x0] by the caller) — the incremental-maintenance entry *)
   let delta = ref (match delta0 with Some d -> d | None -> !x) in
@@ -801,35 +779,17 @@ and run_semi_naive ctx ~var ~plan_label ~x0 ~x0_private ?delta0 ~branch_fns ~per
     let produced = check_size_dds ctx produced in
     let produced = relayout_dds produced (Dds.schema !x) in
     let produced = per_iter produced in
-    if fused then begin
-      let x', fresh = Dds.diff_union_in_place ~acc:!x ~produced in
-      let fresh_n = Dds.cardinal fresh in
-      deltas := fresh_n :: !deltas;
-      if fresh_n = 0 then continue := false
-      else begin
-        x := check_size_dds ctx x';
-        delta := fresh
-      end
-    end
+    let x', fresh = Dds.diff_union_in_place ~acc:!x ~produced in
+    let fresh_n = Dds.cardinal fresh in
+    deltas := fresh_n :: !deltas;
+    if fresh_n = 0 then continue := false
     else begin
-      let fresh = Dds.set_diff_local produced !x in
-      let fresh_n = Dds.cardinal fresh in
-      deltas := fresh_n :: !deltas;
-      if fresh_n = 0 then continue := false
-      else begin
-        x := check_size_dds ctx (Dds.set_union_local !x fresh);
-        delta := fresh
-      end
+      x := check_size_dds ctx x';
+      delta := fresh
     end
   done;
   (!x, !iterations, List.rev !deltas)
 
-(* P_gld: driver loop over distributed wide operations. The accumulated
-   result is kept hash-partitioned by the full schema so that the
-   per-iteration difference costs exactly one shuffle of the produced
-   tuples (plus whatever the joins shuffle). With [use_shuffle_dedup] a
-   seen filter rides on the per-iteration repartition, dropping
-   re-derived tuples map-side before they are bucketed or metered. *)
 (* Try the compiled columnar core first ([Pipeline]): a static planning
    pass decides supportability before any constant side is evaluated, so
    a [None] fallback to the interpreted loop costs nothing and never
@@ -855,16 +815,21 @@ and compiled_pipeline ctx ~var ~join_mode ~init ~recs ~branch_path =
       None
   end
 
+(* P_gld: driver loop over distributed wide operations. The accumulated
+   result is kept hash-partitioned by the full schema so that the
+   per-iteration difference costs exactly one shuffle of the produced
+   tuples (plus whatever the joins shuffle). A seen filter rides on the
+   per-iteration repartition, dropping re-derived tuples map-side before
+   they are bucketed or metered. *)
 and run_gld ctx ~var ~init ~recs ~branch_path =
   let schema_cols = Schema.cols (Dds.schema init) in
-  match compiled_pipeline ctx ~var ~join_mode:`Shuffle ~init ~recs ~branch_path with
+  let compiled = compiled_pipeline ctx ~var ~join_mode:`Shuffle ~init ~recs ~branch_path in
+  let seen = Dds.seen_filter ctx.config.cluster in
+  let x0 = Dds.repartition ~seen ~by:schema_cols init in
+  match compiled with
   | Some cp ->
-    let seen =
-      if ctx.config.use_shuffle_dedup then Some (Dds.seen_filter ctx.config.cluster) else None
-    in
-    let x0 = Dds.repartition ?seen ~by:schema_cols init in
     Pipeline.run cp ~var ~plan_label:"P_gld" ~x0 ~x0_private:(x0 != init)
-      ~per_iter_by:(Some schema_cols) ?seen ~max_iterations:ctx.config.max_iterations
+      ~per_iter_by:(Some schema_cols) ~seen ~max_iterations:ctx.config.max_iterations
       ~max_tuples:ctx.config.max_tuples
       ~limit:(fun msg -> Resource_limit msg)
       ()
@@ -874,12 +839,8 @@ and run_gld ctx ~var ~init ~recs ~branch_path =
         (fun i b -> compile_branch ctx ~var ~join_mode:`Shuffle ~path:(branch_path i) b)
         recs
     in
-    let seen =
-      if ctx.config.use_shuffle_dedup then Some (Dds.seen_filter ctx.config.cluster) else None
-    in
-    let x0 = Dds.repartition ?seen ~by:schema_cols init in
     run_semi_naive ctx ~var ~plan_label:"P_gld" ~x0 ~x0_private:(x0 != init) ~branch_fns
-      ~per_iter:(fun produced -> Dds.repartition ?seen ~by:schema_cols produced)
+      ~per_iter:(fun produced -> Dds.repartition ~seen ~by:schema_cols produced)
       ()
 
 (* P_plw^s: repartition the constant part (by the stable columns when
@@ -888,10 +849,10 @@ and run_gld ctx ~var ~init ~recs ~branch_path =
    repartitioning was applied (the local fixpoints are disjoint). *)
 and run_plw_s ctx ~var ~init ~recs ~stable ~branch_path =
   let compiled = compiled_pipeline ctx ~var ~join_mode:`Broadcast ~init ~recs ~branch_path in
+  let x0 = match stable with [] -> init | _ -> Dds.repartition ~by:stable init in
   let x, iterations, deltas =
     match compiled with
     | Some cp ->
-      let x0 = match stable with [] -> init | _ -> Dds.repartition ~by:stable init in
       Pipeline.run cp ~var ~plan_label:"P_plw^s" ~x0 ~x0_private:(x0 != init) ~per_iter_by:None
         ~max_iterations:ctx.config.max_iterations ~max_tuples:ctx.config.max_tuples
         ~limit:(fun msg -> Resource_limit msg)
@@ -902,7 +863,6 @@ and run_plw_s ctx ~var ~init ~recs ~stable ~branch_path =
           (fun i b -> compile_branch ctx ~var ~join_mode:`Broadcast ~path:(branch_path i) b)
           recs
       in
-      let x0 = match stable with [] -> init | _ -> Dds.repartition ~by:stable init in
       run_semi_naive ctx ~var ~plan_label:"P_plw^s" ~x0 ~x0_private:(x0 != init) ~branch_fns
         ~per_iter:(fun produced -> produced)
         ()
@@ -1177,19 +1137,11 @@ let explain ctx term =
     (if ctx.config.use_compiled_exec then
        "compiled columnar pipelines (fused batch operators; interpreter fallback)"
      else "interpreted operator-at-a-time");
-  line 0 "Exchange: %s%s, %d workers"
+  line 0 "Exchange: %s, %d workers"
     (if Cluster.pooled_shuffle ctx.config.cluster then
-       "two-phase pooled shuffle (map/merge on worker pool)"
+       "two-phase pooled shuffle (map/merge on worker pool), adaptive per-stage mode"
      else "sequential driver-side")
-    (if Cluster.pooled_shuffle ctx.config.cluster && Cluster.adaptive_shuffle ctx.config.cluster
-     then ", adaptive per-stage mode"
-     else "")
     (Cluster.workers ctx.config.cluster);
-  line 0 "Fixpoint delta: %s%s"
-    (if ctx.config.use_fused_delta then "fused in-place diff+union"
-     else "unfused diff/union (baseline)")
-    (if ctx.config.use_shuffle_dedup then ", iteration-shuffle dedup on"
-     else ", iteration-shuffle dedup off");
   go 0 shell_st term;
   Buffer.contents buf
 
@@ -1447,11 +1399,7 @@ module Incr = struct
     let branch_path i = "incr.rec." ^ string_of_int i in
     let join_mode = if h.i_plan = P_gld then `Shuffle else `Broadcast in
     let plan_label = plan_name h.i_plan ^ "(resume)" in
-    let seen =
-      if (not h.i_narrow) && h.i_config.use_shuffle_dedup then
-        Some (Dds.seen_filter h.i_config.cluster)
-      else None
-    in
+    let seen = if h.i_narrow then None else Some (Dds.seen_filter h.i_config.cluster) in
     let per_iter_by = if h.i_narrow then None else Some h.i_hash_cols in
     match compiled_pipeline ctx ~var:h.i_var ~join_mode ~init:acc ~recs:h.i_recs ~branch_path with
     | Some cp ->

@@ -37,33 +37,6 @@ type config = {
   use_stable_partitioning : bool;
       (** ablation knob: when [false], P_plw skips the stable-column
           repartitioning of Sec. IV-A2 and pays a final distinct *)
-  use_prepared_broadcast : bool;
-      (** when [true] (default), P_plw's broadcast joins/antijoins build
-          the index over the constant side once per fixpoint
-          ({!Distsim.Dds.prepare_bcast}) and probe it every iteration;
-          when [false] each iteration re-derives the join strategy and
-          may rescan the whole broadcast relation (the pre-optimisation
-          behaviour, kept as a bench/regression knob). Plan shape and
-          communication counters are identical either way. *)
-  use_fused_delta : bool;
-      (** when [true] (default), the semi-naive loops of P_gld and
-          P_plw^s maintain their accumulator with the fused in-place
-          kernel ({!Distsim.Dds.diff_union_in_place}: one stage, one
-          probe per produced tuple) instead of the unfused
-          diff-then-copy-then-union pair, which rebuilds the fresh set
-          and copies the whole accumulator every iteration. Results,
-          iteration counts and per-iteration delta sizes are
-          bit-identical either way; [false] keeps the pre-fusion code
-          path as a bench/regression baseline. *)
-  use_shuffle_dedup : bool;
-      (** when [true] (default), P_gld's per-iteration repartition runs
-          through a {!Distsim.Dds.seen_filter}: tuples a worker already
-          routed in an earlier iteration of the same fixpoint are dropped
-          map-side before they are shuffled or metered (they would be
-          discarded by the diff anyway). Results, iteration counts and
-          deltas are bit-identical; [shuffled_records] / [shuffled_bytes]
-          shrink and the savings are metered as
-          [Metrics.dedup_dropped_records]. *)
   collect_actuals : bool;
       (** when [true], EXPLAIN ANALYZE instrumentation is on: every
           operator records its actual output cardinality and cumulative

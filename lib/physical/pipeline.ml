@@ -21,8 +21,8 @@
      partitioning), the constant side is repartitioned once per
      fixpoint, broadcasts are metered at compile time exactly like
      [compile_branch];
-   - same seen-filter drops ([use_shuffle_dedup] semantics ride on the
-     per-iteration exchange unchanged).
+   - same seen-filter drops (the filter rides on the per-iteration
+     exchange unchanged).
 
    What the compiled path does *not* re-do each iteration is the
    interpreter's per-tuple overhead: tuple allocation in project/rename,

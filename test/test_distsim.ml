@@ -269,21 +269,34 @@ let test_concurrent_dispatch_guard () =
   Alcotest.(check (array int)) "stage after refusal" [| 0; 2 |]
     (Cluster.run_stage c (fun w -> 2 * w))
 
-(* ---- pool + prepared joins through the physical layer ---- *)
+(* ---- worker pool through the physical layer ---- *)
 
 module Exec = Physical.Exec
 module Patterns = Mura.Patterns
 
-(* deterministic graph with cycles, diamonds and a tail *)
-let tier1_graph =
-  Rel.of_tuples (sch [ "src"; "trg" ])
-    (List.init 60 (fun i -> [| i mod 17; (i * 7 + 3) mod 17 |]))
+(* Smallest input volume every host pools at: the adaptive cutoff of
+   [Cluster.shuffle_mode] is 2048 records, four times that when the host
+   has no spare cores for the pool. Parity tests size their inputs above
+   it and assert the [`Pooled] mode, so they fail loudly if the cutoff
+   moves rather than silently comparing two sequential runs. *)
+let pooled_n = 10_000
 
-let run_physical ~parallel ~prepared ?plan term =
-  let c = Cluster.make ~parallel ~workers:4 () in
-  let config =
-    { (Exec.default_config c) with Exec.force_plan = plan; use_prepared_broadcast = prepared }
+let check_pooled name c ~records =
+  check_bool (name ^ ": exchange runs pooled") true (Cluster.shuffle_mode c ~records = `Pooled)
+
+(* deterministic graph with cycles, diamonds and a tail: disjoint copies
+   of one 60-edge, 17-node component, enough of them to exceed
+   [pooled_n] edges so distributing the graph is a pooled exchange *)
+let tier1_graph =
+  let copy k =
+    List.init 60 (fun i -> [| (17 * k) + (i mod 17); (17 * k) + (((i * 7) + 3 + (i / 17)) mod 17) |])
   in
+  Rel.of_tuples (sch [ "src"; "trg" ]) (List.concat (List.init ((pooled_n / 60) + 1) copy))
+
+let run_physical ~parallel ?plan term =
+  let c = Cluster.make ~parallel ~workers:4 () in
+  if parallel then check_pooled "tier-1 graph" c ~records:(Rel.cardinal tier1_graph);
+  let config = { (Exec.default_config c) with Exec.force_plan = plan } in
   let ctx = Exec.session config [ ("E", tier1_graph) ] in
   let r = Exec.run ctx term in
   let m = Cluster.metrics c in
@@ -294,8 +307,13 @@ let run_physical ~parallel ~prepared ?plan term =
       m.Metrics.broadcasts,
       m.Metrics.broadcast_records )
   in
+  let fixpoints =
+    List.map
+      (fun (fr : Exec.fix_report) -> (fr.iterations, fr.deltas))
+      (Exec.report ctx).Exec.fixpoints
+  in
   Cluster.shutdown c;
-  (List.sort compare (Rel.to_list r), counters)
+  (List.sort compare (Rel.to_list r), counters, fixpoints)
 
 let tier1_queries =
   [
@@ -306,28 +324,19 @@ let tier1_queries =
     ("same_generation", Patterns.same_generation (), [ None; Some Exec.P_gld ]);
   ]
 
+(* the pool is a pure scheduling change: results, the five communication
+   counters and every fixpoint's iteration count and delta curve match a
+   sequential cluster *)
 let test_pool_matches_sequential () =
   List.iter
     (fun (name, term, plans) ->
       List.iter
         (fun plan ->
-          let seq, _ = run_physical ~parallel:false ~prepared:true ?plan term in
-          let par, _ = run_physical ~parallel:true ~prepared:true ?plan term in
-          if seq <> par then Alcotest.failf "%s: parallel pool diverged from sequential" name)
-        plans)
-    tier1_queries
-
-let test_prepared_metering_parity () =
-  (* the prepared index is a pure driver-side cache: results and every
-     communication counter must be bit-identical to the unprepared plan *)
-  List.iter
-    (fun (name, term, plans) ->
-      List.iter
-        (fun plan ->
-          let r_p, m_p = run_physical ~parallel:false ~prepared:true ?plan term in
-          let r_u, m_u = run_physical ~parallel:false ~prepared:false ?plan term in
-          if r_p <> r_u then Alcotest.failf "%s: prepared result differs" name;
-          if m_p <> m_u then Alcotest.failf "%s: prepared counters differ" name)
+          let r_s, c_s, f_s = run_physical ~parallel:false ?plan term in
+          let r_p, c_p, f_p = run_physical ~parallel:true ?plan term in
+          if r_s <> r_p then Alcotest.failf "%s: parallel pool results diverged" name;
+          if c_s <> c_p then Alcotest.failf "%s: parallel pool counters diverged" name;
+          if f_s <> f_p then Alcotest.failf "%s: parallel pool iterations/deltas diverged" name)
         plans)
     tier1_queries
 
@@ -530,7 +539,7 @@ let test_stage_feeds_histograms () =
 (* [src] unique; a [skew] fraction of tuples share one hot [trg] key, so
    repartitioning by [trg] is both heavily skewed and moves most rows —
    large enough to force bucket growth and Tset resizes on both paths. *)
-let big_rel ?(n = 400) ?(skew = 0.5) () =
+let big_rel ?(n = pooled_n) ?(skew = 0.5) () =
   let hot = int_of_float (skew *. float_of_int n) in
   Rel.of_tuples
     (sch [ "src"; "trg" ])
@@ -539,12 +548,15 @@ let big_rel ?(n = 400) ?(skew = 0.5) () =
 let shuffle_counters m =
   Metrics.(m.shuffles, m.shuffled_records, m.shuffled_bytes, m.broadcasts, m.broadcast_records)
 
-(* Run [scenario] on a sequential and on a pooled cluster of the same
+(* Run [scenario] on a sequential and on a parallel cluster of the same
    size; result partitions and communication counters must be
-   bit-identical (the contract the pooled exchange promises). *)
-let check_shuffle_parity name ?(workers = 4) scenario =
+   bit-identical (the contract the pooled exchange promises). [mode] is
+   the exchange mode the parallel cluster must pick for [records]. *)
+let check_shuffle_parity name ?(workers = 4) ~mode ~records scenario =
   let run ~parallel =
     let c = Cluster.make ~parallel ~workers () in
+    if parallel then
+      check_bool (name ^ ": exchange mode") true (Cluster.shuffle_mode c ~records = mode);
     let d = scenario c in
     let parts = Array.init (Dds.num_partitions d) (fun i -> Tset.copy (Dds.partition d i)) in
     let cnt = shuffle_counters (Cluster.metrics c) in
@@ -563,18 +575,21 @@ let check_shuffle_parity name ?(workers = 4) scenario =
 
 let test_shuffle_parity_repartition () =
   let r = big_rel () in
-  check_shuffle_parity "repartition" (fun c ->
+  check_shuffle_parity "repartition" ~mode:`Pooled ~records:(Rel.cardinal r) (fun c ->
       Dds.repartition ~by:[ "trg" ] (Dds.of_rel ~by:[ "src" ] c r))
 
 let test_shuffle_parity_of_rel () =
   let r = big_rel ~skew:0.9 () in
-  check_shuffle_parity "of_rel hashed" (fun c -> Dds.of_rel ~by:[ "trg" ] c r);
-  check_shuffle_parity "of_rel round-robin" (fun c -> Dds.of_rel c r)
+  let records = Rel.cardinal r in
+  check_shuffle_parity "of_rel hashed" ~mode:`Pooled ~records (fun c ->
+      Dds.of_rel ~by:[ "trg" ] c r);
+  check_shuffle_parity "of_rel round-robin" ~mode:`Pooled ~records (fun c -> Dds.of_rel c r)
 
 let test_shuffle_parity_collect () =
   let r = big_rel () in
   let run ~parallel =
     let c = Cluster.make ~parallel ~workers:4 () in
+    if parallel then check_pooled "collect" c ~records:(Rel.cardinal r);
     let out = Dds.collect (Dds.of_rel ~by:[ "src" ] c r) in
     let cnt = shuffle_counters (Cluster.metrics c) in
     Cluster.shutdown c;
@@ -586,39 +601,36 @@ let test_shuffle_parity_collect () =
   check_bool "collect counters identical" true (seq_cnt = pool_cnt)
 
 let test_shuffle_parity_joins () =
-  let a = big_rel ~n:120 ~skew:0.3 () in
+  let a = big_rel ~skew:0.3 () in
   let b =
-    Rel.of_tuples (sch [ "trg"; "dst" ]) (List.init 90 (fun i -> [| i * 2; i + 1000 |]))
+    Rel.of_tuples (sch [ "trg"; "dst" ]) (List.init pooled_n (fun i -> [| i * 2; i + 100_000 |]))
   in
-  check_shuffle_parity "join_shuffle" (fun c ->
+  let records = min (Rel.cardinal a) (Rel.cardinal b) in
+  check_shuffle_parity "join_shuffle" ~mode:`Pooled ~records (fun c ->
       Dds.join_shuffle (Dds.of_rel ~by:[ "src" ] c a) (Dds.of_rel ~by:[ "dst" ] c b));
-  check_shuffle_parity "antijoin_shuffle" (fun c ->
+  check_shuffle_parity "antijoin_shuffle" ~mode:`Pooled ~records (fun c ->
       Dds.antijoin_shuffle (Dds.of_rel ~by:[ "src" ] c a) (Dds.of_rel ~by:[ "dst" ] c b))
 
+(* degenerate exchanges stay on the sequential path on a parallel
+   cluster and must still agree with a sequential one *)
 let test_shuffle_parity_edges () =
   let r = big_rel ~n:60 () in
-  check_shuffle_parity "workers=1" ~workers:1 (fun c ->
+  check_shuffle_parity "workers=1" ~workers:1 ~mode:`Seq ~records:(Rel.cardinal r) (fun c ->
       Dds.repartition ~by:[ "trg" ] (Dds.of_rel ~by:[ "src" ] c r));
   let empty = Rel.of_tuples (sch [ "src"; "trg" ]) [] in
-  check_shuffle_parity "empty dataset" (fun c ->
+  check_shuffle_parity "empty dataset" ~mode:`Seq ~records:0 (fun c ->
       Dds.repartition ~by:[ "trg" ] (Dds.of_rel ~by:[ "src" ] c empty));
-  check_shuffle_parity "empty round-robin" (fun c -> Dds.of_rel c empty)
+  check_shuffle_parity "empty round-robin" ~mode:`Seq ~records:0 (fun c -> Dds.of_rel c empty)
 
-let test_shuffle_knob () =
+let test_pooled_shuffle_eligibility () =
   check_bool "sequential cluster never pools" false
     (Cluster.pooled_shuffle (Cluster.make ~workers:4 ()));
   let c1 = Cluster.make ~parallel:true ~workers:1 () in
   check_bool "single worker never pools" false (Cluster.pooled_shuffle c1);
   Cluster.shutdown c1;
   let cp = Cluster.make ~parallel:true ~workers:4 () in
-  check_bool "parallel multi-worker pools by default" true (Cluster.pooled_shuffle cp);
-  Cluster.shutdown cp;
-  let c = Cluster.make ~parallel:true ~use_parallel_shuffle:false ~workers:4 () in
-  check_bool "knob disables pooled shuffle" false (Cluster.pooled_shuffle c);
-  let r = big_rel ~n:80 () in
-  let d = Dds.repartition ~by:[ "trg" ] (Dds.of_rel ~by:[ "src" ] c r) in
-  check_rel "knob-off results still correct" r (Dds.collect d);
-  Cluster.shutdown c
+  check_bool "parallel multi-worker pools" true (Cluster.pooled_shuffle cp);
+  Cluster.shutdown cp
 
 (* -------------------------------------------------------------- *)
 (* Fused delta maintenance and the iteration-shuffle seen filter   *)
@@ -628,7 +640,7 @@ let test_diff_union_in_place () =
   let c = Cluster.make ~workers:4 () in
   let produced_rel = rel [ "src"; "trg" ] [ [ 1; 2 ]; [ 5; 5 ]; [ 9; 9 ]; [ 7; 1 ] ] in
   let produced = Dds.of_rel ~by:[ "src" ] c produced_rel in
-  (* unfused reference pair *)
+  (* reference: separate diff and union *)
   let acc_u = Dds.of_rel ~by:[ "src" ] c edges in
   let fresh_ref = Dds.set_diff_local produced acc_u in
   let union_ref = Dds.set_union_local acc_u fresh_ref in
@@ -661,9 +673,10 @@ let test_copy_parts_private () =
 (* The seen filter drops re-routed tuples map-side: same drop counts and
    partitions on the sequential and pooled exchange paths. *)
 let test_seen_filter_drops () =
-  let r = big_rel ~n:200 () in
+  let r = big_rel () in
   let run ~parallel =
     let c = Cluster.make ~parallel ~workers:4 () in
+    if parallel then check_pooled "seen filter" c ~records:(Rel.cardinal r);
     let m = Cluster.metrics c in
     let seen = Dds.seen_filter c in
     let d = Dds.of_rel ~by:[ "src" ] c r in
@@ -700,21 +713,17 @@ let test_antijoin_feeds_partition_hist () =
   check_int "repartitions + output skew sampled" (before + 12)
     (Metrics.Hist.count m.Metrics.partition_records)
 
-let test_adaptive_shuffle_mode () =
+let test_shuffle_mode_selection () =
   (* sequential clusters can never pool, whatever the volume *)
   let seq = Cluster.make ~workers:4 () in
   check_bool "sequential -> Seq" true (Cluster.shuffle_mode seq ~records:1_000_000 = `Seq);
-  (* adaptivity off: every eligible exchange pooled, even tiny ones *)
-  let forced = Cluster.make ~parallel:true ~adaptive_shuffle:false ~workers:2 () in
-  check_bool "adaptivity off -> Pooled" true (Cluster.shuffle_mode forced ~records:1 = `Pooled);
-  (* adaptive: the measured volume decides (cutoff rises with scarce
-     cores but is always in (8, 1_000_000) for any host) *)
+  (* the measured volume decides (the cutoff rises with scarce cores but
+     is always in (8, 1_000_000) for any host) *)
   let ad = Cluster.make ~parallel:true ~workers:2 () in
-  check_bool "adaptive on" true (Cluster.adaptive_shuffle ad);
   check_bool "host cores sampled" true (Cluster.host_cores ad >= 1);
   check_bool "tiny exchange -> Seq" true (Cluster.shuffle_mode ad ~records:8 = `Seq);
   check_bool "bulk exchange -> Pooled" true (Cluster.shuffle_mode ad ~records:1_000_000 = `Pooled);
-  List.iter Cluster.shutdown [ forced; ad ]
+  Cluster.shutdown ad
 
 let () =
   Alcotest.run "distsim"
@@ -742,7 +751,6 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_pool_lifecycle;
           Alcotest.test_case "survives worker exception" `Quick test_pool_survives_exception;
           Alcotest.test_case "pool ≡ sequential on tier-1 queries" `Quick test_pool_matches_sequential;
-          Alcotest.test_case "prepared metering parity" `Quick test_prepared_metering_parity;
           Alcotest.test_case "concurrent dispatch refused" `Quick test_concurrent_dispatch_guard;
         ] );
       ( "narrow",
@@ -783,8 +791,8 @@ let () =
           Alcotest.test_case "collect" `Quick test_shuffle_parity_collect;
           Alcotest.test_case "joins" `Quick test_shuffle_parity_joins;
           Alcotest.test_case "workers=1 and empty" `Quick test_shuffle_parity_edges;
-          Alcotest.test_case "use_parallel_shuffle knob" `Quick test_shuffle_knob;
-          Alcotest.test_case "adaptive mode selection" `Quick test_adaptive_shuffle_mode;
+          Alcotest.test_case "pooled_shuffle eligibility" `Quick test_pooled_shuffle_eligibility;
+          Alcotest.test_case "adaptive mode selection" `Quick test_shuffle_mode_selection;
           Alcotest.test_case "antijoin feeds partition hist" `Quick
             test_antijoin_feeds_partition_hist;
         ] );

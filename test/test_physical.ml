@@ -296,23 +296,23 @@ let test_analyze_render () =
   check_bool "has iteration counts" true (contains rendered "iters=");
   check_bool "has delta curve" true (contains rendered "deltas=[")
 
-(* --- fused delta / iteration-shuffle dedup --------------------------- *)
+(* --- delta maintenance / iteration-shuffle dedup ---------------------- *)
 
 let contains_sub text needle =
   let n = String.length needle and h = String.length text in
   let rec go i = i + n <= h && (String.sub text i n = needle || go (i + 1)) in
   go 0
 
-(* run a term with explicit delta-maintenance knobs and return everything
-   that must be invariant under them *)
-let knob_run ?force_plan ?(workers = 4) ~fused ~dedup term tables =
+let counters_full (m : Metrics.t) =
+  (counters m, m.Metrics.dedup_dropped_records)
+
+(* run a term on one executor ([compiled] picks the compiled columnar
+   core or the interpreted loop) and return the result, every fixpoint's
+   (var, plan, iterations, deltas) and all communication counters *)
+let exec_run ?force_plan ?(workers = 4) ~compiled term tables =
   let cluster = Cluster.make ~workers () in
   let config =
-    { (Exec.default_config cluster) with
-      force_plan;
-      use_fused_delta = fused;
-      use_shuffle_dedup = dedup;
-    }
+    { (Exec.default_config cluster) with force_plan; use_compiled_exec = compiled }
   in
   let ctx = Exec.session config tables in
   let result = Exec.run ctx term in
@@ -321,37 +321,36 @@ let knob_run ?force_plan ?(workers = 4) ~fused ~dedup term tables =
       (fun (fr : Exec.fix_report) -> (fr.var, fr.plan, fr.iterations, fr.deltas))
       (Exec.report ctx).fixpoints
   in
-  (result, sigs, counters (Exec.metrics ctx))
+  (result, sigs, counters_full (Exec.metrics ctx))
 
-(* The fused accumulator and the map-side seen filter are pure
-   optimisations: results, iteration counts and per-iteration delta
-   curves are bit-identical to the unfused baseline on every plan and
-   worker count; communication counters are identical whenever the seen
-   filter is off (the fused kernel is a narrow stage and moves nothing). *)
+(* The in-place accumulator and the map-side seen filter are pure
+   optimisations: on both executors, every semi-naive plan and worker
+   count the result matches the centralized oracle, and every delta curve
+   ends with its empty fixpoint-reaching iteration. *)
 let test_fused_parity () =
   List.iter
     (fun (name, term) ->
+      let expected = Mura.Eval.eval (Mura.Eval.env [ ("E", edges) ]) term in
       List.iter
         (fun plan ->
           List.iter
             (fun workers ->
-              let base_r, base_s, base_c =
-                knob_run ~force_plan:plan ~workers ~fused:false ~dedup:false term [ ("E", edges) ]
-              in
               List.iter
-                (fun (fused, dedup) ->
+                (fun compiled ->
                   let label =
-                    Printf.sprintf "%s %s w=%d fused=%b dedup=%b" name (Exec.plan_name plan)
-                      workers fused dedup
+                    Printf.sprintf "%s %s w=%d compiled=%b" name (Exec.plan_name plan) workers
+                      compiled
                   in
-                  let r, s, c =
-                    knob_run ~force_plan:plan ~workers ~fused ~dedup term [ ("E", edges) ]
+                  let r, sigs, _ =
+                    exec_run ~force_plan:plan ~workers ~compiled term [ ("E", edges) ]
                   in
-                  check_rel (label ^ ": results") base_r r;
-                  check_bool (label ^ ": iterations and deltas") true (base_s = s);
-                  if not dedup then
-                    check_bool (label ^ ": communication counters") true (base_c = c))
-                [ (true, false); (false, true); (true, true) ])
+                  check_rel (label ^ ": oracle agreement") expected r;
+                  List.iter
+                    (fun (_, _, iters, deltas) ->
+                      check_int (label ^ ": one delta per iteration") iters (List.length deltas);
+                      check_int (label ^ ": last delta empty") 0 (List.nth deltas (iters - 1)))
+                    sigs)
+                [ false; true ])
             [ 1; 4 ])
         [ Exec.P_gld; Exec.P_plw_s ])
     [ ("closure", closure_term); ("same_gen", Mura.Patterns.same_generation ()) ]
@@ -362,57 +361,29 @@ let test_fused_empty_first_delta () =
   List.iter
     (fun plan ->
       List.iter
-        (fun (fused, dedup) ->
-          let r, sigs, _ =
-            knob_run ~force_plan:plan ~fused ~dedup closure_term [ ("E", self) ]
-          in
+        (fun compiled ->
+          let r, sigs, _ = exec_run ~force_plan:plan ~compiled closure_term [ ("E", self) ] in
           check_rel "fixpoint of self-loops = E" self r;
           match sigs with
           | [ (_, _, iters, deltas) ] ->
             check_int "terminates in one iteration" 1 iters;
             check_bool "first delta empty" true (deltas = [ 0 ])
           | _ -> Alcotest.fail "expected exactly one fixpoint report")
-        [ (false, false); (true, false); (true, true) ])
+        [ false; true ])
     [ Exec.P_gld; Exec.P_plw_s ]
 
-(* on P_gld the seen filter must strictly reduce what the iteration
-   shuffles move: transitive closure re-derives pairs every round *)
+(* on P_gld the seen filter must drop re-derivations from the iteration
+   shuffles (transitive closure re-derives pairs every round) without
+   changing the result *)
 let test_dedup_reduces_gld_shuffle () =
-  let run ~dedup =
-    let cluster = Cluster.make ~workers:4 () in
-    let config =
-      { (Exec.default_config cluster) with
-        force_plan = Some Exec.P_gld;
-        use_shuffle_dedup = dedup;
-      }
-    in
-    let ctx = Exec.session config [ ("E", edges) ] in
-    check_rel "closure while counting" expected_closure (Exec.run ctx closure_term);
-    let m = Exec.metrics ctx in
-    (m.Metrics.shuffled_records, m.Metrics.dedup_dropped_records)
-  in
-  let off_records, off_dropped = run ~dedup:false in
-  let on_records, on_dropped = run ~dedup:true in
-  check_int "no drops when off" 0 off_dropped;
-  check_bool "re-derivations dropped" true (on_dropped > 0);
-  check_bool
-    (Printf.sprintf "fewer shuffled records (%d < %d)" on_records off_records)
-    true
-    (on_records < off_records)
-
-let test_explain_delta_mode () =
-  let ctx = session () in
-  check_bool "fused mode shown" true
-    (contains_sub (Exec.explain ctx closure_term)
-       "Fixpoint delta: fused in-place diff+union, iteration-shuffle dedup on");
-  let cluster = Cluster.make ~workers:2 () in
-  let config =
-    { (Exec.default_config cluster) with use_fused_delta = false; use_shuffle_dedup = false }
-  in
-  let ctx2 = Exec.session config [ ("E", edges) ] in
-  check_bool "baseline mode shown" true
-    (contains_sub (Exec.explain ctx2 closure_term)
-       "Fixpoint delta: unfused diff/union (baseline), iteration-shuffle dedup off")
+  List.iter
+    (fun compiled ->
+      let r, _, (_, dropped) =
+        exec_run ~force_plan:Exec.P_gld ~compiled closure_term [ ("E", edges) ]
+      in
+      check_rel "closure while counting" expected_closure r;
+      check_bool "re-derivations dropped" true (dropped > 0))
+    [ false; true ]
 
 (* --- compiled columnar execution ------------------------------------- *)
 
@@ -425,34 +396,11 @@ let er_graph ~n ~m ~seed =
   in
   rel [ "src"; "trg" ] (List.init m (fun _ -> [ next n; next n ]))
 
-let counters_full (m : Metrics.t) =
-  (counters m, m.Metrics.dedup_dropped_records)
-
-(* run with the compiled-execution knob explicit and return everything the
-   compiled core promises to keep bit-identical to the interpreter *)
-let compiled_run ~force_plan ~workers ~compiled ~dedup term tables =
-  let cluster = Cluster.make ~workers () in
-  let config =
-    { (Exec.default_config cluster) with
-      force_plan = Some force_plan;
-      use_compiled_exec = compiled;
-      use_shuffle_dedup = dedup;
-    }
-  in
-  let ctx = Exec.session config tables in
-  let result = Exec.run ctx term in
-  let sigs =
-    List.map
-      (fun (fr : Exec.fix_report) -> (fr.var, fr.plan, fr.iterations, fr.deltas))
-      (Exec.report ctx).fixpoints
-  in
-  (result, sigs, counters_full (Exec.metrics ctx))
-
 (* The compiled pipelines are a pure execution-strategy change: on every
    plan, worker count and graph shape the result relation, iteration
    count, per-iteration delta curve and all communication counters
-   (including the seen-filter drops with dedup on) match the interpreted
-   oracle exactly. *)
+   (including the seen-filter drops) match the interpreted oracle
+   exactly. *)
 let test_compiled_parity () =
   let graphs =
     [
@@ -467,23 +415,16 @@ let test_compiled_parity () =
         (fun plan ->
           List.iter
             (fun workers ->
-              List.iter
-                (fun dedup ->
-                  let label =
-                    Printf.sprintf "%s %s w=%d dedup=%b" gname (Exec.plan_name plan) workers dedup
-                  in
-                  let br, bs, bc =
-                    compiled_run ~force_plan:plan ~workers ~compiled:false ~dedup closure_term
-                      [ ("E", g) ]
-                  in
-                  let cr, cs, cc =
-                    compiled_run ~force_plan:plan ~workers ~compiled:true ~dedup closure_term
-                      [ ("E", g) ]
-                  in
-                  check_rel (label ^ ": results") br cr;
-                  check_bool (label ^ ": iterations and delta curves") true (bs = cs);
-                  check_bool (label ^ ": communication counters") true (bc = cc))
-                [ false; true ])
+              let label = Printf.sprintf "%s %s w=%d" gname (Exec.plan_name plan) workers in
+              let br, bs, bc =
+                exec_run ~force_plan:plan ~workers ~compiled:false closure_term [ ("E", g) ]
+              in
+              let cr, cs, cc =
+                exec_run ~force_plan:plan ~workers ~compiled:true closure_term [ ("E", g) ]
+              in
+              check_rel (label ^ ": results") br cr;
+              check_bool (label ^ ": iterations and delta curves") true (bs = cs);
+              check_bool (label ^ ": communication counters") true (bc = cc))
             [ 1; 4 ])
         [ Exec.P_gld; Exec.P_plw_s ])
     graphs
@@ -568,8 +509,8 @@ let shell_run ?(threshold = -1) ~workers ~compiled term tables =
 
 (* The compiled shell is a pure execution-strategy change: results and
    every communication counter match the interpreter on all three
-   fixpoint plans (including P_plw^pg's compiled local fixpoints), every
-   worker count and dedup setting. *)
+   fixpoint plans (including P_plw^pg's compiled local fixpoints) and
+   every worker count. *)
 let test_shell_parity () =
   let graphs = [ ("edges", edges); ("sparse_er", er_graph ~n:40 ~m:60 ~seed:7) ] in
   List.iter
@@ -579,25 +520,17 @@ let test_shell_parity () =
         (fun plan ->
           List.iter
             (fun workers ->
-              List.iter
-                (fun dedup ->
-                  let label =
-                    Printf.sprintf "%s %s w=%d dedup=%b" gname (Exec.plan_name plan) workers
-                      dedup
-                  in
-                  let br, bs, bc =
-                    compiled_run ~force_plan:plan ~workers ~compiled:false ~dedup shell_term
-                      [ ("E", g) ]
-                  in
-                  let cr, cs, cc =
-                    compiled_run ~force_plan:plan ~workers ~compiled:true ~dedup shell_term
-                      [ ("E", g) ]
-                  in
-                  check_rel (label ^ ": central agreement") central cr;
-                  check_rel (label ^ ": results") br cr;
-                  check_bool (label ^ ": iterations and delta curves") true (bs = cs);
-                  check_bool (label ^ ": communication counters") true (bc = cc))
-                [ false; true ])
+              let label = Printf.sprintf "%s %s w=%d" gname (Exec.plan_name plan) workers in
+              let br, bs, bc =
+                exec_run ~force_plan:plan ~workers ~compiled:false shell_term [ ("E", g) ]
+              in
+              let cr, cs, cc =
+                exec_run ~force_plan:plan ~workers ~compiled:true shell_term [ ("E", g) ]
+              in
+              check_rel (label ^ ": central agreement") central cr;
+              check_rel (label ^ ": results") br cr;
+              check_bool (label ^ ": iterations and delta curves") true (bs = cs);
+              check_bool (label ^ ": communication counters") true (bc = cc))
             [ 1; 4 ])
         [ Exec.P_gld; Exec.P_plw_s; Exec.P_plw_pg ])
     graphs
@@ -919,7 +852,6 @@ let () =
           Alcotest.test_case "fused/dedup parity" `Quick test_fused_parity;
           Alcotest.test_case "empty first delta" `Quick test_fused_empty_first_delta;
           Alcotest.test_case "dedup shrinks P_gld shuffle" `Quick test_dedup_reduces_gld_shuffle;
-          Alcotest.test_case "explain shows delta mode" `Quick test_explain_delta_mode;
         ] );
       ( "compiled exec",
         [

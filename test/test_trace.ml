@@ -301,14 +301,16 @@ let test_exchange_phase_spans () =
   let edges =
     Relation.Rel.of_tuples
       (Relation.Schema.of_list [ "src"; "trg" ])
-      (List.init 64 (fun i -> [| i; i mod 5 |]))
+      (List.init 10_000 (fun i -> [| i; i mod 5 |]))
   in
   let tr, () =
     traced (fun () ->
-        (* adaptivity off: 64 tuples are below the volume cutoff, and this
-           test asserts the pooled two-phase spans specifically *)
-        let c = Distsim.Cluster.make ~parallel:true ~adaptive_shuffle:false ~workers:4 () in
-        check_bool "pooled shuffle active" true (Distsim.Cluster.pooled_shuffle c);
+        (* 10_000 tuples are above the adaptive volume cutoff on any host
+           (at most 4 x 2048), so both exchanges take the pooled
+           two-phase path this test asserts *)
+        let c = Distsim.Cluster.make ~parallel:true ~workers:4 () in
+        check_bool "exchange runs pooled" true
+          (Distsim.Cluster.shuffle_mode c ~records:(Relation.Rel.cardinal edges) = `Pooled);
         ignore (Distsim.Dds.repartition ~by:[ "trg" ] (Distsim.Dds.of_rel ~by:[ "src" ] c edges));
         Distsim.Cluster.shutdown c)
   in
