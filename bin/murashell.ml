@@ -122,9 +122,11 @@ let parse_edges spec =
   if Rel.is_empty batch then failwith "empty edge batch";
   batch
 
-(* Updates go through [Serve.update]: cached fixpoint results over E are
-   parked for incremental repair instead of being discarded, so the next
-   query pays only the delta. *)
+(* Updates go through [Serve.update]: only the cached results and
+   fixpoints that read a label (or other σ-key) the batch changes are
+   invalidated; the rest keep hitting. An invalidated fixpoint is parked
+   for incremental repair instead of being discarded, so the next query
+   pays only the delta. *)
 let insert_edges spec =
   let batch = parse_edges spec in
   Serve.update ~inserts:batch st.serve "E";

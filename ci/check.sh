@@ -221,6 +221,33 @@ else
 fi
 echo "stream report OK: $stream_report"
 
+# predicate-granular invalidation smoke: the same stream on a two-label
+# graph, querying a+ only. Seeded so that some batches carry no a edge:
+# those must leave the cached a+ result valid (post-update result hits
+# on the repair server), the batches with an a edge must still repair,
+# and every response must match the oracle
+echo "== murarun --stream smoke (two labels) =="
+stream2_report=$(mktemp /tmp/murarun_stream2.XXXXXX.json)
+trap 'rm -f "$report" "$serve_report" "$metrics_out" "$stream_report" "$stream2_report"' EXIT
+dune exec bin/murarun.exe -- --gen er:300:0.01 --labels a,b \
+  --query "?x, ?y <- ?x a+ ?y" --stream 6 --stream-batch 2 --report "$stream2_report"
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$stream2_report" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    r = json.load(f)
+assert r["parity_failures"] == 0, "stream results diverged from the oracle"
+assert r["post_update_hits"] > 0, "no cached result survived a batch without a-edges"
+assert r["repaired"] > 0, "batches with a-edges never repaired"
+EOF
+else
+  grep -q '"parity_failures":0[,}]' "$stream2_report" ||
+    { echo "stream results diverged from the oracle" >&2; exit 1; }
+  grep -q '"post_update_hits":0[,}]' "$stream2_report" &&
+    { echo "no cached result survived a batch without a-edges" >&2; exit 1; }
+fi
+echo "stream report OK: $stream2_report"
+
 # performance trajectory: diff this run's BENCH_*.json snapshots against
 # the previous invocation's and record them for next time (full check
 # only — the quick gate leaves the trend store untouched)

@@ -7,9 +7,11 @@
     ([max_repair_handles = 0] — every post-update miss recomputes its
     fixpoints from scratch). Each round applies an edge-insert batch
     (periodically mixed with deletions), then submits the query mix;
-    the first post-update submission of every query misses the result
-    cache, so its execution time is the repair latency on one server
-    and the recompute latency on the other. Every response — from both
+    the first post-update submission of every query the batch touched
+    misses the result cache, so its execution time is the repair latency
+    on one server and the recompute latency on the other. A query whose
+    keys the batch did not touch ({!Serve.update}) is a result-cache hit
+    instead, counted apart. Every response — from both
     servers — is checked against the centralized reference evaluation
     of the {e updated} graph: parity failures are counted, never
     ignored. *)
@@ -40,6 +42,9 @@ type result = {
   recomputed : int;
       (** fixpoints evaluated from scratch on the repair server (its
           establishment evaluations and any fallbacks) *)
+  post_update_hits : int;
+      (** first post-update submissions the repair server answered from
+          the result cache: the batch touched no key the query reads *)
   repair_mean_ms : float;  (** post-update miss latency, repair server *)
   repair_p50_ms : float;
   repair_p95_ms : float;

@@ -2,6 +2,7 @@ module Term = Mura.Term
 module Normal = Mura.Normal
 module Rel = Relation.Rel
 module Schema = Relation.Schema
+module Pred = Relation.Pred
 module Exec = Physical.Exec
 module Cluster = Distsim.Cluster
 module Metrics = Distsim.Metrics
@@ -16,6 +17,39 @@ module Session = struct
   let name s = s.name
 end
 
+(* What a cached computation reads of the catalog. A read guarded by
+   [σ[c = v ∧ …](R)] depends only on the tuples of [R] whose column [c]
+   holds [v], i.e. on [Key (R, c, v)]; any other occurrence of [R]
+   depends on all of it. *)
+module Dep = struct
+  type t = Rel of string | Key of string * string * Relation.Value.t
+
+  let rel = function Rel r | Key (r, _, _) -> r
+
+  let rec eq_conjunct = function
+    | Pred.Eq_const (c, v) -> Some (c, v)
+    | Pred.And (a, b) -> ( match eq_conjunct a with Some _ as k -> k | None -> eq_conjunct b)
+    | _ -> None
+
+  let of_term term =
+    let deps = ref [] in
+    let add d = if not (List.mem d !deps) then deps := d :: !deps in
+    let rec walk = function
+      | Term.Rel r -> add (Rel r)
+      | Term.Select (p, Term.Rel r) ->
+        add (match eq_conjunct p with Some (c, v) -> Key (r, c, v) | None -> Rel r)
+      | Term.Var _ | Term.Cst _ -> ()
+      | Term.Select (_, u) | Term.Project (_, u) | Term.Antiproject (_, u) | Term.Rename (_, u)
+      | Term.Fix (_, u) ->
+        walk u
+      | Term.Join (a, b) | Term.Antijoin (a, b) | Term.Union (a, b) ->
+        walk a;
+        walk b
+    in
+    walk term;
+    List.rev !deps
+end
+
 (* A one-shot promise: the first evaluator to need a piece of work
    registers one; everyone else blocks on it. Failures propagate so a
    crashed owner never strands its waiters. *)
@@ -23,7 +57,7 @@ type promise = {
   pm : Mutex.t;
   pc : Condition.t;
   mutable state : [ `Pending | `Done of Rel.t | `Failed of exn ];
-  p_deps : string list;  (* relation names the computation reads *)
+  p_deps : Dep.t list;  (* what the computation reads *)
 }
 
 let promise_make deps =
@@ -44,14 +78,19 @@ let promise_await p =
   Mutex.unlock p.pm;
   match st with `Done r -> r | `Failed e -> raise e | `Pending -> assert false
 
+(* Remove our own registration [v] of [key] from [tbl] — unless an
+   invalidation purged it and a later evaluator installed a fresh one. *)
+let unpublish tbl key v =
+  match Hashtbl.find_opt tbl key with Some v' when v' == v -> Hashtbl.remove tbl key | _ -> ()
+
 type centry = {
   c_rel : Rel.t;
-  c_deps : string list;
+  c_deps : Dep.t list;
   c_bytes : int;
   mutable c_last_use : int;
 }
 
-type pentry = { pl_term : Term.t; pl_deps : string list; mutable pl_last_use : int }
+type pentry = { pl_term : Term.t; pl_deps : Dep.t list; mutable pl_last_use : int }
 
 type pending = { q_session : int; q_seq : int; mutable q_admitted : bool }
 
@@ -83,9 +122,12 @@ type query_trace = {
 
 (* A live incremental-repair handle: the converged accumulator of a
    cached fixpoint, kept resident on the workers after the cache entry
-   itself is invalidated by an [update]. The update's delta is parked
-   here; the next miss replays it through [Exec.Incr.update] — paying
-   only the differential resume — instead of recomputing from scratch.
+   itself is invalidated by an [update] that hits one of its
+   dependencies. That update's delta is parked here; the next miss
+   replays it through [Exec.Incr.update] — paying only the differential
+   resume — instead of recomputing from scratch. Batches that hit none
+   of its dependencies change no tuple the fixpoint reads, so the handle
+   ignores them.
 
    Pending deltas are a net (inserts, deletes) pair per relation with
    delete-before-insert apply semantics. Folding an arriving batch
@@ -94,7 +136,7 @@ type query_trace = {
    decided by the last batch that mentions it. *)
 type rhandle = {
   r_handle : Exec.Incr.handle;
-  r_deps : string list;
+  r_deps : Dep.t list;
   mutable r_ins : (string * Rel.t) list;  (* pending net inserts *)
   mutable r_del : (string * Rel.t) list;  (* pending net deletes *)
   mutable r_last_use : int;
@@ -117,7 +159,11 @@ type t = {
          waiting on a promise or on admission *)
   mutable tbl : (string * Rel.t) list;
   mutable version : int;
-  table_versions : (string, int) Hashtbl.t;  (* name -> version at last register *)
+  versions : (Dep.t, int) Hashtbl.t;
+      (* dependency -> version of the last update that changed it; a
+         [Key] no in-flight evaluation can consult any more is pruned *)
+  registered : (string, int) Hashtbl.t;  (* name -> version at last register *)
+  mutable snapshots : int list;  (* catalog versions of the evaluations in flight *)
   sessions : (int, Session.t) Hashtbl.t;
   served : (int, int) Hashtbl.t;  (* session id -> evaluations admitted so far *)
   mutable next_session : int;
@@ -209,7 +255,9 @@ let create ?(max_inflight = 1) ?(plan_cache_capacity = 128)
     cluster_lock = Mutex.create ();
     tbl = [];
     version = 0;
-    table_versions = Hashtbl.create 16;
+    versions = Hashtbl.create 64;
+    registered = Hashtbl.create 16;
+    snapshots = [];
     sessions = Hashtbl.create 16;
     served = Hashtbl.create 16;
     next_session = 0;
@@ -327,83 +375,75 @@ let close_session t (s : Session.t) =
 (* Catalog and invalidation                                            *)
 (* ------------------------------------------------------------------ *)
 
-let dep_version t name =
-  match Hashtbl.find_opt t.table_versions name with Some v -> v | None -> 0
+(* Nothing [deps] names changed after catalog version [v0]: a
+   dependency last changed with the last update that hit it or the last
+   [register] of its relation, whichever is later. *)
+let fresh t ~v0 deps =
+  let find tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+  List.for_all (fun d -> max (find t.versions d) (find t.registered (Dep.rel d)) <= v0) deps
 
+(* With [t.lock] held: drop the cached results (and plans, if [plans]),
+   in-flight promises and repair handles that read a dependency [hit]
+   selects. A hit handle survives if [absorb] takes the change on as
+   pending work. Dropping a promise only stops new waiters from joining
+   an evaluation over the old contents; its owner still fulfills it for
+   the waiters that attached before. *)
+let invalidate t ~hit ~plans ~absorb =
+  (* drop each binding that reads a hit dependency and that [drop] lets go *)
+  let sweep tbl deps drop =
+    Hashtbl.filter_map_inplace
+      (fun _ e -> if List.exists hit (deps e) && drop e then None else Some e)
+      tbl
+  in
+  let counted _ =
+    t.c_invalidated <- t.c_invalidated + 1;
+    true
+  in
+  sweep t.result_cache
+    (fun e -> e.c_deps)
+    (fun e ->
+      t.cache_bytes <- t.cache_bytes - e.c_bytes;
+      counted e);
+  if plans then sweep t.plan_cache (fun e -> e.pl_deps) counted;
+  sweep t.q_promises (fun p -> p.p_deps) (fun _ -> true);
+  sweep t.f_promises (fun p -> p.p_deps) (fun _ -> true);
+  sweep t.repair (fun h -> h.r_deps) (fun h -> not (absorb h))
+
+(* A full replacement hits every dependency on [name] and severs the
+   delta chain: a handle's catalog has no net delta to the new contents,
+   so its handles are dropped. *)
 let register t name rel =
   Mutex.lock t.lock;
   Exec.clear_shell_cache t.shell_statics;
   t.version <- t.version + 1;
-  Hashtbl.replace t.table_versions name t.version;
+  Hashtbl.replace t.registered name t.version;
   t.tbl <- (name, rel) :: List.remove_assoc name t.tbl;
-  (* drop exactly the dependent cache entries *)
-  let doomed_results =
-    Hashtbl.fold
-      (fun k e acc -> if List.mem name e.c_deps then (k, e) :: acc else acc)
-      t.result_cache []
-  in
-  List.iter
-    (fun (k, e) ->
-      Hashtbl.remove t.result_cache k;
-      t.cache_bytes <- t.cache_bytes - e.c_bytes;
-      t.c_invalidated <- t.c_invalidated + 1)
-    doomed_results;
-  let doomed_plans =
-    Hashtbl.fold
-      (fun k e acc -> if List.mem name e.pl_deps then k :: acc else acc)
-      t.plan_cache []
-  in
-  List.iter
-    (fun k ->
-      Hashtbl.remove t.plan_cache k;
-      t.c_invalidated <- t.c_invalidated + 1)
-    doomed_plans;
-  (* stop new waiters from joining in-flight evaluations over the old
-     contents; owners still fulfill their promise object for waiters
-     that attached before this mutation *)
-  let purge tbl =
-    let doomed =
-      Hashtbl.fold (fun k p acc -> if List.mem name p.p_deps then k :: acc else acc) tbl []
-    in
-    List.iter (Hashtbl.remove tbl) doomed
-  in
-  purge t.q_promises;
-  purge t.f_promises;
-  (* a full replacement severs the delta chain: the handle's catalog has
-     no net delta to the new contents, so repair is off the table *)
-  let doomed_handles =
-    Hashtbl.fold (fun k h acc -> if List.mem name h.r_deps then k :: acc else acc) t.repair []
-  in
-  List.iter (Hashtbl.remove t.repair) doomed_handles;
+  invalidate t ~hit:(fun d -> Dep.rel d = name) ~plans:true ~absorb:(fun _ -> false);
   Mutex.unlock t.lock
 
 (* Fold an arriving (inserts, deletes) batch for [name] into the net
    pending pair, preserving arrival order (see [rhandle]). *)
 let merge_pending ~name ~ins ~del (pi, pd) =
-  let get l = List.assoc_opt name l in
-  let minus a b =
-    match (a, b) with
-    | None, _ -> None
-    | Some _, None -> a
-    | Some a, Some b -> Some (Rel.diff a b)
+  let fold pending ~minus ~plus =
+    let rest = List.remove_assoc name pending in
+    let r =
+      match List.assoc_opt name pending with
+      | Some p -> Rel.union (Rel.diff p minus) plus
+      | None -> plus
+    in
+    if Rel.is_empty r then rest else (name, r) :: rest
   in
-  let plus a b =
-    match (a, b) with None, x -> x | x, None -> x | Some a, Some b -> Some (Rel.union a b)
-  in
-  let put l = function
-    | Some r when not (Rel.is_empty r) -> (name, r) :: List.remove_assoc name l
-    | _ -> List.remove_assoc name l
-  in
-  let ni = plus (minus (get pi) del) ins in
-  let nd = plus (minus (get pd) ins) del in
-  (put pi ni, put pd nd)
+  (fold pi ~minus:del ~plus:ins, fold pd ~minus:ins ~plus:del)
 
-(* Register an edge-batch update to [name]: the catalog advances, the
-   dependent cached results are dropped (they must never be served
-   stale) — but instead of being forgotten, their live repair handles
-   absorb the delta as pending work. The next miss on such a fixpoint
-   pays only the differential resume. Plan-cache entries survive: a
-   rewritten term stays semantically valid under any catalog contents. *)
+(* Register an edge-batch update to [name]. Only the net change counts:
+   inserts not already resident and resident deletes. It hits
+   [Dep.Rel name] and, for every column [c] of every changed tuple,
+   [Dep.Key (name, c, tuple.(c))]. The cached results that read a hit
+   dependency are dropped (they must never be served stale) — but their
+   live repair handles absorb the delta as pending work instead of being
+   forgotten, so the next miss on such a fixpoint pays only the
+   differential resume. Plan-cache entries survive: a rewritten term
+   stays semantically valid under any catalog contents. *)
 let update ?inserts ?deletes t name =
   Mutex.lock t.lock;
   match List.assoc_opt name t.tbl with
@@ -420,39 +460,40 @@ let update ?inserts ?deletes t name =
     check "insert" inserts;
     check "delete" deletes;
     t.version <- t.version + 1;
-    Hashtbl.replace t.table_versions name t.version;
-    let updated =
-      let after_del = match deletes with Some d -> Rel.diff base d | None -> base in
-      match inserts with Some i -> Rel.union after_del i | None -> after_del
+    let none = Rel.create (Rel.schema base) in
+    let ins = match inserts with Some i -> Rel.diff i base | None -> none in
+    let del =
+      match deletes with
+      | Some d -> Rel.diff (Rel.inter d base) (Option.value inserts ~default:none)
+      | None -> none
     in
-    t.tbl <- (name, updated) :: List.remove_assoc name t.tbl;
-    let doomed_results =
-      Hashtbl.fold
-        (fun k e acc -> if List.mem name e.c_deps then (k, e) :: acc else acc)
-        t.result_cache []
-    in
-    List.iter
-      (fun (k, e) ->
-        Hashtbl.remove t.result_cache k;
-        t.cache_bytes <- t.cache_bytes - e.c_bytes;
-        t.c_invalidated <- t.c_invalidated + 1)
-      doomed_results;
-    let purge tbl =
-      let doomed =
-        Hashtbl.fold (fun k p acc -> if List.mem name p.p_deps then k :: acc else acc) tbl []
+    if not (Rel.is_empty ins && Rel.is_empty del) then begin
+      let kept = if Rel.is_empty del then base else Rel.diff base del in
+      let updated = if Rel.is_empty ins then kept else Rel.union kept ins in
+      t.tbl <- (name, updated) :: List.remove_assoc name t.tbl;
+      (* every freshness check to come runs at a snapshot no older than
+         [oldest], so a key version at or below it can be forgotten *)
+      let oldest = List.fold_left min t.version t.snapshots in
+      Hashtbl.filter_map_inplace
+        (fun d v -> match d with Dep.Key _ when v <= oldest -> None | _ -> Some v)
+        t.versions;
+      let hit = Hashtbl.create 16 in
+      let touch r =
+        let cols = Schema.to_array (Rel.schema r) in
+        Rel.iter
+          (fun tu -> Array.iteri (fun i c -> Hashtbl.replace hit (Dep.Key (name, c, tu.(i))) ()) cols)
+          r
       in
-      List.iter (Hashtbl.remove tbl) doomed
-    in
-    purge t.q_promises;
-    purge t.f_promises;
-    Hashtbl.iter
-      (fun _ h ->
-        if List.mem name h.r_deps then begin
-          let pi, pd = merge_pending ~name ~ins:inserts ~del:deletes (h.r_ins, h.r_del) in
+      touch ins;
+      touch del;
+      Hashtbl.replace hit (Dep.Rel name) ();
+      Hashtbl.iter (fun d () -> Hashtbl.replace t.versions d t.version) hit;
+      invalidate t ~hit:(Hashtbl.mem hit) ~plans:false ~absorb:(fun h ->
+          let pi, pd = merge_pending ~name ~ins ~del (h.r_ins, h.r_del) in
           h.r_ins <- pi;
-          h.r_del <- pd
-        end)
-      t.repair;
+          h.r_del <- pd;
+          true)
+    end;
     Mutex.unlock t.lock
 
 let graph_version t =
@@ -491,16 +532,15 @@ let cache_find t key =
     Some e.c_rel
   | None -> None
 
+(* the least-recently-used binding of [tbl] *)
+let lru_victim tbl last_use =
+  Hashtbl.fold
+    (fun k e acc ->
+      match acc with Some (_, e') when last_use e' <= last_use e -> acc | _ -> Some (k, e))
+    tbl None
+
 let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with
-        | Some (_, e') when e'.c_last_use <= e.c_last_use -> acc
-        | _ -> Some (k, e))
-      t.result_cache None
-  in
-  match victim with
+  match lru_victim t.result_cache (fun e -> e.c_last_use) with
   | None -> t.cache_bytes <- 0
   | Some (k, e) ->
     Hashtbl.remove t.result_cache k;
@@ -508,11 +548,10 @@ let evict_lru t =
     t.c_evictions <- t.c_evictions + 1
 
 (* Cache a result computed against the catalog as of version [v0] —
-   unless one of its inputs was re-registered since (the result would be
+   unless one of its dependencies changed since (the result would be
    stale) or it alone exceeds the whole budget. *)
 let cache_store t ~key ~deps ~v0 rel =
-  let fresh = List.for_all (fun d -> dep_version t d <= v0) deps in
-  if fresh && not (Hashtbl.mem t.result_cache key) then begin
+  if fresh t ~v0 deps && not (Hashtbl.mem t.result_cache key) then begin
     let bytes = rel_bytes rel in
     if bytes <= t.cache_budget then begin
       t.clock <- t.clock + 1;
@@ -542,15 +581,9 @@ let plan_store t key term deps =
     t.clock <- t.clock + 1;
     Hashtbl.replace t.plan_cache key { pl_term = term; pl_deps = deps; pl_last_use = t.clock };
     while Hashtbl.length t.plan_cache > t.plan_capacity do
-      let victim =
-        Hashtbl.fold
-          (fun k e acc ->
-            match acc with
-            | Some (_, u) when u <= e.pl_last_use -> acc
-            | _ -> Some (k, e.pl_last_use))
-          t.plan_cache None
-      in
-      match victim with None -> () | Some (k, _) -> Hashtbl.remove t.plan_cache k
+      Option.iter
+        (fun (k, _) -> Hashtbl.remove t.plan_cache k)
+        (lru_victim t.plan_cache (fun e -> e.pl_last_use))
     done
   end
 
@@ -650,28 +683,31 @@ let eval_stats_make () =
    Holding the cluster lock also makes the per-segment deltas of the
    shared cluster metrics (stages, straggler ratios) attributable to
    this evaluation. *)
-let exec_on_cluster t ~tbl ~st term =
+let on_cluster t ~st span f =
   Mutex.lock t.cluster_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.cluster_lock) @@ fun () ->
   let m = Cluster.metrics t.cluster in
   let stages0 = m.Metrics.stages in
   let strag_sum0 = Hist.total m.Metrics.straggler in
   let strag_n0 = Hist.count m.Metrics.straggler in
-  let tr = Trace.get () in
-  let rel =
-    Trace.span tr ~cat:"serve" "serve.eval" @@ fun () ->
-    let ctx = Exec.session ~shell_cache:t.shell_statics t.exec_config tbl in
-    let rel = Exec.run ctx term in
-    List.iter
-      (fun (fr : Exec.fix_report) ->
-        st.e_iters <- st.e_iters + fr.iterations;
-        st.e_plans <- Exec.plan_name fr.Exec.plan :: st.e_plans)
-      (Exec.report ctx).Exec.fixpoints;
-    rel
-  in
+  let res = Trace.span (Trace.get ()) ~cat:"serve" span f in
   st.e_stages <- st.e_stages + (m.Metrics.stages - stages0);
   st.e_strag_sum <- st.e_strag_sum +. (Hist.total m.Metrics.straggler -. strag_sum0);
   st.e_strag_n <- st.e_strag_n + (Hist.count m.Metrics.straggler - strag_n0);
+  res
+
+let record_fixpoints st reports =
+  List.iter
+    (fun (fr : Exec.fix_report) ->
+      st.e_iters <- st.e_iters + fr.iterations;
+      st.e_plans <- Exec.plan_name fr.Exec.plan :: st.e_plans)
+    reports
+
+let exec_on_cluster t ~tbl ~st term =
+  on_cluster t ~st "serve.eval" @@ fun () ->
+  let ctx = Exec.session ~shell_cache:t.shell_statics t.exec_config tbl in
+  let rel = Exec.run ctx term in
+  record_fixpoints st (Exec.report ctx).Exec.fixpoints;
   rel
 
 (* ------------------------------------------------------------------ *)
@@ -680,18 +716,15 @@ let exec_on_cluster t ~tbl ~st term =
 
 (* with [t.lock] held: evict the least-recently-used repair handle *)
 let evict_repair_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun k h acc ->
-        match acc with Some (_, u) when u <= h.r_last_use -> acc | _ -> Some (k, h.r_last_use))
-      t.repair None
-  in
-  match victim with None -> () | Some (k, _) -> Hashtbl.remove t.repair k
+  Option.iter
+    (fun (k, _) -> Hashtbl.remove t.repair k)
+    (lru_victim t.repair (fun h -> h.r_last_use))
 
 (* Try to answer a missed fixpoint from its live repair handle by
    replaying the pending delta through [Exec.Incr.update]. [Some rel]
-   reflects the handle's take-time catalog, which the [dep_version]
-   guard pins to the query's snapshot [v0]. Falls back ([None], handle
+   reflects the handle's take-time catalog, which the freshness guard
+   pins to the query's snapshot [v0] on every tuple the fixpoint reads.
+   Falls back ([None], handle
    dropped) when the pending delta outgrew [repair_frac] of the base
    relations, when the differential calculus refuses the update, or
    when the resume dies mid-flight (the accumulator is then corrupt).
@@ -705,7 +738,7 @@ let try_repair t ~v0 ~st key =
       Mutex.unlock t.lock;
       None
     | Some h ->
-      if not (List.for_all (fun d -> dep_version t d <= v0) h.r_deps) then begin
+      if not (fresh t ~v0 h.r_deps) then begin
         (* a dep moved past this query's snapshot: the handle (which
            repairs to the latest catalog) would answer a different
            question; leave it for later queries and evaluate against
@@ -719,7 +752,8 @@ let try_repair t ~v0 ~st key =
           List.fold_left
             (fun a d ->
               a + match List.assoc_opt d t.tbl with Some r -> Rel.cardinal r | None -> 0)
-            0 h.r_deps
+            0
+            (List.sort_uniq compare (List.map Dep.rel h.r_deps))
         in
         if float_of_int (card h.r_ins + card h.r_del) > t.repair_frac *. float_of_int (max 1 base)
         then begin
@@ -737,29 +771,15 @@ let try_repair t ~v0 ~st key =
           h.r_last_use <- t.clock;
           Mutex.unlock t.lock;
           let t0 = now_ns () in
-          Mutex.lock t.cluster_lock;
           let res =
-            Fun.protect ~finally:(fun () -> Mutex.unlock t.cluster_lock) @@ fun () ->
-            let m = Cluster.metrics t.cluster in
-            let stages0 = m.Metrics.stages in
-            let strag_sum0 = Hist.total m.Metrics.straggler in
-            let strag_n0 = Hist.count m.Metrics.straggler in
-            let tr = Trace.get () in
-            let res =
-              Trace.span tr ~cat:"serve" "serve.repair" @@ fun () ->
-              match Exec.Incr.update ~inserts:ins ~deletes:del h.r_handle with
-              | `Repaired (rel, iters) ->
-                st.e_iters <- st.e_iters + iters;
-                st.e_plans <-
-                  (Exec.plan_name (Exec.Incr.plan h.r_handle) ^ "(incr)") :: st.e_plans;
-                `Repaired rel
-              | `Unsupported _ -> `Fallback "unsupported"
-              | exception _ -> `Fallback "error"
-            in
-            st.e_stages <- st.e_stages + (m.Metrics.stages - stages0);
-            st.e_strag_sum <- st.e_strag_sum +. (Hist.total m.Metrics.straggler -. strag_sum0);
-            st.e_strag_n <- st.e_strag_n + (Hist.count m.Metrics.straggler - strag_n0);
-            res
+            on_cluster t ~st "serve.repair" @@ fun () ->
+            match Exec.Incr.update ~inserts:ins ~deletes:del h.r_handle with
+            | `Repaired (rel, iters) ->
+              st.e_iters <- st.e_iters + iters;
+              st.e_plans <- (Exec.plan_name (Exec.Incr.plan h.r_handle) ^ "(incr)") :: st.e_plans;
+              `Repaired rel
+            | `Unsupported _ -> `Fallback "unsupported"
+            | exception _ -> `Fallback "error"
           in
           match res with
           | `Repaired rel ->
@@ -768,9 +788,7 @@ let try_repair t ~v0 ~st key =
             Some rel
           | `Fallback reason ->
             Mutex.lock t.lock;
-            (match Hashtbl.find_opt t.repair key with
-            | Some h' when h' == h -> Hashtbl.remove t.repair key
-            | _ -> ());
+            unpublish t.repair key h;
             t.c_repair_fallbacks <- t.c_repair_fallbacks + 1;
             Mutex.unlock t.lock;
             tele_repair_fallback ~reason;
@@ -783,29 +801,12 @@ let try_repair t ~v0 ~st key =
    accumulator as a repair handle; [None] when the incremental layer
    cannot host this term (it then runs through the plain executor). *)
 let establish_on_cluster t ~tbl ~st fix_term =
-  Mutex.lock t.cluster_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.cluster_lock) @@ fun () ->
-  let m = Cluster.metrics t.cluster in
-  let stages0 = m.Metrics.stages in
-  let strag_sum0 = Hist.total m.Metrics.straggler in
-  let strag_n0 = Hist.count m.Metrics.straggler in
-  let tr = Trace.get () in
-  let res =
-    Trace.span tr ~cat:"serve" "serve.eval" @@ fun () ->
-    match Exec.Incr.establish t.exec_config ~tables:tbl fix_term with
-    | h ->
-      List.iter
-        (fun (fr : Exec.fix_report) ->
-          st.e_iters <- st.e_iters + fr.iterations;
-          st.e_plans <- Exec.plan_name fr.Exec.plan :: st.e_plans)
-        (Exec.Incr.establish_report h);
-      Some (h, Exec.Incr.result h)
-    | exception Exec.Incr.Unsupported _ -> None
-  in
-  st.e_stages <- st.e_stages + (m.Metrics.stages - stages0);
-  st.e_strag_sum <- st.e_strag_sum +. (Hist.total m.Metrics.straggler -. strag_sum0);
-  st.e_strag_n <- st.e_strag_n + (Hist.count m.Metrics.straggler - strag_n0);
-  res
+  on_cluster t ~st "serve.eval" @@ fun () ->
+  match Exec.Incr.establish t.exec_config ~tables:tbl fix_term with
+  | h ->
+    record_fixpoints st (Exec.Incr.establish_report h);
+    Some (h, Exec.Incr.result h)
+  | exception Exec.Incr.Unsupported _ -> None
 
 (* Evaluate a missed closed fixpoint: repair from a live handle when one
    is current, otherwise evaluate from scratch — keeping the converged
@@ -821,11 +822,11 @@ let eval_fix t ~tbl ~v0 ~st ~key ~deps fix_term =
       | None -> (exec_on_cluster t ~tbl ~st fix_term, false)
       | Some (h, rel) ->
         Mutex.lock t.lock;
-        (* install unless an update landed mid-evaluation (the handle
-           reflects a stale snapshot and its delta was never parked) or
-           a more current handle survived under this key *)
+        (* install unless an update hit its dependencies mid-evaluation
+           (the handle reflects a stale snapshot and that delta was never
+           parked) or a more current handle survived under this key *)
         if
-          List.for_all (fun d -> dep_version t d <= v0) deps
+          fresh t ~v0 deps
           && not (Hashtbl.mem t.repair key)
         then begin
           t.clock <- t.clock + 1;
@@ -844,7 +845,7 @@ let eval_fix t ~tbl ~v0 ~st ~key ~deps fix_term =
    catalog state). Never called with any lock held. *)
 let resolve_fix t ~tbl ~v0 ~st fix_term =
   let key = Normal.key fix_term in
-  let deps = Term.free_rels fix_term in
+  let deps = Dep.of_term fix_term in
   Mutex.lock t.lock;
   match cache_find t key with
   | Some rel ->
@@ -866,12 +867,8 @@ let resolve_fix t ~tbl ~v0 ~st fix_term =
       Hashtbl.replace t.f_promises key p;
       Mutex.unlock t.lock;
       let forget () =
-        (* only our own registration: [register] may have purged it and a
-           later evaluator may have installed a fresh one under this key *)
         Mutex.lock t.lock;
-        (match Hashtbl.find_opt t.f_promises key with
-        | Some p' when p' == p -> Hashtbl.remove t.f_promises key
-        | _ -> ());
+        unpublish t.f_promises key p;
         Mutex.unlock t.lock
       in
       match eval_fix t ~tbl ~v0 ~st ~key ~deps fix_term with
@@ -997,7 +994,7 @@ let record_slow_locked t ~qid ~session ~key ~st ~wait_ns ~total_ns ~plan_hit ~re
 let query ?(optimize = true) t (sn : Session.t) term =
   let t_start = now_ns () in
   let key = Normal.key term in
-  let deps = Term.free_rels term in
+  let deps = Dep.of_term term in
   Mutex.lock t.lock;
   if t.closed || sn.Session.closed then begin
     Mutex.unlock t.lock;
@@ -1062,6 +1059,7 @@ let query ?(optimize = true) t (sn : Session.t) term =
     | None -> (
       (* we own the evaluation: snapshot the catalog, publish a promise *)
       let v0 = t.version in
+      t.snapshots <- v0 :: t.snapshots;
       let tbl = t.tbl in
       let p = promise_make deps in
       Hashtbl.replace t.q_promises key p;
@@ -1115,9 +1113,9 @@ let query ?(optimize = true) t (sn : Session.t) term =
       in
       let forget () =
         Mutex.lock t.lock;
-        (match Hashtbl.find_opt t.q_promises key with
-        | Some p' when p' == p -> Hashtbl.remove t.q_promises key
-        | _ -> ());
+        unpublish t.q_promises key p;
+        let rec drop_one = function [] -> [] | v :: l -> if v = v0 then l else v :: drop_one l in
+        t.snapshots <- drop_one t.snapshots;
         Mutex.unlock t.lock
       in
       let st = eval_stats_make () in

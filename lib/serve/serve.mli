@@ -22,10 +22,11 @@
       alpha-renamed or commutatively reordered resubmissions skip the
       rewriter.
     - {b Result cache}: evaluated results are cached under the same
-      normal-form key, scoped to the {e graph version} — a counter
-      bumped by every {!register}. Entries remember the relation names
-      they read ([Term.free_rels]); registering a relation invalidates
-      exactly the dependent plan and result entries. The cache holds at
+      normal-form key. Entries remember what they read as {!Dep.t}s: a
+      read [σ[c = v ∧ …](R)] depends only on the key [(R, c, v)], any
+      other read of [R] on all of [R]. An edge batch ({!update}) drops
+      only the entries whose keys its changed tuples touch;
+      {!register} drops every entry on the relation. The cache holds at
       most [result_cache_bytes] (serialized-size model of
       {!Distsim.Metrics.tuple_bytes}) and evicts least-recently-used
       entries beyond that.
@@ -45,16 +46,18 @@
     whole-query promises are only awaited by queries that hold nothing.
 
     Consistency: queries evaluate against a snapshot of the catalog
-    taken at submission. A result is only cached if none of its input
-    relations were re-registered while it was being computed, so the
-    cache never serves a stale mix.
+    taken at submission. A result is only cached if none of its
+    dependencies changed while it was being computed (a batch on keys it
+    does not read leaves it current), so the cache never serves a stale
+    mix.
 
     {b Incremental repair} (the fifth layer, on top of the result
     cache): when a fixpoint is evaluated, the server keeps its
     converged distributed accumulator live as a {e repair handle}
     ({!Physical.Exec.Incr}). An edge-batch {!update} still drops the
-    dependent result-cache entries — stale bytes are never served — but
-    instead of discarding the work it parks the delta on the handles.
+    result-cache entries it hits — stale bytes are never served — but
+    instead of discarding the work it parks the delta on the handles it
+    hits.
     The next miss on such a fixpoint replays only the delta: insertions
     seed the semi-naive loop with the differential of the body at the
     converged accumulator, deletions run DRed (over-delete through the
@@ -72,6 +75,24 @@ module Session : sig
 
   val id : t -> int
   val name : t -> string
+end
+
+(** What a cached computation reads of the catalog: the unit of
+    invalidation. *)
+module Dep : sig
+  type t =
+    | Rel of string  (** any tuple of the relation *)
+    | Key of string * string * Relation.Value.t
+        (** [Key (r, c, v)]: only the tuples of [r] whose column [c]
+            holds [v] *)
+
+  val of_term : Mura.Term.t -> t list
+  (** The dependencies of a term, in one walk, without duplicates. An
+      occurrence [σ[c = v ∧ …](R)] (an [Eq_const] conjunct of the
+      selection directly over [R]) gives [Key (R, c, v)]; any other
+      occurrence of [R] — unfiltered, under a selection without such a
+      conjunct (an [Or], say), or with a rename between the selection
+      and [R] — gives [Rel R]. *)
 end
 
 type t
@@ -142,21 +163,26 @@ val close_session : t -> Session.t -> unit
 
 val register : t -> string -> Relation.Rel.t -> unit
 (** [register t name rel] binds (or replaces) a database relation and
-    bumps the graph version. Plan- and result-cache entries that read
-    [name], in-flight promises over it, and its repair handles are
-    invalidated; entries on other relations survive. *)
+    bumps the graph version. It hits every dependency on [name], keys
+    included: plan- and result-cache entries that read [name], in-flight
+    promises over it, and its repair handles are invalidated; entries on
+    other relations survive. *)
 
 val update : ?inserts:Relation.Rel.t -> ?deletes:Relation.Rel.t -> t -> string -> unit
 (** [update t name ~inserts ~deletes] applies an edge batch to the
     registered relation [name]: the new contents are
-    [(old \ deletes) ∪ inserts], and the graph version advances exactly
-    as under {!register}. Dependent result-cache entries are dropped —
-    but their live repair handles absorb the delta, so the next miss on
-    an affected fixpoint pays only an incremental resume instead of a
-    recomputation (see the module overview). Plan-cache entries
-    survive: a rewritten plan stays valid under any catalog contents.
-    Batches apply deletes before inserts; a tuple named by both ends up
-    present.
+    [(old \ deletes) ∪ inserts], and the graph version advances by one.
+    Only the net change counts — inserted tuples not already present and
+    deleted tuples that are. It hits [Dep.Rel name] and, for every
+    column [c] of every changed tuple, [Dep.Key (name, c, tuple.(c))];
+    a batch that changes nothing hits nothing. Result-cache entries that
+    read a hit dependency are dropped — but their live repair handles
+    absorb the delta, so the next miss on an affected fixpoint pays only
+    an incremental resume instead of a recomputation (see the module
+    overview). Entries and handles whose keys the batch missed survive
+    untouched. Plan-cache entries survive: a rewritten plan stays valid
+    under any catalog contents. Batches apply deletes before inserts; a
+    tuple named by both ends up present.
     @raise Invalid_argument on an unregistered relation or a batch
     whose schema does not match the relation's. *)
 

@@ -1,9 +1,10 @@
 (* Tests for the serving layer: result-cache hits skip the fixpoint
    entirely, cached results are bit-identical to uncached evaluation
    across fixpoint plans and worker counts, registration invalidates
-   exactly the dependent entries, the LRU byte budget evicts, admission
-   is fair across sessions, and concurrent queries sharing a fixpoint
-   subterm evaluate it exactly once. *)
+   exactly the dependent entries, an edge batch invalidates only the
+   entries whose selection keys it touches, the LRU byte budget evicts,
+   admission is fair across sessions, and concurrent queries sharing a
+   fixpoint subterm evaluate it exactly once. *)
 
 open Relation
 module Term = Mura.Term
@@ -34,7 +35,7 @@ let edges2 = rel [ "src"; "trg" ] [ [ 1; 2 ]; [ 2; 3 ]; [ 7; 8 ] ]
 let eval_on graph term = Mura.Eval.eval (Mura.Eval.env [ ("E", graph) ]) term
 
 let make_serve ?max_inflight ?plan_cache_capacity ?result_cache_bytes ?max_repair_handles
-    ?repair_max_delta_frac ?force_plan ?(workers = 2) ?(parallel = false) () =
+    ?repair_max_delta_frac ?force_plan ?(workers = 2) ?(parallel = false) ?(graph = edges) () =
   let cluster = Cluster.make ~parallel ~workers () in
   let config =
     match force_plan with
@@ -45,7 +46,7 @@ let make_serve ?max_inflight ?plan_cache_capacity ?result_cache_bytes ?max_repai
     Serve.create ?max_inflight ?plan_cache_capacity ?result_cache_bytes ?max_repair_handles
       ?repair_max_delta_frac ?config ~cluster ()
   in
-  Serve.register t "E" edges;
+  Serve.register t "E" graph;
   t
 
 (* ---- result cache: repeat query skips the fixpoint ---- *)
@@ -455,6 +456,234 @@ let test_repair_disabled () =
   check_int "recomputed" 2 s.Serve.fix_evals;
   Serve.shutdown t
 
+(* ---- predicate-granular invalidation: a batch drops only the entries
+   whose σ-keys it touches ---- *)
+
+let la = Value.of_string "a"
+let lb = Value.of_string "b"
+let labelled rows = rel [ "src"; "pred"; "trg" ] (List.map (fun (s, l, t) -> [ s; l; t ]) rows)
+
+(* an a-cycle with a tail and a b-cycle sharing node 1 *)
+let lgraph =
+  labelled [ (1, la, 2); (2, la, 3); (3, la, 1); (3, la, 4); (1, lb, 5); (5, lb, 6); (6, lb, 1) ]
+
+let ucrpq text = Rpq.Query.union_to_term (Rpq.Query.parse_union text)
+let aplus () = ucrpq "?x, ?y <- ?x a+ ?y"
+
+(* a+ joined with one b step: the closed a+ fixpoint under a shell
+   that reads b *)
+let aplus_b () = ucrpq "?x, ?z <- ?x a+ ?y, ?y b ?z"
+let unfiltered () = Patterns.closure (Term.Antiproject ([ "pred" ], Term.Rel "E"))
+
+let apply graph ?inserts ?deletes t =
+  Serve.update ?inserts ?deletes t "E";
+  let g = match deletes with Some d -> Rel.diff graph d | None -> graph in
+  match inserts with Some i -> Rel.union g i | None -> g
+
+let test_untouched_label_hits () =
+  let t = make_serve ~graph:lgraph () in
+  let sn = Serve.open_session t in
+  ignore (Serve.query t sn (aplus ()));
+  let g = apply lgraph ~inserts:(labelled [ (6, lb, 7); (2, lb, 5) ]) t in
+  let r = Serve.query t sn (aplus ()) in
+  check_bool "a+ survives a b insert" true r.Serve.result_hit;
+  check_rel "hit equals the oracle" (eval_on g (aplus ())) r.Serve.rel;
+  let g = apply g ~deletes:(labelled [ (5, lb, 6) ]) t in
+  let r = Serve.query t sn (aplus ()) in
+  check_bool "a+ survives a b delete" true r.Serve.result_hit;
+  check_rel "hit equals the oracle after delete" (eval_on g (aplus ())) r.Serve.rel;
+  Serve.shutdown t
+
+let test_touched_label_misses () =
+  let t = make_serve ~graph:lgraph () in
+  let sn = Serve.open_session t in
+  ignore (Serve.query t sn (aplus ()));
+  let g = apply lgraph ~inserts:(labelled [ (4, la, 8) ]) t in
+  let r = Serve.query t sn (aplus ()) in
+  check_bool "an a insert misses" false r.Serve.result_hit;
+  check_rel "insert result correct" (eval_on g (aplus ())) r.Serve.rel;
+  let g = apply g ~deletes:(labelled [ (3, la, 1) ]) t in
+  let r = Serve.query t sn (aplus ()) in
+  check_bool "an a delete misses" false r.Serve.result_hit;
+  check_rel "delete result correct" (eval_on g (aplus ())) r.Serve.rel;
+  Serve.shutdown t
+
+(* the whole-query entry reads b and dies; its a+ fixpoint does not *)
+let test_fixpoint_survives_shell_change () =
+  let t = make_serve ~graph:lgraph () in
+  let sn = Serve.open_session t in
+  ignore (Serve.query ~optimize:false t sn (aplus_b ()));
+  let evals = (Serve.stats t).Serve.fix_evals in
+  let g = apply lgraph ~inserts:(labelled [ (4, lb, 9) ]) t in
+  let r = Serve.query ~optimize:false t sn (aplus_b ()) in
+  check_bool "the shell's entry misses" false r.Serve.result_hit;
+  check_bool "the cached fixpoint is reused" true (r.Serve.fix_hits > 0);
+  check_int "no fixpoint re-evaluated" evals (Serve.stats t).Serve.fix_evals;
+  check_rel "shell rerun correct" (eval_on g (aplus_b ())) r.Serve.rel;
+  Serve.shutdown t
+
+let test_unfiltered_read_always_invalidated () =
+  let t = make_serve ~graph:lgraph () in
+  let sn = Serve.open_session t in
+  ignore (Serve.query t sn (unfiltered ()));
+  let g = apply lgraph ~inserts:(labelled [ (6, lb, 7) ]) t in
+  let r = Serve.query t sn (unfiltered ()) in
+  check_bool "an unfiltered read misses on a b batch" false r.Serve.result_hit;
+  check_rel "unfiltered result correct" (eval_on g (unfiltered ())) r.Serve.rel;
+  let g = apply g ~deletes:(labelled [ (1, la, 2) ]) t in
+  let r = Serve.query t sn (unfiltered ()) in
+  check_bool "and on an a batch" false r.Serve.result_hit;
+  check_rel "unfiltered result correct after delete" (eval_on g (unfiltered ())) r.Serve.rel;
+  Serve.shutdown t
+
+(* re-inserting a resident edge or deleting an absent one changes
+   nothing: no entry dropped, even one that reads E unfiltered *)
+let test_noop_tuples_invalidate_nothing () =
+  let t = make_serve ~graph:lgraph () in
+  let sn = Serve.open_session t in
+  ignore (Serve.query t sn (aplus ()));
+  ignore (Serve.query t sn (unfiltered ()));
+  let s0 = Serve.stats t in
+  Serve.update ~inserts:(labelled [ (1, la, 2) ]) ~deletes:(labelled [ (9, la, 9) ]) t "E";
+  let s1 = Serve.stats t in
+  check_int "version advances once" (s0.Serve.graph_version + 1) s1.Serve.graph_version;
+  check_int "nothing invalidated" s0.Serve.invalidated s1.Serve.invalidated;
+  check_bool "catalog unchanged" true (Rel.equal lgraph (Option.get (Serve.relation t "E")));
+  check_bool "a+ still hits" true (Serve.query t sn (aplus ())).Serve.result_hit;
+  check_bool "unfiltered still hits" true (Serve.query t sn (unfiltered ())).Serve.result_hit;
+  (* the repair handles parked nothing: the next a batch repairs from
+     exactly its own delta *)
+  let g = apply lgraph ~inserts:(labelled [ (4, la, 8) ]) t in
+  let r = Serve.query t sn (aplus ()) in
+  check_bool "repaired" true r.Serve.repaired;
+  check_rel "repaired result correct" (eval_on g (aplus ())) r.Serve.rel;
+  Serve.shutdown t
+
+let test_register_drops_key_entries () =
+  let t = make_serve ~graph:lgraph () in
+  let sn = Serve.open_session t in
+  let bplus () = ucrpq "?x, ?y <- ?x b+ ?y" in
+  ignore (Serve.query t sn (aplus ()));
+  ignore (Serve.query t sn (bplus ()));
+  let s = Serve.stats t in
+  check_bool "entries cached" true (s.Serve.result_entries > 0 && s.Serve.plan_entries > 0);
+  let g = labelled [ (1, la, 2); (2, la, 1); (2, lb, 3) ] in
+  Serve.register t "E" g;
+  let s = Serve.stats t in
+  check_int "no result entry left" 0 s.Serve.result_entries;
+  check_int "no plan left" 0 s.Serve.plan_entries;
+  check_int "no handle left" 0 s.Serve.repair_handles;
+  List.iter
+    (fun q ->
+      let r = Serve.query t sn (q ()) in
+      check_bool "miss after register" false r.Serve.result_hit;
+      check_rel "fresh result after register" (eval_on g (q ())) r.Serve.rel)
+    [ aplus; bplus ];
+  Serve.shutdown t
+
+(* An update lands while an evaluation is on the cluster: the tracer's
+   clock, read when the evaluation opens its first span, applies it. A
+   b batch leaves the evaluation's a-keys current, so its result is
+   stored; an a batch does not. *)
+let test_unrelated_update_mid_evaluation () =
+  let race batch =
+    let t = make_serve ~graph:lgraph () in
+    let sn = Serve.open_session t in
+    let armed = ref true in
+    let tr = Trace.make () in
+    Trace.set_sim_clock tr (fun () ->
+        if !armed then begin
+          armed := false;
+          Serve.update ~inserts:batch t "E"
+        end;
+        0.);
+    Trace.install tr;
+    let r = Fun.protect ~finally:Trace.uninstall (fun () -> Serve.query t sn (aplus ())) in
+    check_bool "the update fired mid-evaluation" false !armed;
+    check_rel "answered at the submission snapshot" (eval_on lgraph (aplus ())) r.Serve.rel;
+    let g = Rel.union lgraph batch in
+    let r' = Serve.query t sn (aplus ()) in
+    check_rel "next answer is current" (eval_on g (aplus ())) r'.Serve.rel;
+    Serve.shutdown t;
+    r'.Serve.result_hit
+  in
+  check_bool "stored across a b update" true (race (labelled [ (6, lb, 7) ]));
+  check_bool "not stored across an a update" false (race (labelled [ (4, la, 8) ]))
+
+let test_dep_walk () =
+  let deps = Alcotest.testable (fun ppf _ -> Format.pp_print_string ppf "<deps>") ( = ) in
+  let e = Term.Rel "E" in
+  let key = Serve.Dep.Key ("E", "pred", la) in
+  Alcotest.check deps "σ[pred=a ∧ x](E) is a key" [ key ]
+    (Serve.Dep.of_term
+       (Term.Select (Pred.And (Pred.Eq_const ("pred", la), Pred.Gt_const ("src", 1)), e)));
+  Alcotest.check deps "conjunct order does not matter" [ key ]
+    (Serve.Dep.of_term
+       (Term.Select (Pred.And (Pred.Neq_const ("src", 1), Pred.Eq_const ("pred", la)), e)));
+  Alcotest.check deps "σ[Or](E) is relation-wide" [ Serve.Dep.Rel "E" ]
+    (Serve.Dep.of_term
+       (Term.Select (Pred.Or (Pred.Eq_const ("pred", la), Pred.Eq_const ("pred", lb)), e)));
+  Alcotest.check deps "a rename under the σ is relation-wide" [ Serve.Dep.Rel "E" ]
+    (Serve.Dep.of_term
+       (Term.Select (Pred.Eq_const ("pred", la), Term.Rename ([ ("src", "s") ], e))));
+  Alcotest.check deps "bare E is relation-wide" [ Serve.Dep.Rel "E" ] (Serve.Dep.of_term e);
+  Alcotest.check deps "a translated a+ reads only its label" [ key ] (Serve.Dep.of_term (aplus ()))
+
+(* Randomized differential check on a small Yago-like graph: Q1-Q24
+   reads interleaved with seeded insert/delete batches over several
+   predicates; every response equals the oracle on the current graph,
+   and some first read after a batch is still a result hit. *)
+let test_randomized_yago_differential () =
+  let queries =
+    Harness.Queries.yago
+    |> List.filteri (fun i _ -> i < 24)
+    |> List.map (fun s -> s.Harness.Queries.text)
+    |> Array.of_list
+  in
+  let surviving = ref 0 in
+  List.iter
+    (fun seed ->
+      let graph = Graphgen.Yago_like.generate ~seed ~scale:60 () in
+      let rng = Graphgen.Rng.create seed in
+      let t = make_serve ~workers:2 ~graph () in
+      let sn = Serve.open_session t in
+      let src = Schema.index_of (Rel.schema graph) "src" in
+      let current = ref graph and version = ref 0 in
+      let last_read = Array.make (Array.length queries) (-1) in
+      for step = 1 to 90 do
+        if step mod 6 = 0 then begin
+          (* clone resident edges with rewired endpoints (any predicate);
+             every other batch also deletes resident edges *)
+          let resident = Array.of_list (Rel.to_list !current) in
+          let pick () = resident.(Graphgen.Rng.int rng (Array.length resident)) in
+          let ins = Rel.create (Rel.schema graph) in
+          for _ = 1 to 3 do
+            let tu = Array.copy (pick ()) in
+            tu.(src) <- (pick ()).(src);
+            ignore (Rel.add ins tu)
+          done;
+          let del =
+            if step mod 12 = 0 then Some (Rel.of_tuples (Rel.schema graph) [ pick (); pick () ])
+            else None
+          in
+          current := apply !current ~inserts:ins ?deletes:del t;
+          incr version
+        end
+        else begin
+          let q = Graphgen.Rng.int rng (Array.length queries) in
+          let r = Serve.query_ucrpq t sn queries.(q) in
+          let want = eval_on !current (ucrpq queries.(q)) in
+          if not (Rel.equal want r.Serve.rel) then
+            Alcotest.failf "seed %d step %d Q%d diverges from the oracle" seed step (q + 1);
+          if r.Serve.result_hit && last_read.(q) >= 0 && last_read.(q) < !version then
+            incr surviving;
+          last_read.(q) <- !version
+        end
+      done;
+      Serve.shutdown t)
+    [ 1; 2; 3 ];
+  check_bool "some cached result survived a batch" true (!surviving > 0)
+
 let test_update_validation () =
   let t = make_serve () in
   let ins = rel [ "src"; "trg" ] [ [ 1; 2 ] ] in
@@ -494,6 +723,20 @@ let () =
           Alcotest.test_case "register/mutate cycle" `Quick test_invalidation;
           Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
           Alcotest.test_case "oversized results bypass" `Quick test_too_big_to_cache;
+          Alcotest.test_case "untouched label keeps entry" `Quick test_untouched_label_hits;
+          Alcotest.test_case "touched label misses" `Quick test_touched_label_misses;
+          Alcotest.test_case "fixpoint survives shell change" `Quick
+            test_fixpoint_survives_shell_change;
+          Alcotest.test_case "unfiltered read always invalidated" `Quick
+            test_unfiltered_read_always_invalidated;
+          Alcotest.test_case "no-op tuples invalidate nothing" `Quick
+            test_noop_tuples_invalidate_nothing;
+          Alcotest.test_case "register drops key entries" `Quick test_register_drops_key_entries;
+          Alcotest.test_case "unrelated update mid-evaluation" `Quick
+            test_unrelated_update_mid_evaluation;
+          Alcotest.test_case "dependency walk" `Quick test_dep_walk;
+          Alcotest.test_case "randomized yago differential" `Quick
+            test_randomized_yago_differential;
         ] );
       ( "admission",
         [
