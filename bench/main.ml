@@ -7,7 +7,7 @@
      dune exec bench/main.exe -- --quick all  # smoke-test scales
 
    Experiments: table1 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
-                ablation micro
+                ablation micro regret
 
    Absolute numbers differ from the paper (its testbed is a 4-machine
    Spark cluster; ours is a simulated cluster on one machine) — the
@@ -1302,6 +1302,254 @@ module MicroIncremental = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* regret: every explored plan of Q1-Q49, run and checked               *)
+(* ------------------------------------------------------------------ *)
+
+module Regret = struct
+  (* How good is the cost model's choice? For every corpus query, every
+     plan [Rewrite.Engine.explore] records at the systems' 120-plan cap
+     runs on the four-worker cluster of perfbench, and its relation must
+     equal [Mura.Eval] of the chosen plan: a gate on every explored plan,
+     not just the chosen one. Per plan the table keeps the estimated
+     cost, the best-of-3 wall time and the deterministic counters
+     (fixpoint iterations, shuffled records, result tuples). Regret is
+     the chosen plan's time over the best plan's. Each closed fixpoint
+     of the chosen plan also gets its estimated against its actual
+     cardinality, and the q-errors are summarised per dataset. --quick
+     runs the parity part only (one run per plan) on small graphs. *)
+
+  module Exec = Physical.Exec
+  module Cluster = Distsim.Cluster
+
+  let max_plans = 120
+  let workers = 4
+
+  type status = Done of float (* best wall ms *) | Timed_out | Failed of string
+
+  type plan_row = {
+    est_cost : float;
+    status : status;
+    iterations : int;
+    shuffled : int;
+    tuples : int;
+  }
+
+  type query_row = {
+    dataset : string;
+    seed : int;
+    id : string;
+    plans : plan_row list;
+    chosen : int;
+    fixes : (float * int) list;  (** closed fixpoints of the chosen plan: estimate, actual *)
+  }
+
+  let graphs () =
+    let yago seed scale = ("yago", seed, Graphgen.Yago_like.generate ~seed ~scale ()) in
+    let uniprot seed scale = ("uniprot", seed, Graphgen.Uniprot_like.generate ~seed ~scale ()) in
+    if !quick then [ yago 2 200; uniprot 2 300 ]
+    else [ yago 2 1000; uniprot 2 1500; uniprot 3 1500 ]
+
+  let specs dataset g =
+    if dataset = "yago" then Q.yago else Q.uniprot g
+
+  (* One run on a fresh session, as a cold perfbench read executes it. *)
+  let run_once tables plan =
+    let cluster = Cluster.make ~workers () in
+    let ctx = Exec.session (Exec.default_config cluster) tables in
+    let t0 = Unix.gettimeofday () in
+    let rel = Exec.run ctx plan in
+    let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+    let iterations = List.fold_left (fun a f -> a + f.Exec.iterations) 0 (Exec.report ctx).fixpoints in
+    (rel, ms, iterations, (Cluster.metrics cluster).Distsim.Metrics.shuffled_records)
+
+  let run_plan ~runs ~timeout_s tables oracle est_cost plan =
+    let rec go k best row =
+      if k = runs then { row with status = Done best }
+      else
+        match
+          Relation.Deadline.set ~seconds_from_now:timeout_s;
+          Fun.protect ~finally:Relation.Deadline.clear (fun () -> run_once tables plan)
+        with
+        | rel, ms, iterations, shuffled ->
+          if not (Rel.equal oracle rel) then failwith "regret: a plan disagrees with Mura.Eval";
+          go (k + 1) (Float.min best ms)
+            { row with iterations; shuffled; tuples = Rel.cardinal rel }
+        | exception Relation.Deadline.Expired -> { row with status = Timed_out }
+        | exception Exec.Resource_limit msg -> { row with status = Failed msg }
+    in
+    go 0 infinity { est_cost; status = Timed_out; iterations = 0; shuffled = 0; tuples = 0 }
+
+  (* Closed fixpoint subterms, outermost first. *)
+  let rec closed_fixes (t : Term.t) =
+    let here = match t with Fix _ when Term.free_vars t = [] -> [ t ] | _ -> [] in
+    let sub =
+      match t with
+      | Rel _ | Cst _ | Var _ -> []
+      | Select (_, u) | Project (_, u) | Antiproject (_, u) | Rename (_, u) | Fix (_, u) ->
+        closed_fixes u
+      | Join (a, b) | Antijoin (a, b) | Union (a, b) -> closed_fixes a @ closed_fixes b
+    in
+    here @ sub
+
+  let query ~runs ~timeout_s (dataset, seed, g) (spec : Q.spec) =
+    let tables = [ ("E", g) ] in
+    let term = Rpq.Query.union_to_term (Rpq.Query.parse_union spec.text) in
+    let tenv = Mura.Typing.env [ ("E", Rel.schema g) ] in
+    let plans = Rewrite.Engine.explore ~max_plans tenv term in
+    let stats = Cost.Stats.of_tables tables in
+    let costs = List.map (Cost.Estimate.cost stats) plans in
+    (* the first cheapest plan, as [Rewrite.Engine.optimize] picks it *)
+    let chosen, _ =
+      List.fold_left
+        (fun (bi, bc) (i, c) -> if c < bc then (i, c) else (bi, bc))
+        (0, List.hd costs)
+        (List.mapi (fun i c -> (i, c)) costs)
+    in
+    let best = List.nth plans chosen in
+    let env = Mura.Eval.env tables in
+    let oracle = Mura.Eval.eval env best in
+    let rows =
+      List.map2
+        (fun p c ->
+          try run_plan ~runs ~timeout_s tables oracle c p
+          with Failure msg -> failwith (Printf.sprintf "%s (%s seed %d): %s" msg dataset seed spec.id))
+        plans costs
+    in
+    let fixes =
+      List.map
+        (fun f -> (Cost.Estimate.cardinality stats f, Rel.cardinal (Mura.Eval.eval env f)))
+        (closed_fixes best)
+    in
+    { dataset; seed; id = spec.id; plans = rows; chosen; fixes }
+
+  let ms_of r = match r.status with Done ms -> Some ms | Timed_out | Failed _ -> None
+
+  (* the fastest plan that finished *)
+  let fastest q =
+    List.fold_left
+      (fun best r ->
+        match (ms_of r, best) with
+        | Some ms, Some (b, _) when ms >= b -> best
+        | Some ms, _ -> Some (ms, r)
+        | None, _ -> best)
+      None q.plans
+
+  (* chosen time over the fastest plan's time; [nan] when the chosen
+     plan did not finish *)
+  let regret q =
+    match (ms_of (List.nth q.plans q.chosen), fastest q) with
+    | Some ms, Some (best, _) -> ms /. best
+    | _ -> Float.nan
+
+  let q_errors rows dataset =
+    List.concat_map
+      (fun q ->
+        if q.dataset <> dataset then []
+        else
+          List.map
+            (fun (est, actual) -> Cost.Feedback.q_error ~est ~actual:(float_of_int actual))
+            q.fixes)
+      rows
+
+  (* linear interpolation between closest ranks *)
+  let quantile xs p =
+    let a = Array.of_list xs in
+    Array.sort Float.compare a;
+    let n = Array.length a in
+    if n = 0 then Float.nan
+    else
+      let r = p *. float_of_int (n - 1) in
+      let i = int_of_float r in
+      let j = min (i + 1) (n - 1) in
+      a.(i) +. ((r -. float_of_int i) *. (a.(j) -. a.(i)))
+
+  let num f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+
+  let write_json rows =
+    let plan_json r =
+      let status, ms =
+        match r.status with
+        | Done ms -> ("ok", num ms)
+        | Timed_out -> ("timeout", "null")
+        | Failed msg -> (Printf.sprintf "failed: %s" (String.escaped msg), "null")
+      in
+      Printf.sprintf
+        "{\"est_cost\":%s,\"status\":\"%s\",\"wall_ms\":%s,\"iterations\":%d,\"shuffled_records\":%d,\"tuples\":%d}"
+        (num r.est_cost) status ms r.iterations r.shuffled r.tuples
+    in
+    let fix_json (est, actual) =
+      Printf.sprintf "{\"est\":%s,\"actual\":%d}" (num est) actual
+    in
+    let query_json q =
+      Printf.sprintf
+        "{\"dataset\":\"%s\",\"seed\":%d,\"query\":\"%s\",\"chosen\":%d,\"regret\":%s,\n\
+         \"fixpoints\":[%s],\n\"plans\":[%s]}"
+        q.dataset q.seed q.id q.chosen (num (regret q))
+        (String.concat "," (List.map fix_json q.fixes))
+        (String.concat ",\n" (List.map plan_json q.plans))
+    in
+    let summary dataset =
+      let qs = q_errors rows dataset in
+      Printf.sprintf "\"%s\":{\"fixpoints\":%d,\"median\":%s,\"p90\":%s}" dataset
+        (List.length qs) (num (quantile qs 0.5)) (num (quantile qs 0.9))
+    in
+    let oc = open_out "BENCH_regret.json" in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        Printf.fprintf oc
+          "{\"name\":\"regret\",\"quick\":%b,\"host_cores\":%d,\"max_plans\":%d,\n\
+           \"q_error\":{%s,%s},\n\"queries\":[\n%s]}\n"
+          !quick (Domain.recommended_domain_count ()) max_plans (summary "yago")
+          (summary "uniprot")
+          (String.concat ",\n" (List.map query_json rows)))
+
+  let run () =
+    section "regret: every explored plan, cost model vs wall clock";
+    let runs = if !quick then 1 else 3 and timeout_s = if !quick then 30. else 5. in
+    heading "%-8s %4s %-5s %6s %7s %10s %10s %7s %12s %12s" "dataset" "seed" "query" "plans"
+      "chosen" "chosen_ms" "best_ms" "regret" "chosen_cost" "best_cost";
+    let rows =
+      List.concat_map
+        (fun ((dataset, seed, g) as graph) ->
+          List.map
+            (fun spec ->
+              let q = query ~runs ~timeout_s graph spec in
+              let chosen = List.nth q.plans q.chosen in
+              let show = function Some ms -> Printf.sprintf "%.2f" ms | None -> "timeout" in
+              let best_ms, best_cost =
+                match fastest q with
+                | Some (ms, r) -> (Some ms, Printf.sprintf "%.4g" r.est_cost)
+                | None -> (None, "-")
+              in
+              heading "%-8s %4d %-5s %6d %7d %10s %10s %7s %12.4g %12s" dataset seed q.id
+                (List.length q.plans) q.chosen (show (ms_of chosen)) (show best_ms)
+                (num (regret q)) chosen.est_cost best_cost;
+              q)
+            (specs dataset g))
+        (graphs ())
+    in
+    List.iter
+      (fun dataset ->
+        let qs = q_errors rows dataset in
+        heading "%s: %d closed fixpoints of chosen plans, q-error median %.2f p90 %.2f" dataset
+          (List.length qs) (quantile qs 0.5) (quantile qs 0.9))
+      [ "yago"; "uniprot" ];
+    let timeouts =
+      List.fold_left
+        (fun a q -> a + List.length (List.filter (fun r -> ms_of r = None) q.plans))
+        0 rows
+    in
+    heading "plans checked against Mura.Eval: %d (%d did not finish)"
+      (List.fold_left (fun a q -> a + List.length q.plans) 0 rows)
+      timeouts;
+    write_json rows;
+    heading "wrote BENCH_regret.json";
+    (* at quick scale every plan must finish, so every plan is checked *)
+    if !quick && timeouts > 0 then failwith "regret: plans did not finish at quick scale"
+end
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1323,6 +1571,7 @@ let experiments =
     ("micro_serve", MicroServe.run);
     ("micro_telemetry", MicroTelemetry.run);
     ("micro_incremental", MicroIncremental.run);
+    ("regret", Regret.run);
   ]
 
 let () =

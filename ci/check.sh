@@ -82,6 +82,13 @@ dune exec bench/main.exe -- --quick micro_compiled
 echo "== bench micro_shell (--quick) =="
 dune exec bench/main.exe -- --quick micro_shell
 
+# every-plan parity gate: quick-scale run of the plan-regret table; every
+# plan the rewriter explores for Q1-Q49 runs on the four-worker cluster
+# and must return the relation Mura.Eval gives for the chosen plan (the
+# timings and q-errors it prints are not gated)
+echo "== bench regret (--quick) =="
+dune exec bench/main.exe -- --quick regret
+
 # serving-layer smoke: concurrent sessions resubmitting one query
 # through lib/serve must hit the result cache (hit rate > 0) and match
 # the reference results (murarun exits non-zero on any parity failure);

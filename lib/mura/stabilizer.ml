@@ -1,71 +1,41 @@
 module Schema = Relation.Schema
 
-type origin = From_var of string | Opaque
+(* Where the columns of a term come from, as the columns of [var] they
+   copy unchanged: [(c, c')] when output column [c] holds the value the
+   generating tuple of [var] had at [c']. Every other output column is
+   opaque. The analysis mirrors schema inference; tracking only the
+   copied columns needs no schemas. Joins prefer a copied origin on
+   shared columns (both sides hold the same value there); unions keep
+   the origins both branches agree on. *)
+let rec copies ~var ~cols (t : Term.t) =
+  match t with
+  | Var x when String.equal x var -> List.map (fun c -> (c, c)) cols
+  | Var _ | Rel _ | Cst _ | Fix _ -> []
+  | Select (_, u) | Antijoin (u, _) -> copies ~var ~cols u
+  | Project (keep, u) -> List.filter (fun (c, _) -> List.mem c keep) (copies ~var ~cols u)
+  | Antiproject (drop, u) -> List.filter (fun (c, _) -> not (List.mem c drop)) (copies ~var ~cols u)
+  | Rename (mapping, u) ->
+    List.map
+      (fun (c, o) -> match List.assoc_opt c mapping with Some fresh -> (fresh, o) | None -> (c, o))
+      (copies ~var ~cols u)
+  | Join (a, b) ->
+    let ma = copies ~var ~cols a in
+    ma @ List.filter (fun (c, _) -> not (List.mem_assoc c ma)) (copies ~var ~cols b)
+  | Union (a, b) ->
+    let mb = copies ~var ~cols b in
+    List.filter (fun (c, o) -> List.assoc_opt c mb = Some o) (copies ~var ~cols a)
 
-let origin_equal a b =
-  match (a, b) with
-  | From_var x, From_var y -> String.equal x y
-  | Opaque, Opaque -> true
-  | (From_var _ | Opaque), _ -> false
-
-(* The analysis mirrors schema inference, attaching an origin to every
-   output column. Joins prefer a [From_var] origin on shared columns
-   (both sides hold the same value there); unions meet pointwise. *)
-let provenance tenv ~vars ~var ~var_schema term =
-  let opaque_of schema = List.map (fun c -> (c, Opaque)) (Schema.cols schema) in
-  let typing_vars = (var, var_schema) :: vars in
-  let rec go t =
-    match (t : Term.t) with
-    | Var x when String.equal x var -> List.map (fun c -> (c, From_var c)) (Schema.cols var_schema)
-    | Var _ | Rel _ | Cst _ | Fix _ -> opaque_of (Typing.infer ~vars:typing_vars tenv t)
-    | Select (_, u) -> go u
-    | Project (keep, u) ->
-      let m = go u in
-      List.map (fun c -> (c, List.assoc c m)) keep
-    | Antiproject (drop, u) -> List.filter (fun (c, _) -> not (List.mem c drop)) (go u)
-    | Rename (mapping, u) ->
-      List.map
-        (fun (c, o) ->
-          match List.assoc_opt c mapping with Some fresh -> (fresh, o) | None -> (c, o))
-        (go u)
-    | Join (a, b) ->
-      let ma = go a and mb = go b in
-      let from_b = List.filter (fun (c, _) -> not (List.mem_assoc c ma)) mb in
-      let merged =
-        List.map
-          (fun (c, oa) ->
-            match List.assoc_opt c mb with
-            | Some ob -> (c, if oa = Opaque then ob else oa)
-            | None -> (c, oa))
-          ma
-      in
-      merged @ from_b
-    | Antijoin (a, _) -> go a
-    | Union (a, b) ->
-      let ma = go a and mb = go b in
-      List.map
-        (fun (c, oa) ->
-          match List.assoc_opt c mb with
-          | Some ob when origin_equal oa ob -> (c, oa)
-          | Some _ | None -> (c, Opaque))
-        ma
-  in
-  go term
+let stable_among ~var cols recs =
+  List.fold_left
+    (fun stable branch ->
+      match stable with
+      | [] -> []
+      | _ :: _ ->
+        let m = copies ~var ~cols branch in
+        List.filter (fun c -> List.assoc_opt c m = Some c) stable)
+    cols recs
 
 let stable_columns tenv ~var body =
-  let consts, recs = Fcond.split ~var body in
-  match consts with
-  | [] -> raise (Fcond.Not_fcond (Printf.sprintf "fixpoint on %s has no constant part" var))
-  | c0 :: _ ->
-    let schema = Typing.infer tenv c0 in
-    let stable_in branch =
-      let m = provenance tenv ~vars:[] ~var ~var_schema:schema branch in
-      List.filter
-        (fun c -> match List.assoc_opt c m with Some (From_var c') -> String.equal c c' | _ -> false)
-        (Schema.cols schema)
-    in
-    List.fold_left
-      (fun acc branch ->
-        let s = stable_in branch in
-        List.filter (fun c -> List.mem c s) acc)
-      (Schema.cols schema) recs
+  match Fcond.split ~var body with
+  | [], _ -> raise (Fcond.Not_fcond (Printf.sprintf "fixpoint on %s has no constant part" var))
+  | c0 :: _, recs -> stable_among ~var (Schema.cols (Typing.infer tenv c0)) recs

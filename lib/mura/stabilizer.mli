@@ -12,21 +12,12 @@
       fixpoints are disjoint and need no final [distinct] (Prop. in
       Sec. IV-A2). *)
 
-type origin =
-  | From_var of string  (** value copied unchanged from this column of X *)
-  | Opaque
-
-val provenance :
-  Typing.env ->
-  vars:(string * Relation.Schema.t) list ->
-  var:string ->
-  var_schema:Relation.Schema.t ->
-  Term.t ->
-  (string * origin) list
-(** Column-wise origin of a term's output w.r.t. the recursive variable
-    [var] (bound to [var_schema]); other free variables are typed via
-    [vars]. The result covers exactly the term's output schema.
-    @raise Typing.Type_error *)
+val stable_among : var:string -> string list -> Term.t list -> string list
+(** [stable_among ~var cols recs]: those of the fixpoint's columns
+    [cols] that every recursive branch in [recs] copies unchanged from
+    [var], in the order of [cols]. Needs no typing: the branches are
+    taken to be well typed. The cost model reads it to tell which
+    fixpoints the executor can run without a per-iteration shuffle. *)
 
 val stable_columns : Typing.env -> var:string -> Term.t -> string list
 (** [stable_columns env ~var body] — the stable columns of

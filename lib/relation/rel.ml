@@ -157,18 +157,16 @@ end)
    seen. A column whose range is at most four times the tuple count
    (node ids, interned labels) is marked in a byte map of that range, so
    the map never outgrows a few bytes per tuple; a sparser column goes
-   through an int-keyed table. *)
-let distinct_counts r =
-  let arity = Schema.arity r.schema and n = cardinal r in
+   through an int-keyed table. [iter] feeds the [n] tuples to count, once
+   per scan. *)
+let count_distincts arity n iter =
   let lo = Array.make arity max_int and hi = Array.make arity min_int in
-  Tset.iter
-    (fun tu ->
+  iter (fun tu ->
       for i = 0 to arity - 1 do
         let v = tu.(i) in
         if v < lo.(i) then lo.(i) <- v;
         if v > hi.(i) then hi.(i) <- v
-      done)
-    r.data;
+      done);
   let counts = Array.make arity 0 in
   let note =
     Array.init arity (fun i ->
@@ -182,7 +180,7 @@ let distinct_counts r =
             end
         end
         else begin
-          let seen = Vtbl.create 1024 in
+          let seen = Vtbl.create (min n 1024) in
           fun v ->
             if not (Vtbl.mem seen v) then begin
               Vtbl.add seen v ();
@@ -190,13 +188,22 @@ let distinct_counts r =
             end
         end)
   in
-  Tset.iter
-    (fun tu ->
+  iter (fun tu ->
       for i = 0 to arity - 1 do
         note.(i) tu.(i)
-      done)
-    r.data;
+      done);
+  counts
+
+let distinct_counts r =
+  let counts = count_distincts (Schema.arity r.schema) (cardinal r) (fun f -> Tset.iter f r.data) in
   List.mapi (fun i c -> (c, counts.(i))) (Schema.cols r.schema)
+
+let select_counts p r =
+  let keep = Pred.compile r.schema p in
+  let hits = Tset.fold (fun tu acc -> if keep tu then tu :: acc else acc) r.data [] in
+  let n = List.length hits in
+  let counts = count_distincts (Schema.arity r.schema) n (fun f -> List.iter f hits) in
+  (n, List.mapi (fun i c -> (c, counts.(i))) (Schema.cols r.schema))
 
 let distinct_count r col = snd (List.nth (distinct_counts r) (Schema.index_of r.schema col))
 

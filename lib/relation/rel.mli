@@ -84,6 +84,11 @@ val distinct_count : t -> string -> int
 val distinct_counts : t -> (string * int) list
 (** [distinct_count] of every column, in schema order, counted together. *)
 
+val select_counts : Pred.t -> t -> int * (string * int) list
+(** Cardinality and {!distinct_counts} of [select p r], from one scan of
+    [r] and without building the selection.
+    @raise Schema.Schema_error if [p] mentions a column absent from [r]. *)
+
 val pp : Format.formatter -> t -> unit
 (** Schema plus cardinality plus (small) contents; stable order. *)
 

@@ -71,6 +71,89 @@ let test_ranking_merge () =
   check_bool "merged fixpoint cheaper than join of closures" true
     (Estimate.cost stats merged < Estimate.cost stats joined)
 
+(* --- slice statistics and the fixpoint cap ---------------------------- *)
+
+let check_close msg expected actual = Alcotest.(check (float 1e-9)) msg expected actual
+
+(* A label leaf, and a leaf with a second constant, are estimated with
+   the exact count and distincts of the slice they select. *)
+let test_slice_exact () =
+  let exact p =
+    let e = Estimate.term stats (Term.Select (p, Term.Rel "E")) in
+    let slice = Rel.select p labelled in
+    check_close (Pred.to_string p ^ " count") (float_of_int (Rel.cardinal slice)) e.card;
+    List.iter
+      (fun (c, d) -> check_close (Pred.to_string p ^ " " ^ c) (float_of_int d) (List.assoc c e.distincts))
+      (Rel.distinct_counts slice)
+  in
+  exact (Pred.Eq_const ("pred", a));
+  exact (Pred.Eq_const ("pred", b));
+  exact (Pred.And (Pred.Eq_const ("pred", b), Pred.Eq_const ("src", 103)))
+
+(* Over an input without statistics, [c = v] conjuncts pin their column
+   to one value and [a = b] narrows both columns to the smaller domain. *)
+let test_select_narrowing () =
+  let x =
+    { Estimate.card = 1000.; distincts = [ ("src", 10.); ("pred", 5.); ("trg", 40.) ] }
+  in
+  let est p = Estimate.term ~vars:[ ("X", x) ] stats (Term.Select (p, Term.Var "X")) in
+  let d e c = List.assoc c e.Estimate.distincts in
+  let both = est (Pred.And (Pred.Eq_const ("src", 3), Pred.Eq_const ("pred", a))) in
+  check_close "src pinned under And" 1. (d both "src");
+  check_close "pred pinned under And" 1. (d both "pred");
+  check_close "trg only clamped" (Float.min 40. both.card) (d both "trg");
+  let diag = est (Pred.Eq_col ("src", "trg")) in
+  check_close "src narrowed" 10. (d diag "src");
+  check_close "trg narrowed" 10. (d diag "trg")
+
+let rec closed_fixes (t : Term.t) =
+  let here = match t with Fix _ when Term.free_vars t = [] -> [ t ] | _ -> [] in
+  here
+  @
+  match t with
+  | Rel _ | Cst _ | Var _ -> []
+  | Select (_, u) | Project (_, u) | Antiproject (_, u) | Rename (_, u) | Fix (_, u) ->
+    closed_fixes u
+  | Join (u, v) | Antijoin (u, v) | Union (u, v) -> closed_fixes u @ closed_fixes v
+
+let prop_fix_within_domain =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"a fixpoint's estimate is within the product of its columns' domain bounds"
+       Gen_terms.term_and_env_gen
+       (fun (t, tables) ->
+         let stats = Stats.of_tables tables in
+         List.for_all
+           (fun f ->
+             let e = Estimate.term stats f in
+             let domain = List.fold_left (fun acc (_, d) -> acc *. d) 1. e.distincts in
+             e.distincts <> [] && e.card <= domain *. (1. +. 1e-9))
+           (closed_fixes t)))
+
+(* Shaped like Uniprot's [occurs]: many sources, few targets, so
+   occurs/-occurs is much larger than either label. Seeding the second
+   closure with the first, or merging the two, must be estimated
+   cheaper than joining the two closures. *)
+let test_ranking_occurs_shape () =
+  let interacts = Value.of_string "interacts" and occurs = Value.of_string "occurs" in
+  let g =
+    Rel.of_list
+      (sch [ "src"; "pred"; "trg" ])
+      (List.init 150 (fun i -> [ i; interacts; ((i * 7) + 3) mod 200 ])
+      @ List.init 180 (fun i -> [ i; occurs; 1000 + (i mod 6) ]))
+  in
+  let stats = Stats.of_tables [ ("E", g) ] in
+  let i = P.edge "interacts" in
+  let oo = P.compose (P.edge "occurs") (P.edge_inv "occurs") in
+  let joined = Rewrite.Shapes.mk_compose (P.closure i) (P.closure oo) in
+  let seeded =
+    Rewrite.Shapes.mk_seeded Left ~seed:(Rewrite.Shapes.mk_compose i (P.closure oo)) ~step:i
+  in
+  let merged = Rewrite.Shapes.mk_merged ~first:i ~second:oo in
+  let joined_cost = Estimate.cost stats joined in
+  check_bool "seeded cheaper than the join of closures" true (Estimate.cost stats seeded < joined_cost);
+  check_bool "merged cheaper than the join of closures" true (Estimate.cost stats merged < joined_cost)
+
 let test_estimator_total () =
   (* the estimator must never raise, whatever the term *)
   let terms =
@@ -110,13 +193,10 @@ let rec reference_cost ?(vars = []) stats (t : Term.t) =
   let sub u = reference_cost ~vars stats u in
   match t with
   | Rel _ | Cst _ | Var _ -> card t
+  (* a label leaf [σ_p(E)] is charged the scan of [E] and its exact slice,
+     both of which [card] reads *)
   | Select (_, u) | Project (_, u) | Antiproject (_, u) | Rename (_, u) -> sub u +. card t
-  | Join (a, b) ->
-    let penalty =
-      if Term.fix_count a > 0 && Term.fix_count b > 0 then 5. *. (card a +. card b) else 0.
-    in
-    sub a +. sub b +. card t +. penalty
-  | Antijoin (a, b) | Union (a, b) -> sub a +. sub b +. card t
+  | Join (a, b) | Antijoin (a, b) | Union (a, b) -> sub a +. sub b +. card t
   | Fix (x, body) ->
     let e = Estimate.term ~vars stats t in
     let consts, recs = Mura.Fcond.split ~var:x body in
@@ -124,7 +204,12 @@ let rec reference_cost ?(vars = []) stats (t : Term.t) =
     let rec_work =
       List.fold_left (fun acc r -> acc +. reference_cost ~vars:((x, e) :: vars) stats r) 0. recs
     in
-    c_init +. rec_work +. e.card
+    let exchange =
+      if Mura.Stabilizer.stable_among ~var:x (List.map fst e.distincts) recs = [] then
+        e.card *. float_of_int (List.length recs)
+      else 0.
+    in
+    c_init +. rec_work +. exchange +. e.card
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -243,6 +328,9 @@ let () =
       ( "estimates",
         [
           Alcotest.test_case "select" `Quick test_select_estimate;
+          Alcotest.test_case "slice statistics are exact" `Quick test_slice_exact;
+          Alcotest.test_case "select narrows distincts" `Quick test_select_narrowing;
+          prop_fix_within_domain;
           Alcotest.test_case "join" `Quick test_join_estimate;
           Alcotest.test_case "fixpoint" `Quick test_fix_estimate_grows;
           Alcotest.test_case "total" `Quick test_estimator_total;
@@ -254,6 +342,7 @@ let () =
         [
           Alcotest.test_case "filter push" `Quick test_ranking_filter_push;
           Alcotest.test_case "merge fixpoints" `Quick test_ranking_merge;
+          Alcotest.test_case "occurs-shaped closures" `Quick test_ranking_occurs_shape;
         ] );
       ( "feedback",
         [
