@@ -1529,6 +1529,20 @@ module Regret = struct
             (specs dataset g))
         (graphs ())
     in
+    (* one line per graph: a rewriter change's effect on a whole pass *)
+    List.iter
+      (fun (dataset, seed) ->
+        let qs = List.filter (fun q -> q.dataset = dataset && q.seed = seed) rows in
+        let chosen_ms =
+          List.fold_left
+            (fun a q -> a +. Option.value ~default:Float.nan (ms_of (List.nth q.plans q.chosen)))
+            0. qs
+        in
+        heading "%s seed %d: chosen plans %.2f ms in total, %d explored plans" dataset seed chosen_ms
+          (List.fold_left (fun a q -> a + List.length q.plans) 0 qs))
+      (List.fold_left
+         (fun acc q -> if List.mem (q.dataset, q.seed) acc then acc else acc @ [ (q.dataset, q.seed) ])
+         [] rows);
     List.iter
       (fun dataset ->
         let qs = q_errors rows dataset in

@@ -172,7 +172,7 @@ let push_join_into_fix =
               [ Shapes.mk_seeded Shapes.Left ~seed:(Shapes.mk_compose base right) ~step:base ]
             | _ -> []
           in
-          match from_right @ from_left with [] -> [] | l -> l)
+          from_right @ from_left)
         | None -> []);
   }
 

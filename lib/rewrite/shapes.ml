@@ -29,32 +29,35 @@ type closure_dir = Right | Left
 type closure = { base : Term.t; dir : closure_dir }
 type seeded = { seed : Term.t; step : Term.t; dir : closure_dir }
 
+(* mu(X = R1 ∪ .. ∪ Rn ∪ X∘B1 ∪ .. ∪ X∘Bm) = mu(X = (R1 ∪ .. ∪ Rn) ∪ X∘(B1 ∪ .. ∪ Bm)):
+   composition distributes over union. Every recursive branch must append
+   to the same side; mixed sides are the merged fixpoint. *)
 let as_seeded (t : Term.t) : seeded option =
   match t with
   | Fix (x, body) -> (
-    match Fcond.union_branches body with
-    | [ a; b ] -> (
-      let classify seed rec_branch =
-        match as_compose rec_branch with
-        | Some { left = Term.Var v; right; mid = _ } when v = x && not (Term.has_free_var x right)
-          ->
-          Some { seed; step = right; dir = Right }
-        | Some { left; right = Term.Var v; mid = _ } when v = x && not (Term.has_free_var x left)
-          ->
-          Some { seed; step = left; dir = Left }
-        | _ -> None
-      in
-      if Term.has_free_var x a then
-        if Term.has_free_var x b then None
-        else classify b a (* (rec, const) *)
-      else if Term.has_free_var x b then classify a b
-      else None)
+    let consts, recs =
+      List.partition (fun b -> not (Term.has_free_var x b)) (Fcond.union_branches body)
+    in
+    let appended branch =
+      match as_compose branch with
+      | Some { left = Term.Var v; right; mid = _ } when v = x && not (Term.has_free_var x right) ->
+        Some (Right, right)
+      | Some { left; right = Term.Var v; mid = _ } when v = x && not (Term.has_free_var x left) ->
+        Some (Left, left)
+      | _ -> None
+    in
+    match (consts, List.filter_map appended recs) with
+    | _ :: _, ((dir, _) :: _ as steps)
+      when List.compare_lengths steps recs = 0 && List.for_all (fun (d, _) -> d = dir) steps ->
+      Some { seed = Term.union_all consts; step = Term.union_all (List.map snd steps); dir }
     | _ -> None)
   | _ -> None
 
 let as_closure t =
   match as_seeded t with
-  | Some { seed; step; dir } when Term.equal seed step -> Some { base = step; dir }
+  | Some { seed; step; dir }
+    when List.equal Term.equal (Fcond.union_branches seed) (Fcond.union_branches step) ->
+    Some { base = step; dir }
   | Some _ | None -> None
 
 let mk_seeded dir ~seed ~step =
@@ -76,8 +79,3 @@ let mk_merged ~first ~second =
       Term.Union
         ( Term.Union (mk_compose first second, mk_compose first (Term.Var x)),
           mk_compose (Term.Var x) second ) )
-
-let is_path_schema tenv t =
-  match Typing.infer tenv t with
-  | s -> Relation.Schema.equal_names s (Relation.Schema.of_list [ P.src; P.trg ])
-  | exception (Typing.Type_error _ | Fcond.Not_fcond _ | Relation.Schema.Schema_error _) -> false
