@@ -532,319 +532,6 @@ let time f =
   (r, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
-(* micro_compiled: compiled columnar pipelines vs the interpreter      *)
-(* ------------------------------------------------------------------ *)
-
-module MicroCompiled = struct
-  (* The compiled columnar core against the interpreted
-     operator-at-a-time loop, same cluster, same plans. Parity gates run
-     always (--quick included): result sizes, iteration counts, delta
-     curves and every communication counter must be bit-identical. At
-     full scale on a multi-core host the compiled path must additionally
-     be at least 2x faster end-to-end on the gate workload — transitive
-     closure of a dense ER graph under P_plw^s on 4 pooled workers, the
-     regime where the loop body dominates (P_gld is exchange-bound: both
-     paths pay the same metered shuffles, so it contributes parity rows
-     only). The compiled path presizes every set it materialises, so the
-     insert-triggered rehash counter must read zero over its P_plw^s
-     runs (P_gld's seen-filter sets legitimately grow). *)
-
-
-  type run = {
-    tuples : int;
-    iterations : int;
-    deltas : int list;
-    wall_s : float;
-    comm : int * int * int * int * int * int;
-    rehash_grows : int;
-  }
-
-  let measure g plan ~compiled =
-    let cluster = Distsim.Cluster.make ~parallel:true ~workers:4 () in
-    let config =
-      {
-        (Physical.Exec.default_config cluster) with
-        force_plan = Some plan;
-        use_compiled_exec = compiled;
-      }
-    in
-    let ctx = Physical.Exec.session config [ ("E", g) ] in
-    Distsim.Metrics.reset_rehash_grows ();
-    let result, wall_s =
-      time (fun () -> Physical.Exec.run ctx (Mura.Patterns.closure (Term.Rel "E")))
-    in
-    let rehash_grows = Distsim.Metrics.rehash_grows () in
-    let m = Distsim.Cluster.metrics cluster in
-    let iterations, deltas =
-      match (Physical.Exec.report ctx).Physical.Exec.fixpoints with
-      | f :: _ -> (f.Physical.Exec.iterations, f.Physical.Exec.deltas)
-      | [] -> (0, [])
-    in
-    Distsim.Cluster.shutdown cluster;
-    {
-      tuples = Rel.cardinal result;
-      iterations;
-      deltas;
-      wall_s;
-      comm =
-        ( m.Distsim.Metrics.shuffles,
-          m.Distsim.Metrics.shuffled_records,
-          m.Distsim.Metrics.shuffled_bytes,
-          m.Distsim.Metrics.broadcasts,
-          m.Distsim.Metrics.broadcast_records,
-          m.Distsim.Metrics.dedup_dropped_records );
-      rehash_grows;
-    }
-
-  let run () =
-    section "micro_compiled — compiled columnar pipelines vs interpreted loop";
-    let host_cores = Domain.recommended_domain_count () in
-    let er ~seed ~nodes ~deg =
-      G.erdos_renyi ~seed ~nodes ~p:(float_of_int deg /. float_of_int nodes) ()
-    in
-    (* the dense workload is the speedup gate; P_gld there would dominate
-       bench time for a comparison that is exchange-bound anyway *)
-    let workloads =
-      [
-        ("path", path_graph (sc 300 60), [ Physical.Exec.P_gld; Physical.Exec.P_plw_s ]);
-        ( "er_sparse",
-          er ~seed:61 ~nodes:(sc 400 80) ~deg:3,
-          [ Physical.Exec.P_gld; Physical.Exec.P_plw_s ] );
-        ("er_dense", er ~seed:62 ~nodes:(sc 500 100) ~deg:6, [ Physical.Exec.P_plw_s ]);
-      ]
-    in
-    heading "transitive closure, 4 pooled workers, host cores: %d" host_cores;
-    heading "%-10s %-8s %10s %7s %12s %12s %9s %7s" "workload" "plan" "tuples" "iters"
-      "interp(s)" "compiled(s)" "speedup" "rehash";
-    let rows =
-      List.concat_map
-        (fun (wname, g, plans) ->
-          List.map
-            (fun plan ->
-              let interp = measure g plan ~compiled:false in
-              let comp = measure g plan ~compiled:true in
-              let parity =
-                interp.tuples = comp.tuples
-                && interp.iterations = comp.iterations
-                && interp.deltas = comp.deltas
-                && interp.comm = comp.comm
-              in
-              let speedup = interp.wall_s /. Float.max 1e-9 comp.wall_s in
-              heading "%-10s %-8s %10d %7d %12.3f %12.3f %8.2fx %7d" wname
-                (Physical.Exec.plan_name plan) comp.tuples comp.iterations interp.wall_s
-                comp.wall_s speedup comp.rehash_grows;
-              (wname, Rel.cardinal g, plan, interp, comp, parity))
-            plans)
-        workloads
-    in
-    let oc = open_out "BENCH_compiled.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let run_json r =
-          let s, sr, sb, b, br, dd = r.comm in
-          Printf.sprintf
-            "{\"tuples\":%d,\"iterations\":%d,\"wall_s\":%.6f,\"shuffles\":%d,\"shuffled_records\":%d,\"shuffled_bytes\":%d,\"broadcasts\":%d,\"broadcast_records\":%d,\"dedup_dropped\":%d,\"rehash_grows\":%d}"
-            r.tuples r.iterations r.wall_s s sr sb b br dd r.rehash_grows
-        in
-        let row_json (wname, edges, plan, interp, comp, parity) =
-          Printf.sprintf
-            "{\"workload\":\"%s\",\"edges\":%d,\"plan\":\"%s\",\"interpreted\":%s,\"compiled\":%s,\"speedup\":%.3f,\"parity\":%b}"
-            wname edges (Physical.Exec.plan_name plan) (run_json interp) (run_json comp)
-            (interp.wall_s /. Float.max 1e-9 comp.wall_s)
-            parity
-        in
-        Printf.fprintf oc "{\"name\":\"compiled\",\"quick\":%b,\"host_cores\":%d,\n\"rows\":[%s]}\n"
-          !quick host_cores
-          (String.concat ",\n" (List.map row_json rows)));
-    heading "wrote BENCH_compiled.json";
-    (* hard gates: parity and zero rehash growth always; the 2x speedup
-       only at full scale on a host with real parallelism (quick scales
-       are too small for stable ratios) *)
-    List.iter
-      (fun (wname, _, plan, interp, comp, parity) ->
-        if not parity then
-          failwith
-            (Printf.sprintf
-               "micro_compiled: %s/%s diverged (tuples %d vs %d, iterations %d vs %d)" wname
-               (Physical.Exec.plan_name plan) interp.tuples comp.tuples interp.iterations
-               comp.iterations);
-        if plan = Physical.Exec.P_plw_s && comp.rehash_grows <> 0 then
-          failwith
-            (Printf.sprintf "micro_compiled: %s compiled run grew a set %d times (presizing leak)"
-               wname comp.rehash_grows))
-      rows;
-    if (not !quick) && host_cores >= 2 then
-      List.iter
-        (fun (wname, _, plan, interp, comp, _) ->
-          if wname = "er_dense" && plan = Physical.Exec.P_plw_s then begin
-            let speedup = interp.wall_s /. Float.max 1e-9 comp.wall_s in
-            if speedup < 2.0 then
-              failwith
-                (Printf.sprintf "micro_compiled: gate workload speedup %.2fx < 2x" speedup)
-          end)
-        rows
-end
-
-(* ------------------------------------------------------------------ *)
-(* micro_shell: compiled non-fixpoint shell vs the interpreter         *)
-(* ------------------------------------------------------------------ *)
-
-module MicroShell = struct
-  (* The whole-plan shell compiler against the interpreted
-     operator-at-a-time shell, same cluster, same automatic plan
-     selection. The workload is shell-heavy: a two-hop self-join of a
-     large ER edge relation (rename → join → antiproject fused into one
-     probe chain per worker), a selection, a union with a small
-     reachability fixpoint and a final antijoin — the fixpoint
-     contributes a few percent of the work, the shell the rest. Parity
-     gates run always (--quick included): the collected result relation
-     and every communication counter must be bit-identical, and the
-     compiled run must not grow a set on insert (all batch outputs are
-     presized). At full scale on a multi-core host the compiled shell
-     must additionally be at least 1.5x faster end-to-end. *)
-
-
-  let shell_query =
-    let two_hop =
-      Term.Antiproject
-        ( [ "_m" ],
-          Term.Join
-            ( Term.Rename ([ ("trg", "_m") ], Term.Rel "E"),
-              Term.Rename ([ ("src", "_m") ], Term.Rel "E") ) )
-    in
-    (* a stack of selections over the two-hop result: the interpreter
-       pays one full partition pass and set rebuild per operator, the
-       compiled shell folds them all into the join's probe chain *)
-    let selected =
-      List.fold_left
-        (fun t p -> Term.Select (p, t))
-        two_hop
-        [
-          Relation.Pred.Gt_const ("src", 2);
-          Relation.Pred.Gt_const ("trg", 1);
-          Relation.Pred.Neq_const ("src", 7);
-          Relation.Pred.Neq_const ("trg", 11);
-          Relation.Pred.Neq_const ("src", 13);
-          Relation.Pred.Gt_const ("trg", 3);
-        ]
-    in
-    Term.Antijoin
-      ( Term.Union (selected, Mura.Patterns.closure (Term.Rel "C")),
-        Term.Select (Relation.Pred.Eq_const ("src", 1), Term.Rel "E") )
-
-  type run = {
-    tuples : int;
-    result : Rel.t;
-    wall_s : float;
-    comm : int * int * int * int * int * int;
-    rehash_grows : int;
-  }
-
-  let measure ~compiled ~reps tables =
-    let cluster = Distsim.Cluster.make ~parallel:true ~workers:4 () in
-    let config = { (Physical.Exec.default_config cluster) with use_compiled_exec = compiled } in
-    let ctx = Physical.Exec.session config tables in
-    Distsim.Metrics.reset_rehash_grows ();
-    let result, wall_s =
-      time (fun () ->
-          let r = ref (Physical.Exec.run ctx shell_query) in
-          for _ = 2 to reps do
-            r := Physical.Exec.run ctx shell_query
-          done;
-          !r)
-    in
-    let rehash_grows = Distsim.Metrics.rehash_grows () in
-    let m = Distsim.Cluster.metrics cluster in
-    Distsim.Cluster.shutdown cluster;
-    {
-      tuples = Rel.cardinal result;
-      result;
-      wall_s;
-      comm =
-        ( m.Distsim.Metrics.shuffles,
-          m.Distsim.Metrics.shuffled_records,
-          m.Distsim.Metrics.shuffled_bytes,
-          m.Distsim.Metrics.broadcasts,
-          m.Distsim.Metrics.broadcast_records,
-          m.Distsim.Metrics.dedup_dropped_records );
-      rehash_grows;
-    }
-
-  let run () =
-    section "micro_shell — compiled non-fixpoint shell vs interpreted operators";
-    let host_cores = Domain.recommended_domain_count () in
-    let er ~seed ~nodes ~deg =
-      G.erdos_renyi ~seed ~nodes ~p:(float_of_int deg /. float_of_int nodes) ()
-    in
-    let workloads =
-      [
-        ("shell_2hop", er ~seed:71 ~nodes:(sc 1200 150) ~deg:12, sc 10 2);
-        ("shell_sparse", er ~seed:72 ~nodes:(sc 2500 200) ~deg:4, sc 10 2);
-      ]
-    in
-    heading "two-hop + union + antijoin shell, 4 pooled workers, host cores: %d" host_cores;
-    heading "%-12s %10s %10s %12s %12s %9s %7s" "workload" "edges" "tuples" "interp(s)"
-      "compiled(s)" "speedup" "rehash";
-    let rows =
-      List.map
-        (fun (wname, g, reps) ->
-          let tables = [ ("E", g); ("C", path_graph 40) ] in
-          let interp = measure ~compiled:false ~reps tables in
-          let comp = measure ~compiled:true ~reps tables in
-          let parity = Rel.equal interp.result comp.result && interp.comm = comp.comm in
-          let speedup = interp.wall_s /. Float.max 1e-9 comp.wall_s in
-          heading "%-12s %10d %10d %12.3f %12.3f %8.2fx %7d" wname (Rel.cardinal g) comp.tuples
-            interp.wall_s comp.wall_s speedup comp.rehash_grows;
-          (wname, Rel.cardinal g, interp, comp, parity))
-        workloads
-    in
-    let oc = open_out "BENCH_shell.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let run_json r =
-          let s, sr, sb, b, br, dd = r.comm in
-          Printf.sprintf
-            "{\"tuples\":%d,\"wall_s\":%.6f,\"shuffles\":%d,\"shuffled_records\":%d,\"shuffled_bytes\":%d,\"broadcasts\":%d,\"broadcast_records\":%d,\"dedup_dropped\":%d,\"rehash_grows\":%d}"
-            r.tuples r.wall_s s sr sb b br dd r.rehash_grows
-        in
-        let row_json (wname, edges, interp, comp, parity) =
-          Printf.sprintf
-            "{\"workload\":\"%s\",\"edges\":%d,\"interpreted\":%s,\"compiled\":%s,\"speedup\":%.3f,\"parity\":%b}"
-            wname edges (run_json interp) (run_json comp)
-            (interp.wall_s /. Float.max 1e-9 comp.wall_s)
-            parity
-        in
-        Printf.fprintf oc "{\"name\":\"shell\",\"quick\":%b,\"host_cores\":%d,\n\"rows\":[%s]}\n"
-          !quick host_cores
-          (String.concat ",\n" (List.map row_json rows)));
-    heading "wrote BENCH_shell.json";
-    (* hard gates: parity and zero set growth always; the 1.5x speedup
-       only at full scale on a host with real parallelism *)
-    List.iter
-      (fun (wname, _, interp, comp, parity) ->
-        if not parity then
-          failwith
-            (Printf.sprintf "micro_shell: %s diverged (tuples %d vs %d)" wname interp.tuples
-               comp.tuples);
-        if comp.rehash_grows <> 0 then
-          failwith
-            (Printf.sprintf "micro_shell: %s compiled run grew a set %d times (presizing leak)"
-               wname comp.rehash_grows))
-      rows;
-    if (not !quick) && host_cores >= 2 then
-      List.iter
-        (fun (wname, _, interp, comp, _) ->
-          if wname = "shell_2hop" then begin
-            let speedup = interp.wall_s /. Float.max 1e-9 comp.wall_s in
-            if speedup < 1.5 then
-              failwith (Printf.sprintf "micro_shell: gate workload speedup %.2fx < 1.5x" speedup)
-          end)
-        rows
-  end
-
-(* ------------------------------------------------------------------ *)
 (* micro_serve: the serving layer's caches vs a cache-less server      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1120,9 +807,8 @@ end
    closure, apply edge-insert and edge-delete batches, and compare the
    repaired result against a from-scratch evaluation of the updated
    graph. The parity matrix runs always (--quick included) across
-   P_gld/P_plw^s, 1 and 4 workers, compiled and interpreted loops —
-   insert-then-resume and DRed delete-then-re-derive must both be
-   bit-identical to recomputing. At full scale on a multi-core host,
+   P_gld/P_plw^s and 1 and 4 workers — insert-then-resume and DRed
+   delete-then-re-derive must both be identical to recomputing. At full scale on a multi-core host,
    repairing a small insert batch on the gate workload (a long path
    graph, where from-scratch convergence pays one iteration per hop)
    must be at least 5x faster than recomputation. *)
@@ -1158,22 +844,15 @@ module MicroIncremental = struct
   type row = {
     plan : Physical.Exec.fixpoint_plan;
     workers : int;
-    compiled : bool;
     base_tuples : int;
     insert_iters : int;
     delete_iters : int;
     parity : bool;
   }
 
-  let parity_row g plan ~workers ~compiled =
+  let parity_row g plan ~workers =
     let cluster = Distsim.Cluster.make ~parallel:true ~workers () in
-    let config =
-      {
-        (Physical.Exec.default_config cluster) with
-        force_plan = Some plan;
-        use_compiled_exec = compiled;
-      }
-    in
+    let config = { (Physical.Exec.default_config cluster) with force_plan = Some plan } in
     let ins = fresh_edges ~seed:91 ~k:6 g in
     let del = resident_edges ~k:3 g in
     let h = Physical.Exec.Incr.establish config ~tables:[ ("E", g) ] (closure ()) in
@@ -1197,7 +876,6 @@ module MicroIncremental = struct
     {
       plan;
       workers;
-      compiled;
       base_tuples;
       insert_iters;
       delete_iters;
@@ -1207,7 +885,7 @@ module MicroIncremental = struct
   (* Gate: a small batch appended at the tail of the path (new nodes
      arriving — the streaming regime where the derived delta is small
      relative to the closure) repaired under P_gld, whose from-scratch
-     evaluation pays one metered shuffle round per hop. *)
+     evaluation pays one charged shuffle round per hop. *)
   let measure_gate ~n g =
     let ins = Rel.create (Rel.schema g) in
     for k = 0 to 4 do
@@ -1242,21 +920,18 @@ module MicroIncremental = struct
       G.erdos_renyi ~seed:63 ~nodes:(sc 200 50) ~p:(3. /. float_of_int (sc 200 50)) ()
     in
     heading "er graph: %d edges; 6 inserts then 3 deletes per configuration" (Rel.cardinal g);
-    heading "%-8s %7s %8s %10s %12s %12s %7s" "plan" "workers" "compiled" "tuples"
-      "ins_iters" "del_iters" "parity";
+    heading "%-8s %7s %10s %12s %12s %7s" "plan" "workers" "tuples" "ins_iters" "del_iters"
+      "parity";
     let rows =
       List.concat_map
         (fun plan ->
-          List.concat_map
+          List.map
             (fun workers ->
-              List.map
-                (fun compiled ->
-                  let r = parity_row g plan ~workers ~compiled in
-                  heading "%-8s %7d %8b %10d %12d %12d %7b"
-                    (Physical.Exec.plan_name r.plan)
-                    r.workers r.compiled r.base_tuples r.insert_iters r.delete_iters r.parity;
-                  r)
-                [ false; true ])
+              let r = parity_row g plan ~workers in
+              heading "%-8s %7d %10d %12d %12d %7b"
+                (Physical.Exec.plan_name r.plan)
+                r.workers r.base_tuples r.insert_iters r.delete_iters r.parity;
+              r)
             [ 1; 4 ])
         [ Physical.Exec.P_gld; Physical.Exec.P_plw_s ]
     in
@@ -1274,9 +949,9 @@ module MicroIncremental = struct
       (fun () ->
         let row_json r =
           Printf.sprintf
-            "{\"plan\":\"%s\",\"workers\":%d,\"compiled\":%b,\"base_tuples\":%d,\"insert_iterations\":%d,\"delete_iterations\":%d,\"parity\":%b}"
+            "{\"plan\":\"%s\",\"workers\":%d,\"base_tuples\":%d,\"insert_iterations\":%d,\"delete_iterations\":%d,\"parity\":%b}"
             (Physical.Exec.plan_name r.plan)
-            r.workers r.compiled r.base_tuples r.insert_iters r.delete_iters r.parity
+            r.workers r.base_tuples r.insert_iters r.delete_iters r.parity
         in
         Printf.fprintf oc
           "{\"name\":\"incremental\",\"quick\":%b,\"host_cores\":%d,\n\
@@ -1292,9 +967,9 @@ module MicroIncremental = struct
       (fun r ->
         if not r.parity then
           failwith
-            (Printf.sprintf "micro_incremental: %s/%dw/%b diverged from recomputation"
+            (Printf.sprintf "micro_incremental: %s/%dw diverged from recomputation"
                (Physical.Exec.plan_name r.plan)
-               r.workers r.compiled))
+               r.workers))
       rows;
     if not gate_parity then failwith "micro_incremental: gate repair diverged";
     if (not !quick) && host_cores >= 2 && speedup < 5.0 then
@@ -1580,8 +1255,6 @@ let experiments =
     ("fig8", Fig8.run);
     ("ablation", Ablation.run);
     ("micro", Micro.run);
-    ("micro_compiled", MicroCompiled.run);
-    ("micro_shell", MicroShell.run);
     ("micro_serve", MicroServe.run);
     ("micro_telemetry", MicroTelemetry.run);
     ("micro_incremental", MicroIncremental.run);

@@ -38,7 +38,6 @@ let system_of = function
   | "gld" -> S.dist_mu_ra_gld ()
   | "plw-s" -> S.dist_mu_ra_plw `Setrdd
   | "plw-pg" -> S.dist_mu_ra_plw `Postgres
-  | "interp" -> S.dist_mu_ra_interpreted ()
   | "central" -> S.centralized_mu_ra ()
   | "bigdatalog" -> S.bigdatalog ()
   | "myria" -> S.myria ()
@@ -218,8 +217,7 @@ let () =
   let system =
     Arg.(value & opt string "dist" & info [ "system"; "s" ] ~docv:"NAME"
            ~doc:
-             "Engine: dist, gld, plw-s, plw-pg, interp (dist with the compiled columnar core \
-              off), central, bigdatalog, myria, graphx.")
+             "Engine: dist, gld, plw-s, plw-pg, central, bigdatalog, myria, graphx.")
   in
   let all_systems = Arg.(value & flag & info [ "all" ] ~doc:"Run every engine and compare.") in
   let workers = Arg.(value & opt int 4 & info [ "workers"; "w" ] ~doc:"Cluster size.") in

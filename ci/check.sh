@@ -63,29 +63,23 @@ else
 fi
 echo "report OK: $report"
 
-# compiled-execution parity gate: quick-scale run of the compiled
-# columnar core vs the interpreted loop; any divergence — result sizes,
-# iteration counts, delta curves or communication counters — fails the
-# build, as does any insert-triggered set growth on the compiled
-# P_plw^s path (its output sets are presized exactly). The >=2x
-# end-to-end speedup gate only applies at full scale on multi-core
-# hosts.
-echo "== bench micro_compiled (--quick) =="
-dune exec bench/main.exe -- --quick micro_compiled
-
-# whole-plan shell parity gate: quick-scale run of the compiled
-# non-fixpoint shell vs the interpreted operators; any divergence —
-# collected results or communication counters — fails the build, as
-# does any insert-triggered set growth on the compiled path (every
-# batch output is presized). The >=1.5x end-to-end speedup gate only
-# applies at full scale on multi-core hosts.
-echo "== bench micro_shell (--quick) =="
-dune exec bench/main.exe -- --quick micro_shell
+# forced-P_gld EXPLAIN ANALYZE smoke: the actuals are folded from the
+# trace of the run itself, so the fixpoint node must report its
+# iterations and each recursive branch its rows, applied once per
+# iteration (a "calls=" count on a node with rows)
+echo "== murarun --system gld --analyze smoke =="
+out=$(dune exec bin/murarun.exe -- --gen er:2000:0.002 --labels a \
+        --query "?x, ?y <- ?x a+ ?y" --system gld --analyze)
+printf '%s\n' "$out" | grep -q "plan=P_gld iters=" ||
+  { echo "--system gld --analyze output has no P_gld iters= line" >&2; exit 1; }
+printf '%s\n' "$out" | grep -q "rows=.* calls=" ||
+  { echo "--system gld --analyze output has no recursive-branch rows= line" >&2; exit 1; }
 
 # every-plan parity gate: quick-scale run of the plan-regret table; every
 # plan the rewriter explores for Q1-Q49 runs on the four-worker cluster
 # and must return the relation Mura.Eval gives for the chosen plan (the
-# timings and q-errors it prints are not gated)
+# timings and q-errors it prints are not gated). With the counter pins
+# of test/test_physical.ml it checks the distributed executor.
 echo "== bench regret (--quick) =="
 dune exec bench/main.exe -- --quick regret
 
@@ -186,9 +180,9 @@ fi
 echo "metrics snapshot OK: $metrics_out"
 
 # incremental-maintenance parity gate: quick-scale run of the
-# establish/repair micro bench; a parity failure on any plan × workers ×
-# executor combination — insert or delete batches, repair-of-repair —
-# fails the build (the >=5x repair-vs-recompute speedup gate only
+# establish/repair micro bench; a parity failure on any plan × workers
+# combination — insert or delete batches, repair-of-repair — fails the
+# build (the >=5x repair-vs-recompute speedup gate only
 # applies at full scale on multi-core hosts)
 echo "== bench micro_incremental (--quick) =="
 dune exec bench/main.exe -- --quick micro_incremental

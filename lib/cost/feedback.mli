@@ -3,7 +3,7 @@
     run and ranks the worst mis-estimates by q-error.
 
     Operators are addressed by term-tree paths under the convention
-    shared with [Physical.Exec] and [Localdb.Instance]: the root is "0",
+    shared with [Physical.Exec]: the root is "0",
     child [i] of a node at path [p] is [p ^ "." ^ i], and the children
     of a [Fix] are its constant branches followed by its recursive ones,
     in [Mura.Fcond.split] order. This library never sees the executor —

@@ -137,7 +137,7 @@ let make ?(parallel = false) ~workers () =
   (* join the pool domains at process exit even when the owner never
      calls [shutdown] explicitly (tests, examples) *)
   if pool <> None then at_exit (fun () -> shutdown c);
-  (* wire the ambient tracer's simulated clock to this cluster's metered
+  (* wire the ambient tracer's simulated clock to this cluster's charged
      time, so every event carries a deterministic timestamp *)
   let m = c.metrics in
   Trace.set_sim_clock (Trace.get ()) (fun () -> m.Metrics.sim_time_ns);

@@ -28,7 +28,7 @@ let same_hashing a b =
 let target_of ~positions ~workers tu =
   if workers = 1 then 0 else Tuple.hash_positions positions tu mod workers
 
-(* Metered communication, mirrored into the ambient tracer: every
+(* Charged communication, mirrored into the ambient tracer: every
    shuffle/broadcast becomes a point event attributed (via the open-span
    stack) to the operator and fixpoint iteration that caused it. *)
 let meter_shuffle cluster ~op ~records ~bytes =
@@ -170,7 +170,7 @@ let phase_skew tr counts =
    own partition into [workers] destination buckets on the pool, hashing
    the key columns in place and counting locally-moved records. Phase 2
    (reduce side): every destination merges its incoming buckets, reusing
-   the map-side hashes. Moved counts, metered records and the resulting
+   the map-side hashes. Moved counts, charged records and the resulting
    partitions are bit-identical to [exchange_seq]. *)
 let exchange_pooled ?seen cluster parts ~positions ~workers =
   let tr = Trace.get () in
@@ -390,21 +390,6 @@ let collect d =
     ~bytes:(records * Metrics.tuple_bytes (Schema.arity d.schema));
   Rel.of_tset d.schema out
 
-let first_tuples d n =
-  let acc = ref [] and remaining = ref n in
-  (try
-     Array.iter
-       (fun p ->
-         Tset.iter
-           (fun tu ->
-             if !remaining = 0 then raise Exit;
-             acc := tu :: !acc;
-             decr remaining)
-           p)
-       d.parts
-   with Exit -> ());
-  List.rev !acc
-
 let map_partitions ?(op = "map_partitions") ?(partitioning = Arbitrary) ~schema f d =
   let tr = Trace.get () in
   Trace.span tr ~cat:"dds" ("dds." ^ op) @@ fun () ->
@@ -446,7 +431,7 @@ let relayout_set ~from ~into part =
 (* Size attributes for the narrow set-op spans: input cardinal on the
    driver, output sizes via [record_skew] without [~cluster] (trace attrs
    only — these ops never fed the partition-size histograms, and the
-   compiled/interpreted counter parity contract keeps it that way). *)
+   pinned counters of the physical tests keep it that way). *)
 let records_in_attr tr a b =
   if Trace.enabled tr then Trace.set_attr tr "records_in" (Trace.Int (cardinal a + cardinal b))
 
@@ -537,12 +522,9 @@ let diff_union_in_place ~acc ~produced =
   let fresh = { acc with parts = fresh_parts; partitioning = produced.partitioning } in
   (acc', fresh)
 
-(* Per-partition hash join. [index_side] picks the side the hash index
-   is built on (and therefore which side is scanned): [`Auto] compares
-   cardinals — the right choice for one-shot joins — while a caller
-   holding a [prepared] index over the right side passes it explicitly
-   and no comparison (or per-call index build) happens at all. *)
-let local_join_sets ?prepared ?(index_side = `Auto) ~left_schema ~right_schema left right =
+(* Per-partition natural join, indexing the smaller side (semi-naive
+   loops join a small delta against a large stable relation). *)
+let local_join_sets ~left_schema ~right_schema left right =
   let shared = Schema.common left_schema right_schema in
   let extra_cols = List.filter (fun c -> not (Schema.mem left_schema c)) (Schema.cols right_schema) in
   let extra_pos = Schema.positions right_schema extra_cols in
@@ -551,126 +533,22 @@ let local_join_sets ?prepared ?(index_side = `Auto) ~left_schema ~right_schema l
   (match shared with
   | [] -> Tset.iter (fun lt -> Tset.iter (fun rt -> emit lt rt) right) left
   | _ ->
-    let side =
-      match (prepared, index_side) with
-      | Some _, _ -> `Right (* a prepared index is always over the right side *)
-      | None, `Left -> `Left
-      | None, `Right -> `Right
-      | None, `Auto ->
-        (* index the smaller side: semi-naive loops join a small delta
-           against a large stable relation every iteration *)
-        if Tset.cardinal right <= Tset.cardinal left then `Right else `Left
-    in
-    (match side with
-    | `Right ->
-      let idx =
-        match prepared with
-        | Some idx -> idx
-        | None -> Relation.Index.build right_schema shared (Tset.to_seq right)
-      in
+    if Tset.cardinal right <= Tset.cardinal left then begin
+      let idx = Relation.Index.build right_schema shared (Tset.to_seq right) in
       let l_key = Schema.positions left_schema shared in
       Tset.iter (fun lt -> List.iter (emit lt) (Relation.Index.probe idx (Tuple.project l_key lt))) left
-    | `Left ->
+    end
+    else begin
       let idx = Relation.Index.build left_schema shared (Tset.to_seq left) in
       let r_key = Schema.positions right_schema shared in
       Tset.iter
         (fun rt -> List.iter (fun lt -> emit lt rt) (Relation.Index.probe idx (Tuple.project r_key rt)))
-        right));
+        right
+    end);
   out
 
-type broadcast = Rel.t
-
 let broadcast cluster rel =
-  let records = Rel.cardinal rel * max 1 (Cluster.workers cluster - 1) in
-  meter_broadcast cluster ~op:"broadcast" ~records;
-  rel
-
-let broadcast_value b = b
-
-let join_bcast d rel =
-  let right_schema = Rel.schema rel in
-  let out_schema = Schema.append_distinct d.schema right_schema in
-  let right = Rel.tuples rel in
-  map_partitions ~op:"join_bcast" ~partitioning:d.partitioning ~schema:out_schema
-    (fun _ part -> local_join_sets ~left_schema:d.schema ~right_schema part right)
-    d
-
-let antijoin_bcast d rel =
-  let shared = Schema.common d.schema (Rel.schema rel) in
-  match shared with
-  | [] ->
-    if Rel.is_empty rel then d
-    else map_partitions ~partitioning:d.partitioning ~schema:d.schema (fun _ _ -> Tset.create ()) d
-  | _ ->
-    let idx = Relation.Index.build (Rel.schema rel) shared (Tset.to_seq (Rel.tuples rel)) in
-    let key = Schema.positions d.schema shared in
-    map_partitions ~op:"antijoin_bcast" ~partitioning:d.partitioning ~schema:d.schema
-      (fun _ part ->
-        let out = Tset.create ~capacity:(Tset.cardinal part) () in
-        Tset.iter
-          (fun tu -> if not (Relation.Index.mem idx (Tuple.project key tu)) then ignore (Tset.add out tu))
-          part;
-        out)
-      d
-
-(* Prepared broadcast joins: the probe index over the constant
-   (broadcast) side is built exactly once — at preparation time, on the
-   driver, so worker domains share the immutable structure — and reused
-   by every subsequent join, instead of being rebuilt (or worse, the
-   whole broadcast relation rescanned) on every fixpoint iteration.
-   Per-iteration work drops from O(|broadcast|) to O(|delta| * fanout). *)
-type prepared_bcast = {
-  b_rel : Rel.t;
-  b_shared : string list; (* join columns the handle was prepared for *)
-  b_index : Relation.Index.t option; (* None iff [b_shared] is empty *)
-}
-
-let prepare_bcast ~for_schema b =
-  let right_schema = Rel.schema b in
-  let shared = Schema.common for_schema right_schema in
-  let index =
-    match shared with
-    | [] -> None
-    | _ -> Some (Relation.Index.build right_schema shared (Tset.to_seq (Rel.tuples b)))
-  in
-  { b_rel = b; b_shared = shared; b_index = index }
-
-let check_prepared ~op p schema =
-  if Schema.common schema (Rel.schema p.b_rel) <> p.b_shared then
-    invalid_arg
-      (Printf.sprintf "Dds.%s: handle prepared for join columns [%s], dataset shares [%s]" op
-         (String.concat "," p.b_shared)
-         (String.concat "," (Schema.common schema (Rel.schema p.b_rel))))
-
-let join_bcast_prepared d p =
-  check_prepared ~op:"join_bcast_prepared" p d.schema;
-  let right_schema = Rel.schema p.b_rel in
-  let out_schema = Schema.append_distinct d.schema right_schema in
-  let right = Rel.tuples p.b_rel in
-  map_partitions ~op:"join_bcast" ~partitioning:d.partitioning ~schema:out_schema
-    (fun _ part ->
-      local_join_sets ?prepared:p.b_index ~left_schema:d.schema ~right_schema part right)
-    d
-
-let antijoin_bcast_prepared d p =
-  check_prepared ~op:"antijoin_bcast_prepared" p d.schema;
-  match p.b_index with
-  | None ->
-    if Rel.is_empty p.b_rel then d
-    else map_partitions ~partitioning:d.partitioning ~schema:d.schema (fun _ _ -> Tset.create ()) d
-  | Some idx ->
-    let key = Schema.positions d.schema p.b_shared in
-    map_partitions ~op:"antijoin_bcast" ~partitioning:d.partitioning ~schema:d.schema
-      (fun _ part ->
-        let out = Tset.create ~capacity:(Tset.cardinal part) () in
-        Tset.iter
-          (fun tu -> if not (Relation.Index.mem idx (Tuple.project key tu)) then ignore (Tset.add out tu))
-          part;
-        out)
-      d
-
-let join_broadcast d rel = join_bcast d (broadcast d.cluster rel)
-let antijoin_broadcast d rel = antijoin_bcast d (broadcast d.cluster rel)
+  meter_broadcast cluster ~op:"broadcast" ~records:(Rel.cardinal rel * max 1 (Cluster.workers cluster - 1))
 
 let repartition ?seen ~by d =
   if same_hashing d.partitioning (Hashed by) then d
@@ -702,15 +580,15 @@ let join_shuffle a b =
   let shared = Schema.common a.schema b.schema in
   match shared with
   | [] ->
-    (* Cartesian: broadcast the smaller side. When [a] is the broadcast
-       side the join emits tuples directly in the a-first output layout
-       (prepending the broadcast tuple), so no relayout pass over the
-       result is needed. *)
+    (* Cartesian: collect and broadcast the smaller side, then join
+       narrowly against the other side's partitions, emitting tuples in
+       the a-first output layout. *)
+    let out_schema = Schema.append_distinct a.schema b.schema in
     if cardinal a <= cardinal b then begin
-      let small = broadcast a.cluster (collect a) in
-      let left = Rel.tuples (broadcast_value small) in
+      let small = collect a in
+      broadcast a.cluster small;
+      let left = Rel.tuples small in
       let n_left = Tset.cardinal left in
-      let out_schema = Schema.append_distinct a.schema b.schema in
       map_partitions ~op:"join_bcast" ~schema:out_schema
         (fun _ part ->
           let out = Tset.create ~capacity:(max (Tset.cardinal part * n_left) 16) () in
@@ -720,7 +598,14 @@ let join_shuffle a b =
           out)
         b
     end
-    else join_broadcast a (collect b)
+    else begin
+      let small = collect b in
+      broadcast a.cluster small;
+      let right = Rel.tuples small in
+      map_partitions ~op:"join_bcast" ~partitioning:a.partitioning ~schema:out_schema
+        (fun _ part -> local_join_sets ~left_schema:a.schema ~right_schema:b.schema part right)
+        a
+    end
   | _ ->
     let a' = repartition ~by:shared a in
     let b' = repartition ~by:shared b in
@@ -764,7 +649,7 @@ let union_distinct a b = distinct (set_union_local a b)
 (* ------------------------------------------------------------------ *)
 
 (* Wrap already-distributed partitions (e.g. a compiled fixpoint's
-   accumulator) as a dataset. No data moves and nothing is metered: the
+   accumulator) as a dataset. No data moves and nothing is charged: the
    partitions are adopted where they are. *)
 let of_partitions cluster ~schema ~partitioning parts =
   if Array.length parts <> Cluster.workers cluster then
@@ -884,11 +769,11 @@ let exchange_batches ?seen cluster batches ~positions ~workers =
     (fresh, !moved, !dropped)
   end
 
-(* Metered batch repartition: the compiled twin of [repartition] once the
+(* Charged batch repartition: the compiled twin of [repartition] once the
    caller has decided the exchange is not a no-op (same [same_hashing]
    rule, applied against the tracked partitioning). Meters the shuffle,
-   the dedup drops and the output partition sizes exactly as the
-   interpreter path does. *)
+   the dedup drops and the output partition sizes exactly as
+   [repartition] does. *)
 let repartition_batches ?seen cluster batches ~schema ~by =
   let tr = Trace.get () in
   Trace.span tr ~cat:"dds" "dds.repartition" @@ fun () ->

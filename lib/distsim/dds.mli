@@ -8,7 +8,7 @@
 
     Narrow operations (filter, map_partitions, partition-wise set ops,
     broadcast joins) touch no network. Wide operations (repartition,
-    distinct, shuffle join, collect) are metered on the owning cluster's
+    distinct, shuffle join, collect) are charged on the owning cluster's
     {!Metrics.t}.
 
     On a parallel cluster with {!Cluster.pooled_shuffle} enabled, wide
@@ -19,7 +19,7 @@
     its incoming buckets into a presized set, reusing the map-side
     hashes) — each phase with its own trace span ([dds.exchange.map] /
     [dds.exchange.merge]) carrying per-phase skew attributes. Result
-    partitions and the metered records/bytes/moved counts are
+    partitions and the charged records/bytes/moved counts are
     bit-identical to the sequential driver-side exchange, which remains
     the fallback for small exchanges (see {!Cluster.shuffle_mode}). *)
 
@@ -43,7 +43,7 @@ val schema : t -> Relation.Schema.t
 val partitioning : t -> partitioning
 val num_partitions : t -> int
 val cardinal : t -> int
-(** Total tuples (a driver-side count; not metered as data movement). *)
+(** Total tuples (a driver-side count; not charged as data movement). *)
 
 val partition : t -> int -> Relation.Tset.t
 (** Read-only view of a partition (tests and local engines). *)
@@ -54,7 +54,7 @@ val partition_sizes : t -> int array
 
 val of_rel : ?by:string list -> Cluster.t -> Relation.Rel.t -> t
 (** Ship a driver-side relation to the workers: hash-partitioned [~by]
-    the given columns, or spread round-robin. Metered as one shuffle.
+    the given columns, or spread round-robin. Charged as one shuffle.
     Pooled clusters route the input in parallel (each worker scans a
     slice of the relation); round-robin placement is reconstructed from
     a counting pass so partitions match the sequential path exactly. *)
@@ -62,12 +62,9 @@ val of_rel : ?by:string list -> Cluster.t -> Relation.Rel.t -> t
 val empty : Cluster.t -> Relation.Schema.t -> t
 
 val collect : t -> Relation.Rel.t
-(** Gather all partitions to the driver (metered as one shuffle). On
+(** Gather all partitions to the driver (charged as one shuffle). On
     pooled clusters the per-partition snapshot + hashing runs on the
     workers; only the final merge is driver-side. *)
-
-val first_tuples : t -> int -> Relation.Tuple.t list
-(** Up to [n] tuples for display; not metered. *)
 
 (** {1 Narrow operations} *)
 
@@ -105,7 +102,7 @@ val set_inter_local : t -> t -> t
     in the accumulator. *)
 
 val copy_parts : t -> t
-(** Driver-side deep copy of every partition (not metered — no simulated
+(** Driver-side deep copy of every partition (not charged — no simulated
     data movement). The escape hatch callers use to obtain a loop-private
     accumulator before handing it to {!diff_union_in_place}. *)
 
@@ -136,7 +133,7 @@ val diff_union_in_place : acc:t -> produced:t -> t * t
     the subsequent diff would discard it anyway — results, iteration
     counts and per-iteration fresh counts are bit-identical while
     [shuffled_records] / [shuffled_bytes] strictly shrink on workloads
-    with re-derivations. Drops are metered as
+    with re-derivations. Drops are charged as
     {!Metrics.record_dedup_dropped} and attached to the [dds.repartition]
     span as [dedup_dropped]. *)
 
@@ -148,56 +145,11 @@ val seen_filter : Cluster.t -> seen_filter
 val seen_dropped : seen_filter -> int
 (** Total tuples this filter has dropped so far. *)
 
-type broadcast
-(** A relation shipped once to every worker. Creating the value meters
-    the broadcast; joining against it afterwards is narrow and free, so
-    a fixpoint loop that reuses the same broadcast (as P_plw does) pays
-    the communication exactly once. *)
-
-val broadcast : Cluster.t -> Relation.Rel.t -> broadcast
-val broadcast_value : broadcast -> Relation.Rel.t
-
-val join_bcast : t -> broadcast -> t
-(** Narrow per-partition hash join against a broadcast relation.
-    Preserves the left partitioning (natural join keeps all left
-    columns). *)
-
-val antijoin_bcast : t -> broadcast -> t
-
-val join_broadcast : t -> Relation.Rel.t -> t
-(** [broadcast] + [join_bcast] in one step (meters every call). *)
-
-val antijoin_broadcast : t -> Relation.Rel.t -> t
-
-(** {2 Prepared broadcast joins}
-
-    [join_bcast] picks its hash-index side per partition by comparing
-    cardinals, so a fixpoint joining a shrinking delta against a large
-    broadcast relation ends up indexing the delta and {e rescanning the
-    whole broadcast relation on every iteration} — O(|broadcast|) per
-    iteration. A {!prepared_bcast} handle builds the index over the
-    constant side exactly once (driver-side; the immutable index is then
-    shared by all worker domains) and every subsequent join only probes
-    it: O(|delta| * fanout) per iteration. Preparation meters nothing —
-    the communication was already paid by {!broadcast}, so shuffle and
-    broadcast counters are identical to the plain {!join_bcast}. *)
-
-type prepared_bcast
-
-val prepare_bcast : for_schema:Relation.Schema.t -> broadcast -> prepared_bcast
-(** [prepare_bcast ~for_schema b] indexes the broadcast relation by the
-    columns it shares with [for_schema] (the schema of the datasets that
-    will be joined against it — constant across a fixpoint's
-    iterations). *)
-
-val join_bcast_prepared : t -> prepared_bcast -> t
-(** Like {!join_bcast}, probing the prepared index; no per-call index
-    build or side choice.
-    @raise Invalid_argument if the dataset's shared columns differ from
-    the ones the handle was prepared for. *)
-
-val antijoin_bcast_prepared : t -> prepared_bcast -> t
-(** Like {!antijoin_bcast}, reusing the prepared index. *)
+val broadcast : Cluster.t -> Relation.Rel.t -> unit
+(** Meter shipping a driver-side relation once to every other worker.
+    Joining against it afterwards is narrow and free, so a fixpoint loop
+    that reuses the same broadcast (as P_plw does) pays the
+    communication exactly once. *)
 
 (** {1 Wide operations} *)
 
@@ -242,7 +194,7 @@ val of_partitions :
   Cluster.t -> schema:Relation.Schema.t -> partitioning:partitioning ->
   Relation.Tset.t array -> t
 (** Adopt already-distributed partitions as a dataset. No data movement,
-    nothing metered; the array must have one partition per worker.
+    nothing charged; the array must have one partition per worker.
     @raise Invalid_argument on a partition-count mismatch. *)
 
 val exchange_batches :
@@ -258,7 +210,7 @@ val exchange_batches :
 val repartition_batches :
   ?seen:seen_filter -> Cluster.t -> Relation.Batch.t array ->
   schema:Relation.Schema.t -> by:string list -> Relation.Batch.t array
-(** Metered batch repartition: {!exchange_batches} plus the exact
+(** Charged batch repartition: {!exchange_batches} plus the exact
     metering of a non-no-op {!repartition} (shuffle records/bytes, dedup
     drops, per-worker partition-size samples, span attributes). The
     caller is responsible for the [same_hashing] no-op rule — call this

@@ -1,7 +1,7 @@
 (** Communication and execution metrics of a distributed run.
 
     Every wide operation (shuffle, distinct, shuffle join, collect) and
-    every broadcast is metered here. The paper's central claim — P_plw
+    every broadcast is charged here. The paper's central claim — P_plw
     needs one shuffle per fixpoint where P_gld needs one per iteration —
     is observable directly in these counters, independently of wall-clock
     noise. [sim_time_ns] accumulates a simulated parallel time:

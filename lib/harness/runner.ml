@@ -198,18 +198,32 @@ let analyze ?(workers = 4) ?(timeout_s = 120.) ?force_plan ?(compare_plans = fal
   let stats = Cost.Stats.of_tables tables in
   let term = term_of_query query in
   let best = Systems.optimize tables term in
-  let cluster = Cluster.make ~workers () in
-  let config = { (Exec.default_config cluster) with Exec.collect_actuals = true; force_plan } in
-  let ctx = Exec.session config tables in
-  let outcome =
-    Systems.guarded ~timeout_s
-      (Some (Cluster.metrics cluster))
-      (fun () -> Relation.Rel.cardinal (Exec.run ctx best))
+  (* the actuals are a fold of the run's trace: reuse the tracer --trace
+     installed, or install one for the run *)
+  let tr, installed =
+    match Trace.get () with
+    | t when Trace.enabled t -> (t, false)
+    | _ ->
+      let t = Trace.make () in
+      Trace.install t;
+      (t, true)
   in
-  let tree = Exec.Analyze.tree ctx best in
+  let last_id = List.fold_left (fun m (e : Trace.event) -> max m e.id) (-1) (Trace.events tr) in
+  let cluster = Cluster.make ~workers () in
+  let ctx = Exec.session { (Exec.default_config cluster) with force_plan } tables in
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> if installed then Trace.uninstall ())
+      (fun () ->
+        Systems.guarded ~timeout_s
+          (Some (Cluster.metrics cluster))
+          (fun () -> Relation.Rel.cardinal (Exec.run ctx best)))
+  in
+  let events = List.filter (fun (e : Trace.event) -> e.id > last_id) (Trace.events tr) in
+  let tree = Exec.Analyze.tree ctx events best in
   let actuals =
     List.filter_map
-      (fun (n : Exec.Analyze.node) -> if n.calls > 0 then Some (n.path, n.rows) else None)
+      (fun (n : Exec.Analyze.node) -> Option.map (fun rows -> (n.path, rows)) n.rows)
       (flatten_nodes [] tree)
   in
   let mismatches = Cost.Feedback.compare_actuals stats best ~actuals in
@@ -324,25 +338,10 @@ let metrics_json (m : Metrics.t) =
 
 let rec node_json (n : Exec.Analyze.node) =
   let open Trace.Json in
-  let local_json (l : Exec.Analyze.local_op) =
-    obj
-      [
-        ("path", str l.l_path);
-        ("label", str l.l_label);
-        ("rows", string_of_int l.l_rows_total);
-        ("max_ns", num l.l_ns_max);
-        ("rounds", string_of_int l.l_rounds);
-        ("workers", string_of_int l.l_workers);
-      ]
-  in
   obj
-    ([
-       ("path", str n.path);
-       ("label", str n.label);
-       ("rows", string_of_int n.rows);
-       ("ns", num n.ns);
-       ("calls", string_of_int n.calls);
-     ]
+    ([ ("path", str n.path); ("label", str n.label) ]
+    @ (match n.rows with Some r -> [ ("rows", string_of_int r) ] | None -> [])
+    @ [ ("ns", num n.ns); ("calls", string_of_int n.calls) ]
     @ (match n.plan with Some p -> [ ("plan", str p) ] | None -> [])
     @ (if n.iterations > 0 then
          [
@@ -350,7 +349,6 @@ let rec node_json (n : Exec.Analyze.node) =
            ("deltas", arr (List.map string_of_int n.deltas));
          ]
        else [])
-    @ (match n.local with [] -> [] | ls -> [ ("local", arr (List.map local_json ls)) ])
     @ [ ("children", arr (List.map node_json n.children)) ])
 
 let report_json a =

@@ -78,10 +78,11 @@ val analyze :
   query:string ->
   unit ->
   analysis
-(** EXPLAIN ANALYZE: optimize, execute with per-operator actuals enabled
-    ([collect_actuals]), join actuals against the cost estimator's
-    per-node cardinalities, and collect the cluster's skew/straggler
-    histograms. With [compare_plans] (default false) the two cheapest
+(** EXPLAIN ANALYZE: optimize, execute under a tracer (the installed one
+    when tracing is on, a fresh one otherwise), fold the run's operator
+    spans into per-node actuals ({!Physical.Exec.Analyze.tree}), join
+    them against the cost estimator's per-node cardinalities, and
+    collect the cluster's skew/straggler histograms. With [compare_plans] (default false) the two cheapest
     logical plans are also executed and their actual sim-time ordering
     checked against the estimated one ({!Cost.Feedback.check_plan_ordering},
     which feeds [Cost.Feedback.ordering_hook]). *)

@@ -90,8 +90,7 @@ let optimize tables term =
   let stats = Cost.Stats.of_tables tables in
   Rewrite.Engine.optimize ~max_plans:120 ~cost:(Cost.Estimate.cost stats) tenv term
 
-let run_physical ?(logical_opt = true) ?(stable_partitioning = true) ?(compiled_exec = true)
-    ?max_tuples ~force_plan ~workers ~timeout_s w =
+let run_physical ?(logical_opt = true) ?(stable_partitioning = true) ?max_tuples ~force_plan ~workers ~timeout_s w =
   let cluster = Cluster.make ~workers () in
   let default = Exec.default_config cluster in
   let config =
@@ -99,7 +98,6 @@ let run_physical ?(logical_opt = true) ?(stable_partitioning = true) ?(compiled_
       default with
       force_plan;
       use_stable_partitioning = stable_partitioning;
-      use_compiled_exec = compiled_exec;
       max_tuples = Option.value ~default:default.Exec.max_tuples max_tuples;
     }
   in
@@ -138,15 +136,6 @@ let dist_mu_ra_plw ?(workers = 4) which =
     name;
     short;
     run = (fun ~timeout_s w -> run_physical ~force_plan:(Some plan) ~workers ~timeout_s w);
-  }
-
-let dist_mu_ra_interpreted ?(workers = 4) () =
-  {
-    name = "Dist-mu-RA (interpreted)";
-    short = "interp";
-    run =
-      (fun ~timeout_s w ->
-        run_physical ~compiled_exec:false ~force_plan:None ~workers ~timeout_s w);
   }
 
 let dist_mu_ra_unopt ?(workers = 4) () =

@@ -60,13 +60,6 @@ val dist_mu_ra_gld : ?workers:int -> ?max_tuples:int -> unit -> system
 val dist_mu_ra_plw : ?workers:int -> [ `Setrdd | `Postgres ] -> system
 (** Fixpoints forced to one P_plw implementation (Fig. 7). *)
 
-val dist_mu_ra_interpreted : ?workers:int -> unit -> system
-(** Automatic plan selection with the compiled columnar core disabled
-    ([use_compiled_exec = false]): the operator-at-a-time parity oracle,
-    exposed as its own engine ([--system interp] in murarun) for A/B
-    timing against {!dist_mu_ra} — results and communication counters
-    are bit-identical by contract, only wall-clock differs. *)
-
 val dist_mu_ra_unopt : ?workers:int -> unit -> system
 (** Ablation: physical plans as usual, but no logical rewriting (the
     query is executed as translated). *)

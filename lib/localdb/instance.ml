@@ -6,15 +6,9 @@ module Pred = Relation.Pred
 module Term = Mura.Term
 module Fcond = Mura.Fcond
 
-type t = {
-  catalog : (string, Rel.t) Hashtbl.t;
-  mutable analyze : (string, Plan.counter) Hashtbl.t option;
-      (* per-node-path EXPLAIN ANALYZE counters, None outside analyze *)
-  mutable fix_rounds : (string * int) list;
-      (* per-Fix-node-path semi-naive round counts of the last analyze *)
-}
+type t = { catalog : (string, Rel.t) Hashtbl.t }
 
-let create () = { catalog = Hashtbl.create 16; analyze = None; fix_rounds = [] }
+let create () = { catalog = Hashtbl.create 16 }
 let register db name rel = Hashtbl.replace db.catalog name rel
 let unregister db name = Hashtbl.remove db.catalog name
 let lookup db name = Hashtbl.find_opt db.catalog name
@@ -22,38 +16,11 @@ let table_names db = Hashtbl.fold (fun n _ acc -> n :: acc) db.catalog []
 
 let err fmt = Format.kasprintf (fun s -> raise (Mura.Eval.Eval_error s)) fmt
 
-let counter_of tbl path =
-  match Hashtbl.find_opt tbl path with
-  | Some c -> c
-  | None ->
-    let c = { Plan.c_rows = 0; c_ns = 0. } in
-    Hashtbl.replace tbl path c;
-    c
-
-(* Node paths follow the plan-tree addressing shared with
-   [Physical.Exec] and [Cost.Feedback]: the root is "0" and child [i] of
-   a node at path [p] is [p ^ "." ^ i]; the children of a [Fix] are the
-   constant branches followed by the recursive ones, in [Fcond.split]
-   order. *)
-let child path i = path ^ "." ^ string_of_int i
-
 (* Compilation produces a plan and its output schema. Fixpoints are
    materialised during compilation with a work-table loop (as a
    PostgreSQL recursive CTE would be), so the enclosing plan sees them as
-   plain scans. When analyzing, every node is wrapped in a [Counted]
-   pass-through and charged its compile time (which, for fixpoints, is
-   the materialisation time). *)
-let rec compile db vars ~path (term : Term.t) : Plan.t * Schema.t =
-  match db.analyze with
-  | None -> compile_node db vars ~path term
-  | Some tbl ->
-    let c = counter_of tbl path in
-    let t0 = Unix.gettimeofday () in
-    let plan, schema = compile_node db vars ~path term in
-    c.Plan.c_ns <- c.Plan.c_ns +. ((Unix.gettimeofday () -. t0) *. 1e9);
-    (Plan.Counted (c, plan), schema)
-
-and compile_node db vars ~path (term : Term.t) : Plan.t * Schema.t =
+   plain scans. *)
+let rec compile db vars (term : Term.t) : Plan.t * Schema.t =
   match term with
   | Rel n -> (
     match lookup db n with
@@ -65,24 +32,24 @@ and compile_node db vars ~path (term : Term.t) : Plan.t * Schema.t =
     | Some (cell, schema) -> (Plan.Work_table cell, schema)
     | None -> err "localdb: unbound recursive variable %S" x)
   | Select (p, u) ->
-    let child, schema = compile db vars ~path:(child path 0) u in
+    let child, schema = compile db vars u in
     (Plan.Filter (Pred.compile schema p, child), schema)
   | Project (keep, u) ->
-    let child, schema = compile db vars ~path:(child path 0) u in
+    let child, schema = compile db vars u in
     let out = Schema.restrict schema keep in
     let pos = Schema.positions schema keep in
     (Plan.Distinct (Plan.Map (Tuple.project pos, child)), out)
   | Antiproject (drop, u) ->
-    let child, schema = compile db vars ~path:(child path 0) u in
+    let child, schema = compile db vars u in
     let out = Schema.minus schema drop in
     let pos = Schema.positions schema (Schema.cols out) in
     (Plan.Distinct (Plan.Map (Tuple.project pos, child)), out)
   | Rename (m, u) ->
-    let child, schema = compile db vars ~path:(child path 0) u in
+    let child, schema = compile db vars u in
     (child, Schema.rename m schema)
   | Join (a, b) ->
-    let left, ls = compile db vars ~path:(child path 0) a in
-    let right, rs = compile db vars ~path:(child path 1) b in
+    let left, ls = compile db vars a in
+    let right, rs = compile db vars b in
     let shared = Schema.common ls rs in
     let out = Schema.append_distinct ls rs in
     let extra = List.filter (fun c -> not (Schema.mem ls c)) (Schema.cols rs) in
@@ -99,8 +66,8 @@ and compile_node db vars ~path (term : Term.t) : Plan.t * Schema.t =
     in
     (Plan.Hash_join join, out)
   | Antijoin (a, b) ->
-    let left, ls = compile db vars ~path:(child path 0) a in
-    let right, rs = compile db vars ~path:(child path 1) b in
+    let left, ls = compile db vars a in
+    let right, rs = compile db vars b in
     let shared = Schema.common ls rs in
     let join =
       {
@@ -113,8 +80,8 @@ and compile_node db vars ~path (term : Term.t) : Plan.t * Schema.t =
     in
     (Plan.Hash_anti join, ls)
   | Union (a, b) ->
-    let pa, sa = compile db vars ~path:(child path 0) a in
-    let pb, sb = compile db vars ~path:(child path 1) b in
+    let pa, sa = compile db vars a in
+    let pb, sb = compile db vars b in
     if not (Schema.equal_names sa sb) then
       err "localdb: union of incompatible schemas %s vs %s" (Schema.to_string sa)
         (Schema.to_string sb);
@@ -124,20 +91,19 @@ and compile_node db vars ~path (term : Term.t) : Plan.t * Schema.t =
     in
     (Plan.Distinct (Plan.Append [ pa; pb' ]), sa)
   | Fix (x, body) ->
-    let rel = run_fix db vars ~path x body in
+    let rel = run_fix db vars x body in
     (Plan.Scan rel, Rel.schema rel)
 
-and run_fix db vars ~path x body =
+and run_fix db vars x body =
   let consts, recs = Fcond.split ~var:x body in
-  let n_consts = List.length consts in
   match consts with
   | [] -> raise (Fcond.Not_fcond (Printf.sprintf "fixpoint on %s has no constant part" x))
   | _ ->
     let init_sets, schemas =
       List.split
-        (List.mapi
-           (fun i c ->
-             let p, s = compile db vars ~path:(child path i) c in
+        (List.map
+           (fun c ->
+             let p, s = compile db vars c in
              (Plan.run p, s))
            consts)
     in
@@ -157,9 +123,9 @@ and run_fix db vars ~path x body =
       let vars' = (x, (work, schema)) :: vars in
       (* compile the recursive branches once; cursors re-open per round *)
       let rec_plans =
-        List.mapi
-          (fun i branch ->
-            let p, s = compile db vars' ~path:(child path (n_consts + i)) branch in
+        List.map
+          (fun branch ->
+            let p, s = compile db vars' branch in
             if Schema.equal_ordered s schema then p
             else Plan.Map (Tuple.project (Schema.reorder_positions ~from:s ~into:schema), p))
           recs
@@ -185,40 +151,14 @@ and run_fix db vars ~path x body =
         end
       in
       loop ();
-      if db.analyze <> None then db.fix_rounds <- (path, !rounds) :: db.fix_rounds;
       Trace.set_attr tr "rounds" (Trace.Int !rounds));
     Rel.of_tset schema all
 
 let query db term =
   Trace.span (Trace.get ()) ~cat:"localdb" "localdb.query" @@ fun () ->
-  let plan, schema = compile db [] ~path:"0" term in
+  let plan, schema = compile db [] term in
   Rel.of_tset schema (Plan.run plan)
 
 let explain db term =
-  let plan, _schema = compile db [] ~path:"0" term in
+  let plan, _schema = compile db [] term in
   Format.asprintf "%a" Plan.pp plan
-
-type actual = { path : string; rows : int; ns : float; rounds : int }
-
-let query_analyzed db term =
-  let counters = Hashtbl.create 32 in
-  db.analyze <- Some counters;
-  db.fix_rounds <- [];
-  let finish () =
-    db.analyze <- None;
-    let rounds_of p = match List.assoc_opt p db.fix_rounds with Some r -> r | None -> 0 in
-    let actuals =
-      Hashtbl.fold
-        (fun path (c : Plan.counter) acc ->
-          { path; rows = c.Plan.c_rows; ns = c.Plan.c_ns; rounds = rounds_of path } :: acc)
-        counters []
-    in
-    db.fix_rounds <- [];
-    List.sort (fun a b -> compare a.path b.path) actuals
-  in
-  match query db term with
-  | rel -> (rel, finish ())
-  | exception e ->
-    db.analyze <- None;
-    db.fix_rounds <- [];
-    raise e

@@ -27,17 +27,3 @@ val query : t -> Mura.Term.t -> Relation.Rel.t
 val explain : t -> Mura.Term.t -> string
 (** Compiled operator tree (note: fixpoints are materialised during
     compilation, so they appear as scans of their results). *)
-
-type actual = { path : string; rows : int; ns : float; rounds : int }
-(** Per-operator EXPLAIN ANALYZE sample. [path] addresses the term-tree
-    node (root "0", child [i] of [p] is [p ^ "." ^ i], Fix children =
-    constant branches then recursive ones, in [Mura.Fcond.split] order —
-    the same convention as [Physical.Exec] and [Cost.Feedback]). [rows]
-    is the node's output cardinality, [ns] its cumulative time inclusive
-    of children (for fixpoints: the materialisation time), [rounds] the
-    semi-naive round count (0 for non-Fix nodes). *)
-
-val query_analyzed : t -> Mura.Term.t -> Relation.Rel.t * actual list
-(** Like {!query} but with per-operator instrumentation enabled; returns
-    the result together with actuals sorted by path. The result relation
-    is identical to {!query}'s. *)

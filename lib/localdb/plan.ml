@@ -1,11 +1,6 @@
 module Tset = Relation.Tset
 module Tuple = Relation.Tuple
 
-(* Per-operator EXPLAIN ANALYZE accumulator: output rows and cumulative
-   nanoseconds (inclusive of children, summed across cursor re-opens —
-   a fixpoint round re-opening the same plan keeps accumulating). *)
-type counter = { mutable c_rows : int; mutable c_ns : float }
-
 type t =
   | Scan of Relation.Rel.t
   | Work_table of Tset.t ref
@@ -15,7 +10,6 @@ type t =
   | Hash_anti of join
   | Append of t list
   | Distinct of t
-  | Counted of counter * t
 
 and join = {
   left : t;
@@ -161,14 +155,6 @@ let rec open_cursor plan : cursor =
         end
     in
     pull
-  | Counted (c, child) ->
-    let next = open_cursor child in
-    fun () ->
-      let t0 = Unix.gettimeofday () in
-      let r = next () in
-      c.c_ns <- c.c_ns +. ((Unix.gettimeofday () -. t0) *. 1e9);
-      (match r with Some _ -> c.c_rows <- c.c_rows + 1 | None -> ());
-      r
 
 let rec pp ppf = function
   | Scan rel -> Format.fprintf ppf "SeqScan(%d rows)" (Relation.Rel.cardinal rel)
@@ -184,8 +170,6 @@ let rec pp ppf = function
       (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp)
       children
   | Distinct child -> Format.fprintf ppf "@[<v2>Distinct@,%a@]" pp child
-  | Counted (c, child) ->
-    Format.fprintf ppf "@[<v2>[rows=%d time=%.3fms]@,%a@]" c.c_rows (c.c_ns /. 1e6) pp child
 
 let run plan =
   let out = Tset.create () in

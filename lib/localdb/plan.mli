@@ -7,11 +7,6 @@
     overhead that distinguishes this backend from the set-at-a-time
     SetRDD path (Fig. 7 of the paper). *)
 
-type counter = { mutable c_rows : int; mutable c_ns : float }
-(** EXPLAIN ANALYZE accumulator of a {!Counted} node: rows produced and
-    cumulative time (inclusive of children, summed across cursor
-    re-opens — a fixpoint round re-opening the plan keeps adding). *)
-
 type t =
   | Scan of Relation.Rel.t
   | Work_table of Relation.Tset.t ref
@@ -23,9 +18,6 @@ type t =
   | Hash_anti of join  (** left tuples with no right partner *)
   | Append of t list
   | Distinct of t
-  | Counted of counter * t
-      (** transparent pass-through metering rows and time into the
-          counter (inserted by [Instance] when analyzing) *)
 
 and join = {
   left : t;

@@ -9,7 +9,7 @@ module Metrics = Distsim.Metrics
 (* Grouped reductions as fused batch folds: each worker folds its
    partition column-at-a-time into per-group partials (one pass over the
    batch's unboxed columns, no per-row tuple allocation), the partials
-   are exchanged by the group key (the only metered communication — the
+   are exchanged by the group key (the only charged communication — the
    classic combiner pattern), and a second local fold merges them. The
    input is made distinct first so the reduction is over the tuple set,
    independently of how duplicates were partitioned. *)

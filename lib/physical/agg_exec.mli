@@ -10,12 +10,12 @@
 val shortest_paths : Distsim.Cluster.t -> Relation.Rel.t -> Relation.Rel.t
 (** [shortest_paths cluster edges] — all-pairs shortest path weights for
     a (src, trg, weight) relation, computed with per-worker local
-    min-fixpoints. Communication is metered on the cluster. *)
+    min-fixpoints. Communication is charged on the cluster. *)
 
 val group_count : Distsim.Cluster.t -> key:string list -> Distsim.Dds.t -> Relation.Rel.t
 (** [group_count cluster ~key d] — per-group tuple counts over the
     distinct tuples of [d], schema [key @ ["count"]]. Executes as fused
-    batch folds: per-worker column-at-a-time partials, one metered
+    batch folds: per-worker column-at-a-time partials, one charged
     exchange of the partials by [key], a local merge fold. *)
 
 val group_min :

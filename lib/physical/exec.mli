@@ -37,36 +37,6 @@ type config = {
   use_stable_partitioning : bool;
       (** ablation knob: when [false], P_plw skips the stable-column
           repartitioning of Sec. IV-A2 and pays a final distinct *)
-  collect_actuals : bool;
-      (** when [true], EXPLAIN ANALYZE instrumentation is on: every
-          operator records its actual output cardinality and cumulative
-          time, fixpoints record their delta-size curves, and P_plw^pg
-          runs its local fixpoints on the instrumented volcano path.
-          Results and communication counters are bit-identical either
-          way; default [false] (zero overhead). *)
-  use_compiled_exec : bool;
-      (** when [true] (default), the whole plan runs on the compiled
-          columnar core ({!Pipeline}): the semi-naive loops of P_gld and
-          P_plw^s lower each recursive branch once into fused closure
-          chains over unboxed column batches (constant join sides
-          indexed once per fixpoint per worker, every tuple hashed once
-          per iteration — exchange routing, merging and accumulator
-          absorption all reuse the stored hash column); the non-fixpoint
-          shell around [Fix] nodes runs the same fused chains
-          column-at-a-time ({!Pipeline.Shell}), materializing only at
-          size decisions and exchanges; and P_plw^pg's per-worker local
-          fixpoints run the compiled batch loop ({!Localdb.Bexec}).
-          Fallback is per subtree: an unsupported shell operator
-          interprets just that node over batch<->Tset bridges, an
-          unsupported branch shape falls the fixpoint back to the
-          interpreted loop, an unsupported local plan falls back to
-          SQL/volcano — each fallback counted by the
-          [pipeline_fallback_total{reason,site}] telemetry counter.
-          EXPLAIN ANALYZE forces the interpreter everywhere. Results,
-          iteration counts, delta curves and communication counters are
-          bit-identical either way; [false] forces the interpreter — the
-          parity oracle for tests and the [micro_compiled] /
-          [micro_shell] baselines. *)
 }
 
 val default_config : Distsim.Cluster.t -> config
@@ -82,7 +52,7 @@ type fix_report = {
       (** term-tree path of the [Fix] node (root "0"; child [i] of [p] is
           [p ^ "." ^ i]; Fix children = constant branches then recursive
           ones, in [Mura.Fcond.split] order — the convention shared with
-          [Localdb.Instance] and [Cost.Feedback]) *)
+          [Cost.Feedback]) *)
   plan : fixpoint_plan;
   stable : string list;  (** stable columns found by the stabilizer *)
   partitioned_by : string list;  (** actual repartitioning applied *)
@@ -102,32 +72,23 @@ type ctx
 (** A session: a cluster, a driver-side catalog, and the cache of
     already-distributed tables. *)
 
-type shell_cache
-(** Cache of typing-only shell analyses ({!Pipeline.Shell.analyze}
-    results, keyed by {!Mura.Normal.serialize}). Pass one long-lived
-    cache to every {!session} of a service so a repeated query's shell
-    is analyzed once; the analyses depend only on the catalog's schemas,
-    so drop the cache when those change. *)
-
-val shell_cache : unit -> shell_cache
-
-val clear_shell_cache : shell_cache -> unit
-(** Drop every cached analysis (call on catalog schema changes). *)
-
-val session : ?shell_cache:shell_cache -> config -> (string * Relation.Rel.t) list -> ctx
+val session : config -> (string * Relation.Rel.t) list -> ctx
 val config_of : ctx -> config
 val report : ctx -> report
 val metrics : ctx -> Distsim.Metrics.t
 
 val exec_dds : ctx -> Mura.Term.t -> Distsim.Dds.t
-(** Distributed evaluation; the result stays distributed. *)
+(** Distributed evaluation; the result stays distributed. Every operator
+    runs inside an ["op"] trace span carrying its term-tree path and,
+    where its output materializes, its [rows] (see {!Analyze}). *)
 
 val explain : ctx -> Mura.Term.t -> string
 (** Describe the physical plan that {!exec_dds} would choose, without
     executing: operator tree with join strategies and, per fixpoint, the
-    selected plan, the stable columns and the repartitioning. Fixpoint
-    plan selection mirrors execution exactly; join strategy choices are
-    stated as rules (sizes are only known at run time). *)
+    selected plan, the stable columns, the repartitioning and (for
+    P_plw^pg) the per-worker local plan. Fixpoint plan selection mirrors
+    execution exactly; join strategy choices are stated as rules (sizes
+    are only known at run time). *)
 
 val run : ctx -> Mura.Term.t -> Relation.Rel.t
 (** [exec_dds] followed by a collect to the driver. *)
@@ -143,19 +104,20 @@ val run : ctx -> Mura.Term.t -> Relation.Rel.t
     - {b insertions} seed the semi-naive loop with the differential of
       the body at [X := accumulator] ({!Mura.Deriv}) — only derivations
       touching the new tuples are evaluated — and resume the loop
-      (compiled {!Pipeline} closures when they engage, the interpreted
-      drivers otherwise, both entered through their [?delta0] resume
-      point);
+      through its [?delta0] resume point;
     - {b deletions} run DRed: over-delete everything derivable from the
       deleted tuples through the {e old} rules (clipped to the
       accumulator), then re-derive by resuming from the surviving
       under-approximation over the new catalog.
 
-    Results are bit-identical to a from-scratch fixpoint on the updated
-    catalog — the parity contract tests and [micro_incremental]
-    enforce. Unsupported updates (changed relation under an antijoin
-    right side or a nested fixpoint, P_plw^pg plans) report
-    [`Unsupported] and the caller falls back to recomputation. *)
+    Both run on the compiled pipelines: {!Pipeline.apply} for the
+    differential summands and the over-delete rounds, {!Pipeline.run}
+    for the resumed loop. Results are identical to a from-scratch
+    fixpoint on the updated catalog — the parity tests and
+    [micro_incremental] check them against [Mura.Eval]. Unsupported
+    updates (changed relation under an antijoin right side or a nested
+    fixpoint, P_plw^pg plans) report [`Unsupported] and the caller
+    falls back to recomputation. *)
 module Incr : sig
   type handle
 
@@ -185,7 +147,7 @@ module Incr : sig
   (** Collect the current converged result to the driver. *)
 
   val size : handle -> int
-  (** Tuples in the live accumulator (driver-side count, not metered). *)
+  (** Tuples in the live accumulator (driver-side count, not charged). *)
 
   val tables : handle -> (string * Relation.Rel.t) list
   (** The catalog the current result reflects. *)
@@ -203,40 +165,32 @@ module Incr : sig
       callers that account iterations and plan choices per evaluation. *)
 end
 
-(** EXPLAIN ANALYZE: the annotated plan tree of an executed term.
+(** EXPLAIN ANALYZE: the annotated plan tree of a traced run.
 
-    Only meaningful on a session created with [collect_actuals = true]
-    and after running the term; without instrumentation every actual
-    reads 0. Node addressing follows the shared path convention (see
-    {!type:fix_report}[.fix_path]), which is how per-path estimates from
-    [Cost.Feedback] join against these actuals. *)
+    Actuals come from the code that ran: run the term with a tracer
+    installed, then fold its ["op"] spans by node path. Node addressing
+    follows the shared path convention (see {!type:fix_report}[.fix_path]),
+    which is how per-path estimates from [Cost.Feedback] join against
+    these actuals. *)
 module Analyze : sig
-  type local_op = {
-    l_path : string;  (** path within the local plan (its own root "0") *)
-    l_label : string;
-    l_rows_total : int;  (** output rows summed over workers *)
-    l_ns_max : float;  (** slowest worker's cumulative time *)
-    l_rounds : int;  (** max semi-naive rounds (0 for non-Fix nodes) *)
-    l_workers : int;  (** workers that reported this operator *)
-  }
-  (** One operator of a P_plw^pg per-worker local plan, aggregated
-      across workers. *)
-
   type node = {
     path : string;
     label : string;
-    rows : int;  (** actual output cardinality (summed over iterations) *)
+    rows : int option;
+        (** output cardinality where the node materialized (summed over
+            the node's evaluations, e.g. a recursive branch's iterations);
+            [None] for a node fused into its consumer's chain *)
     ns : float;  (** cumulative time, inclusive of children *)
-    calls : int;  (** evaluations (iteration count for in-loop nodes) *)
+    calls : int;  (** evaluations (iteration count for recursive branches) *)
     plan : string option;  (** fixpoint plan name, [Fix] nodes only *)
     iterations : int;  (** fixpoint iterations; 0 elsewhere *)
     deltas : int list;  (** per-iteration fresh-tuple counts *)
-    local : local_op list;  (** P_plw^pg local-plan actuals *)
     children : node list;
   }
 
-  val tree : ctx -> Mura.Term.t -> node
-  (** Join the term tree with the actuals collected by the session. *)
+  val tree : ctx -> Trace.event list -> Mura.Term.t -> node
+  (** Join the term tree with the run's trace events and the session's
+      fixpoint reports. Pass only the events of the run being analyzed. *)
 
   val render : ?annot:(string -> string) -> node -> string
   (** Indented annotated-plan text. [annot path] injects extra

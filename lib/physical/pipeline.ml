@@ -1,35 +1,31 @@
-(* Compiled columnar execution core.
+(* Compiled columnar execution core: the distributed executor.
 
    [compile] lowers the union-free recursive branches of a fixpoint into
-   fused operator pipelines over {!Relation.Batch} column blocks, and
-   [run] drives the semi-naive loop over them. Each branch becomes an
-   alternating list of fused segments (closure chains that stream a
-   partition column-at-a-time through select/project/rename/join-probe
-   without materialising intermediate [Tuple.t] rows) and exchange
-   points (metered batch repartitions). The interpreter in [Exec] stays
-   the always-available oracle: [compile] returns [None] for any shape
-   it does not cover and the caller falls back, so results, iteration
-   counts and communication counters are bit-identical by construction
-   wherever the compiled path engages.
+   fused operator pipelines over {!Relation.Batch} column blocks, [run]
+   drives the semi-naive loop over them and [apply] applies them once.
+   Each branch becomes an alternating list of fused segments (closure
+   chains that stream a partition column-at-a-time through
+   select/project/rename/join-probe without materialising intermediate
+   [Tuple.t] rows) and exchange points (charged batch repartitions).
+   [Shell] lowers the non-fixpoint operators around [Fix] nodes onto the
+   same chains.
 
-   Parity contract with the interpreted loop (enforced by the qcheck
-   suites and the [micro_compiled] bench gates):
-   - same result relation, same per-iteration fresh counts;
-   - same shuffle/broadcast counters: branch exchanges mirror the
-     delta-side [Dds.repartition] of a shuffle join (with the
-     [same_hashing] no-op rule applied against the tracked
-     partitioning), the constant side is repartitioned once per
-     fixpoint, broadcasts are metered at compile time exactly like
-     [compile_branch];
-   - same seen-filter drops (the filter rides on the per-iteration
-     exchange unchanged).
+   Metering contract, checked against pinned counters and [Mura.Eval]
+   by the physical test suite:
+   - broadcast joins and antijoins evaluate their constant side once,
+     at compile time, and meter one broadcast of it; in shuffle mode a
+     join with no shared column does the same with the collected
+     constant side;
+   - shuffle joins and antijoins distribute the constant side at
+     compile time and co-partition it by the join columns on the first
+     application only ([Dds.repartition]'s no-op rule applies); the
+     delta side is exchanged on every application unless it is already
+     hashed by those columns;
+   - the per-iteration exchange of P_gld carries the seen filter.
 
-   What the compiled path does *not* re-do each iteration is the
-   interpreter's per-tuple overhead: tuple allocation in project/rename,
-   per-iteration index builds over the constant join side (built once
-   per fixpoint per worker here), and re-hashing on every set insert
-   (the batch hash column is computed once per emitted row and reused
-   by routing, merging and accumulator absorption). *)
+   Every emitted row is hashed once; exchange routing, merging and
+   accumulator absorption reuse the stored hash column, and the index
+   over a constant join side is built once per fixpoint per worker. *)
 
 module Schema = Relation.Schema
 module Rel = Relation.Rel
@@ -45,6 +41,33 @@ module Cluster = Distsim.Cluster
 module Metrics = Distsim.Metrics
 
 let child path i = path ^ "." ^ string_of_int i
+let err fmt = Format.kasprintf (fun s -> raise (Mura.Eval.Eval_error s)) fmt
+
+(* ------------------------------------------------------------------ *)
+(* Operator spans                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Span label of one physical operator (trace category "op"). *)
+let op_label (t : Term.t) =
+  match t with
+  | Rel n -> "Rel " ^ n
+  | Cst _ -> "Cst"
+  | Var x -> "Var " ^ x
+  | Select _ -> "Select"
+  | Project _ -> "Project"
+  | Antiproject _ -> "Antiproject"
+  | Rename _ -> "Rename"
+  | Join _ -> "Join"
+  | Antijoin _ -> "Antijoin"
+  | Union _ -> "Union"
+  | Fix (x, _) -> "Fix " ^ x
+
+let op_span ~path label f =
+  Trace.span (Trace.get ()) ~cat:"op" ~attrs:[ ("path", Trace.Str path) ] label f
+
+let set_rows n =
+  let tr = Trace.get () in
+  if Trace.enabled tr then Trace.set_attr tr "rows" (Trace.Int n)
 
 (* ------------------------------------------------------------------ *)
 (* Row-level operators of a fused segment                              *)
@@ -86,12 +109,13 @@ type step =
 
 type branch = {
   steps : step list;
-  out_schema : Schema.t;  (* static schema of the branch's output batches *)
+  out_schema : Schema.t;  (* schema of the branch's output batches *)
   prepares : (unit -> unit) list;
-      (* idempotent driver-side setup run at the top of every iteration:
-         the once-per-fixpoint co-partitioning of shuffle-join constant
-         sides (metered on its first run, exactly like the interpreter's
-         memoized [Dds.repartition] of the constant side) *)
+      (* idempotent driver-side setup run before every application: the
+         once-per-fixpoint co-partitioning of shuffle-mode constant
+         sides (charged on its first run) *)
+  path : string;  (* term-tree path of the branch node, for its op span *)
+  label : string;
 }
 
 type t = {
@@ -100,90 +124,6 @@ type t = {
   arity : int;
   branches : branch list;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Plan pass: static supportability check (no evaluation, no metering)  *)
-(* ------------------------------------------------------------------ *)
-
-exception Unsupported of string
-
-(* Decide whether a branch compiles, computing the schema at every chain
-   point from typing alone. Runs before any constant subterm is
-   evaluated or broadcast, so a reject verdict costs nothing and the
-   interpreter fallback never double-meters. Raising [Unsupported] (or
-   any typing/schema error) rejects with a reason slug for the
-   per-reason fallback telemetry; the interpreter then reproduces the
-   exact dynamic error behaviour. *)
-let plan_branch ~var ~join_mode ~typing ~x_schema branch : (Schema.t, string) result =
-  let rec go (t : Term.t) : Schema.t =
-    match t with
-    | Term.Var x when String.equal x var -> x_schema
-    | Term.Select (p, u) ->
-      let s = go u in
-      ignore (Schema.positions s (Pred.columns p));
-      s
-    | Term.Project (keep, u) ->
-      let s = Schema.restrict (go u) keep in
-      if Schema.arity s = 0 then raise (Unsupported "zero_arity_project");
-      s
-    | Term.Antiproject (drop, u) ->
-      let su = go u in
-      let keep = List.filter (fun c -> not (List.mem c drop)) (Schema.cols su) in
-      let s = Schema.restrict su keep in
-      if Schema.arity s = 0 then raise (Unsupported "zero_arity_project");
-      s
-    | Term.Rename (m, u) -> Schema.rename m (go u)
-    | Term.Join (a, b) ->
-      let recursive, const = if Term.has_free_var var a then (a, b) else (b, a) in
-      if Term.has_free_var var const then
-        raise (Unsupported "nonlinear_join") (* non-linear: interpreter errs *);
-      let sr = go recursive in
-      let sc = typing const in
-      let shared = Schema.common sr sc in
-      (match join_mode with
-      | `Shuffle when shared = [] ->
-        (* the interpreter picks a dynamic broadcast side by size here *)
-        raise (Unsupported "cartesian_shuffle_join")
-      | `Shuffle | `Broadcast -> ());
-      Schema.append_distinct sr sc
-    | Term.Antijoin (a, b) ->
-      if Term.has_free_var var b then
-        raise (Unsupported "nonpositive_antijoin") (* not positive: interpreter errs *);
-      (match join_mode with
-      | `Shuffle ->
-        (* interpreted [antijoin_shuffle] re-shuffles the constant side
-           per iteration; keep that metering on the oracle path *)
-        raise (Unsupported "shuffle_antijoin")
-      | `Broadcast -> ());
-      let sr = go a in
-      ignore (typing b);
-      sr
-    | Term.Var _ -> raise (Unsupported "foreign_var")
-    | Term.Fix _ -> raise (Unsupported "nested_fix")
-    | Term.Rel _ | Term.Cst _ | Term.Union _ -> raise (Unsupported "unsupported_shape")
-  in
-  match go branch with
-  | s ->
-    (* the semi-naive driver relayouts produced into the accumulator's
-       schema; different column *sets* are an interpreter error *)
-    if Schema.equal_names s x_schema then Ok s else Error "branch_schema_mismatch"
-  | exception Unsupported reason -> Error reason
-  | exception (Schema.Schema_error _ | Mura.Typing.Type_error _) -> Error "typing"
-
-(* Typing-only verdict for one branch, for explain and telemetry. *)
-let branch_verdict ~var ~join_mode ~typing ~x_schema branch : (unit, string) result =
-  Result.map ignore (plan_branch ~var ~join_mode ~typing ~x_schema branch)
-
-(* First reason the fixpoint as a whole would fall back, if any. *)
-let reject_reason ~var ~join_mode ~typing ~x_schema recs : string option =
-  if Schema.arity x_schema = 0 then Some "zero_arity_accumulator"
-  else
-    List.find_map
-      (fun b ->
-        match plan_branch ~var ~join_mode ~typing ~x_schema b with
-        | Ok _ -> None
-        | Error r -> Some r)
-      recs
 
 (* ------------------------------------------------------------------ *)
 (* Lowering pass: evaluate constant sides, build atoms                  *)
@@ -205,121 +145,137 @@ let project_partitioning keep (p : Dds.partitioning) : Dds.partitioning =
   | Dds.Hashed cols when List.for_all (fun c -> List.mem c keep) cols -> Dds.Hashed cols
   | Dds.Hashed _ | Dds.Arbitrary -> Dds.Arbitrary
 
+(* A constant side co-partitioned by [shared], for shuffle-mode joins
+   and antijoins: [prepare] repartitions it on its first run only (the
+   exchange is charged once per fixpoint, unless [Dds.repartition]
+   no-ops), and worker [w]'s index over its partition is built lazily by
+   [w]'s own stage, then reused by every later application. *)
+let copartitioned ~workers ~shared const_dds =
+  let part = ref None in
+  let idxs = Array.make workers None in
+  let prepare () = if !part = None then part := Some (Dds.repartition ~by:shared const_dds) in
+  let index w =
+    match idxs.(w) with
+    | Some i -> i
+    | None ->
+      let cp = match !part with Some d -> d | None -> assert false in
+      let i = Index.build (Dds.schema cp) shared (Tset.to_seq (Dds.partition cp w)) in
+      idxs.(w) <- Some i;
+      i
+  in
+  (prepare, index)
+
+(* Lower one recursive branch. Constant sides are evaluated in term
+   order, recursive side first, so errors surface as they would in a
+   tree walk: a foreign variable or a nested fixpoint is an
+   [Eval_error], a typing failure raises where the operator needs the
+   missing column. *)
 let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~path branch :
-    atom list * (unit -> unit) list =
+    atom list * Schema.t * (unit -> unit) list =
   let workers = Cluster.workers cluster in
   let prepares = ref [] in
+  let row rop out_schema ptrans = A_rop { rop = Some rop; out_schema; ptrans } in
+  (* broadcast probe over a driver-side constant relation, charged once;
+     the immutable index is shared by every worker domain (with no
+     shared column it is the broadcast cartesian) *)
+  let bcast_join sr rel =
+    Dds.broadcast cluster rel;
+    let rs = Rel.schema rel in
+    let shared = Schema.common sr rs in
+    let out = Schema.append_distinct sr rs in
+    let _, extra_pos = extra_of sr rs in
+    let idx = Index.build rs shared (Tset.to_seq (Rel.tuples rel)) in
+    let probe _w key = Index.probe idx key in
+    (row (R_probe { key_pos = Schema.positions sr shared; extra_pos; probe }) out Fun.id, out)
+  in
   let rec go ~path (t : Term.t) : atom list * Schema.t =
     match t with
-    | Term.Var _ -> ([], x_schema)
+    | Term.Var x when String.equal x var -> ([], x_schema)
+    | Term.Var x -> err "foreign recursive variable %S in branch" x
     | Term.Select (p, u) ->
       let atoms, s = go ~path:(child path 0) u in
-      let pred = Pred.compile s p in
-      (atoms @ [ A_rop { rop = Some (R_filter pred); out_schema = s; ptrans = Fun.id } ], s)
+      (atoms @ [ row (R_filter (Pred.compile s p)) s Fun.id ], s)
     | Term.Project (keep, u) ->
       let atoms, s = go ~path:(child path 0) u in
       let out = Schema.restrict s keep in
-      let pos = Schema.positions s keep in
-      ( atoms
-        @ [
-            A_rop
-              { rop = Some (R_project pos); out_schema = out; ptrans = project_partitioning keep };
-          ],
-        out )
+      (atoms @ [ row (R_project (Schema.positions s keep)) out (project_partitioning keep) ], out)
     | Term.Antiproject (drop, u) ->
       let atoms, s = go ~path:(child path 0) u in
       let keep = List.filter (fun c -> not (List.mem c drop)) (Schema.cols s) in
       let out = Schema.restrict s keep in
-      let pos = Schema.positions s keep in
-      ( atoms
-        @ [
-            A_rop
-              { rop = Some (R_project pos); out_schema = out; ptrans = project_partitioning keep };
-          ],
-        out )
+      (atoms @ [ row (R_project (Schema.positions s keep)) out (project_partitioning keep) ], out)
     | Term.Rename (m, u) ->
       let atoms, s = go ~path:(child path 0) u in
       let out = Schema.rename m s in
       (atoms @ [ A_rop { rop = None; out_schema = out; ptrans = rename_partitioning m } ], out)
-    | Term.Join (a, b) ->
+    | Term.Join (a, b) -> (
+      (* linearity: exactly one side mentions the variable *)
       let (recursive, rpath), (const, cpath) =
         if Term.has_free_var var a then ((a, child path 0), (b, child path 1))
         else ((b, child path 1), (a, child path 0))
       in
       let atoms, sr = go ~path:rpath recursive in
-      (match join_mode with
+      match join_mode with
       | `Broadcast ->
-        (* metered once at compile time, exactly like [compile_branch];
-           the prepared index over the broadcast side is immutable and
-           shared by every worker domain *)
-        let rel = eval_const ~path:cpath const in
-        ignore (Dds.broadcast cluster rel);
-        let rs = Rel.schema rel in
-        let shared = Schema.common sr rs in
-        let out = Schema.append_distinct sr rs in
-        let _, extra_pos = extra_of sr rs in
-        let idx = Index.build rs shared (Tset.to_seq (Rel.tuples rel)) in
-        let rop =
-          R_probe
-            {
-              key_pos = Schema.positions sr shared;
-              extra_pos;
-              probe = (fun _w key -> Index.probe idx key);
-            }
-        in
-        (atoms @ [ A_rop { rop = Some rop; out_schema = out; ptrans = Fun.id } ], out)
-      | `Shuffle ->
+        let atom, out = bcast_join sr (eval_const ~path:cpath const) in
+        (atoms @ [ atom ], out)
+      | `Shuffle -> (
         let const_dds = exec_const ~path:cpath const in
         let cs = Dds.schema const_dds in
-        let shared = Schema.common sr cs in
-        let out = Schema.append_distinct sr cs in
-        let _, extra_pos = extra_of sr cs in
-        (* constant side co-partitioned once per fixpoint (metered on
-           first run unless already hashed right — [Dds.repartition]'s
-           own no-op rule), per-worker indexes built lazily inside the
-           probe stage and reused by every later iteration *)
-        let const_part = ref None in
-        let idxs = Array.make workers None in
-        prepares :=
-          (fun () ->
-            if !const_part = None then const_part := Some (Dds.repartition ~by:shared const_dds))
-          :: !prepares;
-        let probe w key =
-          let idx =
-            match idxs.(w) with
-            | Some i -> i
-            | None ->
-              let cp = match !const_part with Some d -> d | None -> assert false in
-              let i = Index.build cs shared (Tset.to_seq (Dds.partition cp w)) in
-              idxs.(w) <- Some i;
-              i
-          in
-          Index.probe idx key
-        in
-        let rop = R_probe { key_pos = Schema.positions sr shared; extra_pos; probe } in
-        ( atoms
-          @ [
-              A_exch { by = shared; schema = sr };
-              A_rop { rop = Some rop; out_schema = out; ptrans = Fun.id };
-            ],
-          out ))
-    | Term.Antijoin (a, b) ->
+        match Schema.common sr cs with
+        | [] ->
+          let atom, out = bcast_join sr (Dds.collect const_dds) in
+          (atoms @ [ atom ], out)
+        | shared ->
+          let out = Schema.append_distinct sr cs in
+          let _, extra_pos = extra_of sr cs in
+          let prepare, index = copartitioned ~workers ~shared const_dds in
+          prepares := prepare :: !prepares;
+          let probe w key = Index.probe (index w) key in
+          ( atoms
+            @ [
+                A_exch { by = shared; schema = sr };
+                row (R_probe { key_pos = Schema.positions sr shared; extra_pos; probe }) out Fun.id;
+              ],
+            out )))
+    | Term.Antijoin (a, b) -> (
+      if Term.has_free_var var b then err "fixpoint on %s is not positive" var;
       let atoms, sr = go ~path:(child path 0) a in
-      let rel = eval_const ~path:(child path 1) b in
-      ignore (Dds.broadcast cluster rel);
-      let rs = Rel.schema rel in
-      let shared = Schema.common sr rs in
-      let idx = Index.build rs shared (Tset.to_seq (Rel.tuples rel)) in
-      let rop =
-        R_antiprobe
-          { key_pos = Schema.positions sr shared; mem = (fun _w key -> Index.mem idx key) }
+      let bpath = child path 1 in
+      let antiprobe shared mem =
+        row (R_antiprobe { key_pos = Schema.positions sr shared; mem }) sr Fun.id
       in
-      (atoms @ [ A_rop { rop = Some rop; out_schema = sr; ptrans = Fun.id } ], sr)
-    | Term.Rel _ | Term.Cst _ | Term.Union _ | Term.Fix _ ->
-      assert false (* rejected by [plan_branch] *)
+      match join_mode with
+      | `Broadcast ->
+        let rel = eval_const ~path:bpath b in
+        Dds.broadcast cluster rel;
+        let rs = Rel.schema rel in
+        let shared = Schema.common sr rs in
+        let idx = Index.build rs shared (Tset.to_seq (Rel.tuples rel)) in
+        (atoms @ [ antiprobe shared (fun _w key -> Index.mem idx key) ], sr)
+      | `Shuffle -> (
+        let const_dds = exec_const ~path:bpath b in
+        match Schema.common sr (Dds.schema const_dds) with
+        | [] ->
+          (* no shared column: all of the left side when the right one is
+             empty, nothing otherwise *)
+          let nonempty = Dds.cardinal const_dds > 0 in
+          (atoms @ [ antiprobe [] (fun _w _key -> nonempty) ], sr)
+        | shared ->
+          let prepare, index = copartitioned ~workers ~shared const_dds in
+          prepares := prepare :: !prepares;
+          ( atoms
+            @ [
+                A_exch { by = shared; schema = sr };
+                antiprobe shared (fun w key -> Index.mem (index w) key);
+              ],
+            sr )))
+    | Term.Union _ -> err "internal: union inside a normalised branch"
+    | Term.Fix (x, _) -> err "internal: recursive variable %s under nested fixpoint %s" var x
+    | Term.Rel _ | Term.Cst _ -> err "internal: recursive branch without %s" var
   in
-  let atoms, _ = go ~path branch in
-  (atoms, List.rev !prepares)
+  let atoms, out_schema = go ~path branch in
+  (atoms, out_schema, List.rev !prepares)
 
 (* ------------------------------------------------------------------ *)
 (* Fusion: group consecutive row operators into one closure chain       *)
@@ -393,33 +349,18 @@ let fuse_atoms ~cluster ~x_schema atoms : step list =
 (* compile                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let compile ~cluster ~var ~join_mode ~x_schema ~typing ~exec_const ~eval_const ~branch_path recs :
-    t option =
-  if Schema.arity x_schema = 0 then None
-  else
-    let planned = List.map (plan_branch ~var ~join_mode ~typing ~x_schema) recs in
-    if List.exists Result.is_error planned then None
-    else begin
-      (* every branch compiles: only now evaluate constant sides (in
-         interpreter order, branch by branch) and build the fused steps,
-         so a fallback verdict never double-evaluates or double-meters *)
-      let branches =
-        List.map2
-          (fun (i, b) out_schema ->
-            let atoms, prepares =
-              lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const
-                ~path:(branch_path i) b
-            in
-            {
-              steps = fuse_atoms ~cluster ~x_schema atoms;
-              out_schema = Result.get_ok out_schema;
-              prepares;
-            })
-          (List.mapi (fun i b -> (i, b)) recs)
-          planned
-      in
-      Some { cluster; x_schema; arity = Schema.arity x_schema; branches }
-    end
+let compile ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~branch_path recs : t =
+  let branches =
+    List.mapi
+      (fun i b ->
+        let path = branch_path i in
+        let atoms, out_schema, prepares =
+          lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~path b
+        in
+        { steps = fuse_atoms ~cluster ~x_schema atoms; out_schema; prepares; path; label = op_label b })
+      recs
+  in
+  { cluster; x_schema; arity = Schema.arity x_schema; branches }
 
 (* ------------------------------------------------------------------ *)
 (* Semi-naive driver over batches                                       *)
@@ -427,26 +368,49 @@ let compile ~cluster ~var ~join_mode ~x_schema ~typing ~exec_const ~eval_const ~
 
 let total_rows (bs : Batch.t array) = Array.fold_left (fun acc b -> acc + Batch.length b) 0 bs
 
+(* One application of a branch, inside the branch node's op span; the
+   span's rows are the branch output (summed over a fixpoint's
+   iterations when the trace is folded by path). *)
 let apply_branch cluster br (delta : Batch.t array) (delta_part : Dds.partitioning) :
     Batch.t array * Dds.partitioning =
+  op_span ~path:br.path br.label @@ fun () ->
   List.iter (fun p -> p ()) br.prepares;
-  List.fold_left
-    (fun (bs, part) step ->
-      match step with
-      | Exch { by; schema } ->
-        if Dds.same_hashing part (Dds.Hashed by) then (bs, part)
-        else (Dds.repartition_batches cluster bs ~schema ~by, Dds.Hashed by)
-      | Fuse { runners; ptrans } ->
-        (Cluster.run_stage cluster (fun w -> runners.(w) bs.(w)), ptrans part))
-    (delta, delta_part) br.steps
+  let bs, part =
+    List.fold_left
+      (fun (bs, part) step ->
+        match step with
+        | Exch { by; schema } ->
+          if Dds.same_hashing part (Dds.Hashed by) then (bs, part)
+          else (Dds.repartition_batches cluster bs ~schema ~by, Dds.Hashed by)
+        | Fuse { runners; ptrans } ->
+          (Cluster.run_stage cluster (fun w -> runners.(w) bs.(w)), ptrans part))
+      (delta, delta_part) br.steps
+  in
+  set_rows (total_rows bs);
+  (bs, part)
+
+let batches_of ~arity d =
+  Array.init (Dds.num_partitions d) (fun w -> Batch.of_tset ~arity (Dds.partition d w))
+
+let apply t d =
+  match t.branches with
+  | [] -> []
+  | branches ->
+    let delta = batches_of ~arity:t.arity d in
+    List.map
+      (fun br ->
+        let bs, part = apply_branch t.cluster br delta (Dds.partitioning d) in
+        Dds.of_partitions t.cluster ~schema:br.out_schema ~partitioning:part
+          (Cluster.run_stage t.cluster (fun w -> Batch.to_tset bs.(w))))
+      branches
 
 (* Union the branch outputs into accumulator layout: per partition, a
    presized dedup builder over every branch's rows, permuted into
    [x_schema] order (reusing stored hashes when the permutation is the
-   identity). Partitioning follows the interpreter exactly:
-   [set_union_local]'s pairwise [same_hashing] fold over the branch
-   partitionings, then [relayout_dds]'s arbitrary-unless-ordered rule
-   keyed on the *first* branch's schema (the fold's layout). *)
+   identity). Partitioning: the pairwise [same_hashing] fold over the
+   branch partitionings, kept only when the first branch is already in
+   accumulator order (as [Dds.set_union_local] followed by a relayout
+   would label it). *)
 let union_branches ~x_schema ~arity (outs : (Batch.t array * Dds.partitioning * Schema.t) list)
     cluster : Batch.t array * Dds.partitioning =
   match outs with
@@ -509,7 +473,7 @@ let run t ~var ~plan_label ~x0 ~x0_private ?delta0 ~per_iter_by ?seen ~max_itera
      (already absorbed into [x0] by the caller) instead of the whole
      accumulator — the incremental-maintenance path *)
   let d0 = match delta0 with Some d -> d | None -> x0 in
-  let delta = ref (Array.init workers (fun w -> Batch.of_tset ~arity (Dds.partition d0 w))) in
+  let delta = ref (batches_of ~arity d0) in
   let delta_part = ref (Dds.partitioning d0) in
   let iterations = ref 0 in
   let deltas = ref [] in
@@ -572,65 +536,11 @@ let run t ~var ~plan_label ~x0 ~x0_private ?delta0 ~per_iter_by ?seen ~max_itera
 (* ------------------------------------------------------------------ *)
 
 (* The non-fixpoint shell around [Fix] nodes compiles to the same fused
-   chains as the recursive branches: [Exec] lowers each supported
-   operator onto a [chain] — per-worker batches plus a pending [rop]
-   list — and materializes only where the interpreter observes values
-   (join/antijoin cardinal decisions, exchanges, unions, the root).
-   Fallback is per subtree: [analyze] is a typing-only pass deciding
-   supportability for the whole term before any evaluation (so a
-   rejected node never double-evaluates or double-meters), and an
-   [Interp] node interprets just itself over batch<->Tset bridges while
-   its children stay compiled. *)
+   chains as the recursive branches: [Exec] lowers each operator onto a
+   [chain] — per-worker batches plus a pending [rop] list — and
+   materializes only where values are observed (join/antijoin size
+   decisions, exchanges, unions, the root). *)
 module Shell = struct
-  type verdict = Compiled | Interp of string
-
-  type static = { s_verdict : verdict; s_schema : Schema.t option; s_children : static list }
-
-  let children_of (t : Term.t) : Term.t list =
-    match t with
-    | Term.Rel _ | Term.Cst _ | Term.Var _ | Term.Fix _ -> []
-    | Term.Select (_, u) | Term.Project (_, u) | Term.Antiproject (_, u) | Term.Rename (_, u) ->
-      [ u ]
-    | Term.Join (a, b) | Term.Antijoin (a, b) | Term.Union (a, b) -> [ a; b ]
-
-  (* Typing-only supportability: no constant is evaluated here. A node
-     interprets when its (or a direct child's) output arity is zero —
-     batches cannot carry zero-width rows — or when typing fails (the
-     interpreter then reproduces the exact dynamic error). [Fix] nodes
-     are shell leaves: the fixpoint itself reports its own per-branch
-     compilation separately. *)
-  let analyze ~typing (term : Term.t) : static =
-    let rec go (t : Term.t) : static =
-      let children = List.map go (children_of t) in
-      let schema =
-        match typing t with
-        | s -> Some s
-        | exception (Schema.Schema_error _ | Mura.Typing.Type_error _ | Mura.Fcond.Not_fcond _)
-          ->
-          None
-      in
-      let verdict =
-        match t with
-        | Term.Var _ -> Interp "free_var"
-        | _ -> (
-          match schema with
-          | None -> Interp "typing"
-          | Some s when Schema.arity s = 0 -> Interp "zero_arity"
-          | Some _ ->
-            if
-              List.exists
-                (fun c ->
-                  match c.s_schema with Some cs -> Schema.arity cs = 0 | None -> false)
-                children
-            then Interp "zero_arity_child"
-            else Compiled)
-      in
-      { s_verdict = verdict; s_schema = schema; s_children = children }
-    in
-    go term
-
-  let verdict_reason = function Compiled -> None | Interp r -> Some r
-
   (* A shell value: per-worker batches with a pending fused-operator
      suffix. [c_rehash] tracks whether any pending op changes row
      content (project/probe) — if not, materialization preserves rows
@@ -760,7 +670,7 @@ module Shell = struct
       { c with c_base = outs; c_base_schema = c.c_schema; c_rops = []; c_rehash = false }
     end
 
-  (* Metered batch repartition; the caller applies the [same_hashing]
+  (* Charged batch repartition; the caller applies the [same_hashing]
      no-op rule, mirroring [Dds.repartition]. *)
   let repartition cluster c ~by =
     let c = materialize cluster c in

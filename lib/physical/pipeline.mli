@@ -1,23 +1,19 @@
-(** Compiled columnar execution core: fused operator pipelines over
-    {!Relation.Batch} column blocks.
+(** Compiled columnar execution core: the distributed executor's fused
+    operator pipelines over {!Relation.Batch} column blocks.
 
     [compile] lowers the union-free recursive branches of a fixpoint
     into chains of fused segments (select/project/rename/join-probe as
     one closure chain per worker, streaming rows column-at-a-time with
-    no intermediate [Tuple.t] materialisation) separated by metered
+    no intermediate [Tuple.t] materialisation) separated by charged
     batch exchanges; [run] drives the semi-naive loop over them with a
     mutable per-worker accumulator ({!Relation.Tset.add_cols} probes
-    reusing the batch hash column) instead of per-iteration set algebra.
+    reusing the batch hash column) and [apply] applies them once.
+    {!Shell} lowers the non-fixpoint operators around [Fix] nodes onto
+    the same chains. Zero-arity relations run as width-0 batches.
 
-    The interpreted loop in [Exec] is the oracle: [compile] returns
-    [None] for any branch shape it does not cover (shuffle-mode
-    antijoins, shuffle joins with no shared column, nullary schemas,
-    non-F_cond shapes) and the caller falls back. Where the compiled
-    path engages, results, iteration counts, per-iteration fresh counts
-    and all communication counters (shuffles, records, bytes,
-    broadcasts, seen-filter drops) are bit-identical to the interpreter
-    by construction; wall-clock derived metrics (stage times, sim time,
-    histograms) are outside that contract. *)
+    Every application of a branch runs inside an ["op"] trace span
+    ({!op_span}) carrying the branch node's path and output [rows], so a
+    folded trace reports per-branch rows summed over iterations. *)
 
 module Schema = Relation.Schema
 module Rel = Relation.Rel
@@ -25,50 +21,46 @@ module Term = Mura.Term
 module Dds = Distsim.Dds
 module Cluster = Distsim.Cluster
 
+(** {1 Operator spans} *)
+
+val op_label : Term.t -> string
+(** Span label of a physical operator ("Join", "Fix X", "Rel E", …). *)
+
+val op_span : path:string -> string -> (unit -> 'a) -> 'a
+(** [op_span ~path label f] runs [f] inside a trace span of category
+    ["op"] with a [path] attribute: the term-tree path of the node
+    (root "0", child [i] of [p] is [p ^ "." ^ i]). *)
+
+val set_rows : int -> unit
+(** Attach the [rows] attribute (the node's output cardinality, known
+    where its chain materializes) to the innermost open span; a no-op
+    when tracing is off. *)
+
+(** {1 Recursive branches} *)
+
 type t
 (** A compiled fixpoint: fused per-worker pipelines for every recursive
     branch, plus their once-per-fixpoint preparation hooks. *)
-
-val branch_verdict :
-  var:string ->
-  join_mode:[ `Broadcast | `Shuffle ] ->
-  typing:(Term.t -> Schema.t) ->
-  x_schema:Schema.t ->
-  Term.t ->
-  (unit, string) result
-(** Typing-only supportability verdict for one recursive branch, with
-    the reason slug a rejection would fall back under (the [reason]
-    label of [pipeline_fallback_total]). Evaluates nothing. *)
-
-val reject_reason :
-  var:string ->
-  join_mode:[ `Broadcast | `Shuffle ] ->
-  typing:(Term.t -> Schema.t) ->
-  x_schema:Schema.t ->
-  Term.t list ->
-  string option
-(** First reason [compile] would return [None] for these branches, or
-    [None] when every branch compiles. *)
 
 val compile :
   cluster:Cluster.t ->
   var:string ->
   join_mode:[ `Broadcast | `Shuffle ] ->
   x_schema:Schema.t ->
-  typing:(Term.t -> Schema.t) ->
   exec_const:(path:string -> Term.t -> Dds.t) ->
   eval_const:(path:string -> Term.t -> Rel.t) ->
   branch_path:(int -> string) ->
   Term.t list ->
-  t option
-(** Compile the recursive branches of [mu(var = ...)]. A static planning
-    pass (typing only — no evaluation, no metering) first decides
-    supportability for {e every} branch; only on an all-branches verdict
-    are constant sides evaluated (via [exec_const] / [eval_const], in
-    interpreter order) and broadcasts metered, so a [None] fallback is
-    free and never double-meters. [x_schema] is the accumulator schema
-    (the constant part's); [branch_path i] names branch [i]'s node for
-    EXPLAIN ANALYZE paths. *)
+  t
+(** Compile the recursive branches of [mu(var = ...)], evaluating their
+    constant sides in term order: driver-side via [eval_const] for
+    broadcast joins ([`Broadcast], P_plw), distributed via [exec_const]
+    for [`Shuffle] (P_gld). Broadcasts are charged here, once.
+    [x_schema] is the layout of the datasets the branches are applied
+    to; [branch_path i] names branch [i]'s node.
+    @raise Mura.Eval.Eval_error on a foreign recursive variable, a
+    nested fixpoint or a non-positive antijoin; schema errors surface
+    from the operator that needs the missing column. *)
 
 val run :
   t ->
@@ -96,40 +88,25 @@ val run :
     iteration-shuffle dedup filter. [limit] builds the resource-limit
     exception ([Exec.Resource_limit] — passed in to keep this module
     below [Exec]). Returns (result, iterations, per-iteration fresh
-    counts), exactly like the interpreted driver. *)
+    counts).
+    @raise Relation.Schema.Schema_error when a branch's output columns
+    differ from [x_schema]'s. *)
+
+val apply : t -> Dds.t -> Dds.t list
+(** Apply every branch once to [d] (laid out as [x_schema]), with the
+    metering of {!run}'s iterations: one dataset per branch, in the
+    branch's own output layout, partitioned where its rows were
+    produced. The incremental-maintenance entry. *)
 
 (** {1 Whole-plan shell compilation}
 
     The non-fixpoint shell around [Fix] nodes lowers onto the same fused
     chains as the recursive branches. [Exec] drives the lowering (it
     owns operator semantics, size decisions and metering); this module
-    provides the typing-only supportability analysis and the chain
-    mechanics: per-worker batches with a pending fused-operator suffix,
-    materialized only where the interpreter observes values. Fallback is
-    per subtree: an [Interp] node interprets just itself over
-    batch<->Tset bridges while its children stay compiled, and because
-    [analyze] evaluates nothing, a rejected node never double-evaluates
-    or double-meters constants. *)
+    provides the chain mechanics: per-worker batches with a pending
+    fused-operator suffix, materialized only where values are
+    observed. *)
 module Shell : sig
-  type verdict = Compiled | Interp of string  (** reason slug *)
-
-  type static = {
-    s_verdict : verdict;
-    s_schema : Schema.t option;  (** [None] when typing fails at this node *)
-    s_children : static list;  (** in [children_of] order *)
-  }
-
-  val children_of : Term.t -> Term.t list
-  (** Shell children of a node. [Fix] nodes are shell leaves (the
-      fixpoint reports its own per-branch compilation separately). *)
-
-  val analyze : typing:(Term.t -> Schema.t) -> Term.t -> static
-  (** Typing-only whole-term supportability; evaluates nothing. A node
-      interprets when its or a direct child's output arity is zero, when
-      typing fails at it, or when it is a free variable. *)
-
-  val verdict_reason : verdict -> string option
-
   type chain
   (** Per-worker batches plus a pending fused-operator suffix. *)
 
@@ -146,6 +123,9 @@ module Shell : sig
   val schema : chain -> Schema.t
   val part : chain -> Dds.partitioning
   val set_part : chain -> Dds.partitioning -> chain
+
+  val is_mat : chain -> bool
+  (** No pending operators. *)
 
   val rows : chain -> int
   (** Total rows; the chain must be materialized. *)
@@ -186,7 +166,7 @@ module Shell : sig
       partitioning fold). *)
 
   val repartition : Cluster.t -> chain -> by:string list -> chain
-  (** Metered batch exchange ([Dds.repartition_batches]); the caller
+  (** Charged batch exchange ([Dds.repartition_batches]); the caller
       applies the [same_hashing] no-op rule. *)
 
   val batch_tuples : Relation.Batch.t -> Relation.Tuple.t Seq.t

@@ -145,9 +145,6 @@ type rhandle = {
 type t = {
   cluster : Cluster.t;
   exec_config : Exec.config;
-  shell_statics : Exec.shell_cache;
-      (* compiled-shell analyses shared by every session this service
-         opens; dropped on register (schemas may change) *)
   max_inflight : int;
   plan_capacity : int;
   cache_budget : int;
@@ -245,7 +242,6 @@ let create ?(max_inflight = 1) ?(plan_cache_capacity = 128)
   {
     cluster;
     exec_config;
-    shell_statics = Exec.shell_cache ();
     max_inflight;
     plan_capacity = plan_cache_capacity;
     cache_budget = result_cache_bytes;
@@ -414,7 +410,6 @@ let invalidate t ~hit ~plans ~absorb =
    so its handles are dropped. *)
 let register t name rel =
   Mutex.lock t.lock;
-  Exec.clear_shell_cache t.shell_statics;
   t.version <- t.version + 1;
   Hashtbl.replace t.registered name t.version;
   t.tbl <- (name, rel) :: List.remove_assoc name t.tbl;
@@ -705,7 +700,7 @@ let record_fixpoints st reports =
 
 let exec_on_cluster t ~tbl ~st term =
   on_cluster t ~st "serve.eval" @@ fun () ->
-  let ctx = Exec.session ~shell_cache:t.shell_statics t.exec_config tbl in
+  let ctx = Exec.session t.exec_config tbl in
   let rel = Exec.run ctx term in
   record_fixpoints st (Exec.report ctx).Exec.fixpoints;
   rel
@@ -1179,7 +1174,7 @@ let explain ?(optimize = true) t term =
   let plan = if optimize then optimize_term t tbl term else term in
   Mutex.lock t.cluster_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.cluster_lock) @@ fun () ->
-  let ctx = Exec.session ~shell_cache:t.shell_statics t.exec_config tbl in
+  let ctx = Exec.session t.exec_config tbl in
   Exec.explain ctx plan
 
 (* ------------------------------------------------------------------ *)

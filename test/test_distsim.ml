@@ -83,18 +83,6 @@ let test_distinct_free_when_hashed () =
   check_int "free distinct" before m.Metrics.shuffles;
   check_bool "same" true (d' == d)
 
-let test_join_broadcast () =
-  let c = Cluster.make ~workers:4 () in
-  let m = Cluster.metrics c in
-  let d = Dds.of_rel ~by:[ "src" ] c edges in
-  let small = Rel.rename [ ("src", "trg"); ("trg", "nxt") ] edges in
-  let before_b = m.Metrics.broadcasts in
-  let j = Dds.join_broadcast d small in
-  check_int "one broadcast" (before_b + 1) m.Metrics.broadcasts;
-  let expected = Rel.natural_join edges small in
-  check_rel "broadcast join = local join" expected (Dds.collect j);
-  check_bool "left partitioning preserved" true (Dds.partitioning j = Dds.Hashed [ "src" ])
-
 let test_join_shuffle () =
   let c = Cluster.make ~workers:4 () in
   let d = Dds.of_rel c edges in
@@ -103,15 +91,27 @@ let test_join_shuffle () =
   let j = Dds.join_shuffle d od in
   check_rel "shuffle join = local join" (Rel.natural_join edges other) (Dds.collect j)
 
+(* no shared column: the smaller side is collected and broadcast once,
+   whichever side it is, and joined narrowly against the other side *)
+let test_join_broadcast () =
+  let c = Cluster.make ~workers:4 () in
+  let m = Cluster.metrics c in
+  let small = rel [ "x" ] [ [ 7 ]; [ 8 ] ] in
+  List.iter
+    (fun (a, b) ->
+      let before = m.Metrics.broadcasts in
+      let j = Dds.join_shuffle (Dds.of_rel c a) (Dds.of_rel c b) in
+      check_int "one broadcast" (before + 1) m.Metrics.broadcasts;
+      check_rel "cartesian = local join" (Rel.natural_join a b) (Dds.collect j))
+    [ (edges, small); (small, edges) ]
+
 let test_antijoin_modes () =
   let c = Cluster.make ~workers:3 () in
   let d = Dds.of_rel c edges in
   let sinks = rel [ "trg" ] [ [ 3 ]; [ 4 ] ] in
   let expected = Rel.antijoin edges sinks in
-  check_rel "broadcast anti" expected (Dds.collect (Dds.antijoin_broadcast d sinks));
-  let d2 = Dds.of_rel c edges in
   let sd = Dds.of_rel c sinks in
-  check_rel "shuffle anti" expected (Dds.collect (Dds.antijoin_shuffle d2 sd))
+  check_rel "shuffle anti" expected (Dds.collect (Dds.antijoin_shuffle d sd))
 
 let test_set_diff_local () =
   let c = Cluster.make ~workers:4 () in
@@ -152,21 +152,10 @@ let test_parallel_domains () =
   (* same results with real multicore execution *)
   let c = Cluster.make ~parallel:true ~workers:4 () in
   let d = Dds.of_rel ~by:[ "src" ] c edges in
-  let j = Dds.join_broadcast d (Rel.rename [ ("src", "trg"); ("trg", "n") ] edges) in
+  let j = Dds.join_shuffle d (Dds.of_rel c (Rel.rename [ ("src", "trg"); ("trg", "n") ] edges)) in
   check_rel "parallel join"
     (Rel.natural_join edges (Rel.rename [ ("src", "trg"); ("trg", "n") ] edges))
     (Dds.collect j)
-
-let test_broadcast_token_metered_once () =
-  let c = Cluster.make ~workers:4 () in
-  let m = Cluster.metrics c in
-  let d = Dds.of_rel ~by:[ "src" ] c edges in
-  let bc = Dds.broadcast c (Rel.rename [ ("src", "trg"); ("trg", "n") ] edges) in
-  let before = m.Metrics.broadcasts in
-  ignore (Dds.join_bcast d bc);
-  ignore (Dds.join_bcast d bc);
-  ignore (Dds.join_bcast d bc);
-  check_int "no re-broadcast" before m.Metrics.broadcasts
 
 let test_metrics_accounting () =
   let m = Metrics.create () in
@@ -358,8 +347,7 @@ let prop_distributed_join =
       let b' = Rel.rename [ ("src", "trg"); ("trg", "nxt") ] b in
       let expected = Rel.natural_join a b' in
       let shuffled = Dds.collect (Dds.join_shuffle (Dds.of_rel c a) (Dds.of_rel c b')) in
-      let broadcast = Dds.collect (Dds.join_broadcast (Dds.of_rel c a) b') in
-      Rel.equal expected shuffled && Rel.equal expected broadcast)
+      Rel.equal expected shuffled)
 
 let prop_distinct_after_union =
   qtest "union+distinct ≡ set union"
@@ -369,34 +357,6 @@ let prop_distinct_after_union =
       let u = Dds.union_distinct (Dds.of_rel ~by:[ "src" ] c a) (Dds.of_rel ~by:[ "trg" ] c b) in
       Rel.equal (Rel.union a b) (Dds.collect u)
       && Dds.cardinal u = Rel.cardinal (Rel.union a b))
-
-let prop_prepared_bcast_join =
-  qtest "prepared ≡ naive broadcast join/antijoin"
-    QCheck2.Gen.(triple random_graph_gen random_graph_gen (int_range 1 6))
-    (fun (a, b, workers) ->
-      let c = Cluster.make ~workers () in
-      let b' = Rel.rename [ ("src", "trg"); ("trg", "nxt") ] b in
-      let d = Dds.of_rel c a in
-      let bc = Dds.broadcast c b' in
-      let p = Dds.prepare_bcast ~for_schema:(Dds.schema d) bc in
-      Rel.equal (Rel.natural_join a b') (Dds.collect (Dds.join_bcast_prepared d p))
-      && Rel.equal (Rel.antijoin a b') (Dds.collect (Dds.antijoin_bcast_prepared d p))
-      (* reuse across "iterations": same handle, different probe side *)
-      && Rel.equal
-           (Rel.natural_join (Rel.select (Pred.Eq_const ("src", 1)) a) b')
-           (Dds.collect
-              (Dds.join_bcast_prepared (Dds.filter (Pred.Eq_const ("src", 1)) d) p)))
-
-let prop_prepared_bcast_disjoint =
-  qtest "prepared broadcast with no shared columns"
-    QCheck2.Gen.(triple random_graph_gen random_graph_gen (int_range 1 6))
-    (fun (a, b, workers) ->
-      let c = Cluster.make ~workers () in
-      let b' = Rel.rename [ ("src", "x"); ("trg", "y") ] b in
-      let d = Dds.of_rel c a in
-      let p = Dds.prepare_bcast ~for_schema:(Dds.schema d) (Dds.broadcast c b') in
-      Rel.equal (Rel.natural_join a b') (Dds.collect (Dds.join_bcast_prepared d p))
-      && Rel.equal (Rel.antijoin a b') (Dds.collect (Dds.antijoin_bcast_prepared d p)))
 
 (* --- Metrics and histograms ----------------------------------------- *)
 
@@ -688,7 +648,7 @@ let test_seen_filter_drops () =
     let again = Dds.repartition ~seen ~by:[ "trg" ] d in
     check_int "re-derivations dropped" (Rel.cardinal r) (Dds.seen_dropped seen);
     check_int "second routing empty" 0 (Dds.cardinal again);
-    check_int "drops metered" (Rel.cardinal r) m.Metrics.dedup_dropped_records;
+    check_int "drops charged" (Rel.cardinal r) m.Metrics.dedup_dropped_records;
     check_int "dropped tuples not shuffled" records_after_first m.Metrics.shuffled_records;
     let out = Dds.collect first in
     let cnt = (Dds.seen_dropped seen, m.Metrics.dedup_dropped_records, shuffle_counters m) in
@@ -777,7 +737,6 @@ let () =
           Alcotest.test_case "broadcast join" `Quick test_join_broadcast;
           Alcotest.test_case "shuffle join" `Quick test_join_shuffle;
           Alcotest.test_case "antijoins" `Quick test_antijoin_modes;
-          Alcotest.test_case "broadcast token" `Quick test_broadcast_token_metered_once;
         ] );
       ( "accounting",
         [
@@ -800,7 +759,5 @@ let () =
         [
           prop_distributed_join;
           prop_distinct_after_union;
-          prop_prepared_bcast_join;
-          prop_prepared_bcast_disjoint;
         ] );
     ]

@@ -224,8 +224,31 @@ let test_analyze_annotated_plan () =
   check_bool "query q-error >= 1" true (a.R.a_q_error >= 1.);
   (* the analyzed run's root actual must match the plain outcome *)
   match a.R.a_outcome with
-  | S.Success s -> check_int "tree root = result size" s.result_size a.R.a_tree.rows
+  | S.Success s -> check_bool "tree root = result size" true (a.R.a_tree.rows = Some s.result_size)
   | o -> Alcotest.failf "analyze outcome: %s" (R.cell_text o)
+
+(* EXPLAIN ANALYZE over the chosen plans of Q1-Q49 on small graphs: each
+   traced run returns Mura.Eval's result, and its root reports it *)
+let test_analyze_corpus () =
+  let check graph specs =
+    let nonempty = ref 0 in
+    List.iter
+      (fun (q : Q.spec) ->
+        let a = R.analyze ~workers:4 ~timeout_s:60. ~graph ~query:q.text () in
+        let term = Rpq.Query.union_to_term (Rpq.Query.parse_union q.text) in
+        let expected = Rel.cardinal (Mura.Eval.eval (Mura.Eval.env [ ("E", graph) ]) term) in
+        match a.R.a_outcome with
+        | S.Success s ->
+          check_int (q.id ^ ": result = Mura.Eval") expected s.result_size;
+          check_bool (q.id ^ ": root rows") true (a.R.a_tree.rows = Some expected);
+          if expected > 0 then incr nonempty
+        | o -> Alcotest.failf "%s: analyze outcome %s" q.id (R.cell_text o))
+      specs;
+    check_bool "most queries return tuples" true (2 * !nonempty > List.length specs)
+  in
+  check (Graphgen.Yago_like.generate ~seed:1 ~scale:300 ()) Q.yago;
+  let u = Graphgen.Uniprot_like.generate ~seed:2 ~scale:300 () in
+  check u (Q.uniprot u)
 
 let test_analyze_skew_table () =
   let a = Lazy.force analysis in
@@ -301,6 +324,7 @@ let () =
         [
           Alcotest.test_case "explain" `Quick test_explain_text;
           Alcotest.test_case "annotated plan" `Quick test_analyze_annotated_plan;
+          Alcotest.test_case "Q1-Q49 agree with Mura.Eval" `Quick test_analyze_corpus;
           Alcotest.test_case "skew table" `Quick test_analyze_skew_table;
           Alcotest.test_case "report json" `Quick test_report_json_keys;
         ] );

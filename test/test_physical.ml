@@ -30,10 +30,11 @@ let edges =
 let closure_term = Mura.Patterns.closure (Term.Rel "E")
 let expected_closure = Mura.Eval.eval (Mura.Eval.env [ ("E", edges) ]) closure_term
 
-let session ?force_plan ?(workers = 4) () =
+let session_on ?force_plan ?(workers = 4) tables =
   let cluster = Cluster.make ~workers () in
-  let config = { (Exec.default_config cluster) with force_plan } in
-  Exec.session config [ ("E", edges) ]
+  Exec.session { (Exec.default_config cluster) with force_plan } tables
+
+let session ?force_plan ?workers () = session_on ?force_plan ?workers [ ("E", edges) ]
 
 let test_plan_agreement plan () =
   let ctx = match plan with None -> session () | Some p -> session ~force_plan:p () in
@@ -215,177 +216,22 @@ let prop_random_terms_all_plans =
           Rel.equal expected (Exec.run ctx t))
         [ None; Some Exec.P_gld; Some Exec.P_plw_s; Some Exec.P_plw_pg ])
 
-(* --- EXPLAIN ANALYZE ------------------------------------------------- *)
-
-let analyze_session ?force_plan () =
-  let cluster = Cluster.make ~workers:4 () in
-  let config = { (Exec.default_config cluster) with force_plan; collect_actuals = true } in
-  Exec.session config [ ("E", edges) ]
-
-let counters (m : Metrics.t) =
-  (m.shuffles, m.shuffled_records, m.shuffled_bytes, m.broadcasts, m.broadcast_records,
-   m.supersteps)
-
-let test_analyze_no_observable_effect () =
-  List.iter
-    (fun plan ->
-      let plain = session ~force_plan:plan () in
-      let analyzed = analyze_session ~force_plan:plan () in
-      let r_plain = Exec.run plain closure_term in
-      let r_analyzed = Exec.run analyzed closure_term in
-      check_rel "same result" r_plain r_analyzed;
-      check_bool "same communication counters" true
-        (counters (Exec.metrics plain) = counters (Exec.metrics analyzed)))
-    [ Exec.P_gld; Exec.P_plw_s; Exec.P_plw_pg ]
-
-let test_analyze_root_actual () =
-  List.iter
-    (fun plan ->
-      let ctx = analyze_session ~force_plan:plan () in
-      let result = Exec.run ctx closure_term in
-      let tree = Exec.Analyze.tree ctx closure_term in
-      check_int "root actual rows = |result|" (Rel.cardinal result) tree.Exec.Analyze.rows;
-      check_bool "root timed" true (tree.Exec.Analyze.ns > 0.);
-      check_int "root evaluated once" 1 tree.Exec.Analyze.calls)
-    [ Exec.P_gld; Exec.P_plw_s; Exec.P_plw_pg ]
-
-let test_analyze_deltas () =
-  let ctx = analyze_session ~force_plan:Exec.P_plw_s () in
-  ignore (Exec.run ctx closure_term);
-  match (Exec.report ctx).fixpoints with
-  | [ fr ] ->
-    check_int "one delta per iteration" fr.iterations (List.length fr.deltas);
-    check_bool "terminating empty delta" true (List.nth fr.deltas (fr.iterations - 1) = 0);
-    check_bool "fix path recorded" true (fr.fix_path <> "")
-  | l -> Alcotest.failf "expected one fixpoint report, got %d" (List.length l)
-
-let test_analyze_plw_pg_locals () =
-  let ctx = analyze_session ~force_plan:Exec.P_plw_pg () in
-  let result = Exec.run ctx closure_term in
-  let tree = Exec.Analyze.tree ctx closure_term in
-  let rec find_fix (n : Exec.Analyze.node) =
-    if n.plan <> None then Some n else List.find_map find_fix n.children
-  in
-  match find_fix tree with
-  | None -> Alcotest.fail "no fixpoint node in analyze tree"
-  | Some fix ->
-    check_bool "local plan actuals present" true (fix.Exec.Analyze.local <> []);
-    let root_local =
-      List.find (fun (l : Exec.Analyze.local_op) -> l.l_path = "0") fix.Exec.Analyze.local
-    in
-    (* the local fixpoints are disjoint: their result sizes sum to the
-       global result *)
-    check_int "local fix rows sum to result" (Rel.cardinal result) root_local.l_rows_total;
-    check_bool "semi-naive rounds seen" true (root_local.l_rounds > 0);
-    check_int "all workers reported" 4 root_local.l_workers
-
-let test_analyze_render () =
-  let ctx = analyze_session () in
-  ignore (Exec.run ctx closure_term);
-  let tree = Exec.Analyze.tree ctx closure_term in
-  let rendered =
-    Exec.Analyze.render ~annot:(fun path -> if path = "0" then "est=42 err=2.00" else "") tree
-  in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  check_bool "has actual rows" true (contains rendered "rows=");
-  check_bool "annot injected" true (contains rendered "est=42 err=2.00");
-  check_bool "has iteration counts" true (contains rendered "iters=");
-  check_bool "has delta curve" true (contains rendered "deltas=[")
-
-(* --- delta maintenance / iteration-shuffle dedup ---------------------- *)
+(* --- counter pins ------------------------------------------------------ *)
 
 let contains_sub text needle =
   let n = String.length needle and h = String.length text in
   let rec go i = i + n <= h && (String.sub text i n = needle || go (i + 1)) in
   go 0
 
-let counters_full (m : Metrics.t) =
-  (counters m, m.Metrics.dedup_dropped_records)
-
-(* run a term on one executor ([compiled] picks the compiled columnar
-   core or the interpreted loop) and return the result, every fixpoint's
-   (var, plan, iterations, deltas) and all communication counters *)
-let exec_run ?force_plan ?(workers = 4) ~compiled term tables =
-  let cluster = Cluster.make ~workers () in
-  let config =
-    { (Exec.default_config cluster) with force_plan; use_compiled_exec = compiled }
-  in
-  let ctx = Exec.session config tables in
-  let result = Exec.run ctx term in
-  let sigs =
-    List.map
-      (fun (fr : Exec.fix_report) -> (fr.var, fr.plan, fr.iterations, fr.deltas))
-      (Exec.report ctx).fixpoints
-  in
-  (result, sigs, counters_full (Exec.metrics ctx))
-
-(* The in-place accumulator and the map-side seen filter are pure
-   optimisations: on both executors, every semi-naive plan and worker
-   count the result matches the centralized oracle, and every delta curve
-   ends with its empty fixpoint-reaching iteration. *)
-let test_fused_parity () =
-  List.iter
-    (fun (name, term) ->
-      let expected = Mura.Eval.eval (Mura.Eval.env [ ("E", edges) ]) term in
-      List.iter
-        (fun plan ->
-          List.iter
-            (fun workers ->
-              List.iter
-                (fun compiled ->
-                  let label =
-                    Printf.sprintf "%s %s w=%d compiled=%b" name (Exec.plan_name plan) workers
-                      compiled
-                  in
-                  let r, sigs, _ =
-                    exec_run ~force_plan:plan ~workers ~compiled term [ ("E", edges) ]
-                  in
-                  check_rel (label ^ ": oracle agreement") expected r;
-                  List.iter
-                    (fun (_, _, iters, deltas) ->
-                      check_int (label ^ ": one delta per iteration") iters (List.length deltas);
-                      check_int (label ^ ": last delta empty") 0 (List.nth deltas (iters - 1)))
-                    sigs)
-                [ false; true ])
-            [ 1; 4 ])
-        [ Exec.P_gld; Exec.P_plw_s ])
-    [ ("closure", closure_term); ("same_gen", Mura.Patterns.same_generation ()) ]
-
-(* a fixpoint whose very first iteration derives nothing new *)
-let test_fused_empty_first_delta () =
-  let self = rel [ "src"; "trg" ] [ [ 1; 1 ]; [ 2; 2 ] ] in
-  List.iter
-    (fun plan ->
-      List.iter
-        (fun compiled ->
-          let r, sigs, _ = exec_run ~force_plan:plan ~compiled closure_term [ ("E", self) ] in
-          check_rel "fixpoint of self-loops = E" self r;
-          match sigs with
-          | [ (_, _, iters, deltas) ] ->
-            check_int "terminates in one iteration" 1 iters;
-            check_bool "first delta empty" true (deltas = [ 0 ])
-          | _ -> Alcotest.fail "expected exactly one fixpoint report")
-        [ false; true ])
-    [ Exec.P_gld; Exec.P_plw_s ]
-
-(* on P_gld the seen filter must drop re-derivations from the iteration
-   shuffles (transitive closure re-derives pairs every round) without
-   changing the result *)
-let test_dedup_reduces_gld_shuffle () =
-  List.iter
-    (fun compiled ->
-      let r, _, (_, dropped) =
-        exec_run ~force_plan:Exec.P_gld ~compiled closure_term [ ("E", edges) ]
-      in
-      check_rel "closure while counting" expected_closure r;
-      check_bool "re-derivations dropped" true (dropped > 0))
-    [ false; true ]
-
-(* --- compiled columnar execution ------------------------------------- *)
+(* communication counters: shuffles, shuffled records and bytes,
+   broadcasts and broadcast records, seen-filter drops *)
+let counters (m : Metrics.t) =
+  ( m.shuffles,
+    m.shuffled_records,
+    m.shuffled_bytes,
+    m.broadcasts,
+    m.broadcast_records,
+    m.dedup_dropped_records )
 
 (* deterministic Erdős–Rényi-ish multigraph (LCG, no global Random state) *)
 let er_graph ~n ~m ~seed =
@@ -396,203 +242,439 @@ let er_graph ~n ~m ~seed =
   in
   rel [ "src"; "trg" ] (List.init m (fun _ -> [ next n; next n ]))
 
-(* The compiled pipelines are a pure execution-strategy change: on every
-   plan, worker count and graph shape the result relation, iteration
-   count, per-iteration delta curve and all communication counters
-   (including the seen-filter drops) match the interpreted oracle
-   exactly. *)
-let test_compiled_parity () =
-  let graphs =
-    [
-      ("path", rel [ "src"; "trg" ] (List.init 60 (fun i -> [ i; i + 1 ])));
-      ("sparse_er", er_graph ~n:40 ~m:60 ~seed:7);
-      ("dense_er", er_graph ~n:18 ~m:90 ~seed:23);
-    ]
-  in
-  List.iter
-    (fun (gname, g) ->
-      List.iter
-        (fun plan ->
-          List.iter
-            (fun workers ->
-              let label = Printf.sprintf "%s %s w=%d" gname (Exec.plan_name plan) workers in
-              let br, bs, bc =
-                exec_run ~force_plan:plan ~workers ~compiled:false closure_term [ ("E", g) ]
-              in
-              let cr, cs, cc =
-                exec_run ~force_plan:plan ~workers ~compiled:true closure_term [ ("E", g) ]
-              in
-              check_rel (label ^ ": results") br cr;
-              check_bool (label ^ ": iterations and delta curves") true (bs = cs);
-              check_bool (label ^ ": communication counters") true (bc = cc))
-            [ 1; 4 ])
-        [ Exec.P_gld; Exec.P_plw_s ])
-    graphs
+let compose a b =
+  Term.Antiproject
+    ([ "_m" ], Term.Join (Term.Rename ([ ("trg", "_m") ], a), Term.Rename ([ ("src", "_m") ], b)))
 
-(* engagement: the one-time compiler accepts the TC step shape and
-   declines shapes outside its contract (the caller then falls back) *)
-let test_compiled_engagement () =
-  let cluster = Cluster.make ~workers:2 () in
-  let edges_schema = sch [ "src"; "trg" ] in
-  let tenv = Mura.Typing.env [ ("E", edges_schema) ] in
-  let eval t = Mura.Eval.eval (Mura.Eval.env [ ("E", edges) ]) t in
-  let compile recs =
-    Physical.Pipeline.compile ~cluster ~var:"X" ~join_mode:`Broadcast ~x_schema:edges_schema
-      ~typing:(Mura.Typing.infer ~vars:[ ("X", edges_schema) ] tenv)
-      ~exec_const:(fun ~path:_ t -> Distsim.Dds.of_rel cluster (eval t))
-      ~eval_const:(fun ~path:_ t -> eval t)
-      ~branch_path:(fun i -> "0." ^ string_of_int i)
-      recs
-  in
-  let tc_step =
-    Term.Antiproject
-      ( [ "_m" ],
-        Term.Join
-          (Term.Rename ([ ("trg", "_m") ], Term.Var "X"),
-           Term.Rename ([ ("src", "_m") ], Term.Rel "E")) )
-  in
-  check_bool "TC step compiles" true (compile [ tc_step ] <> None);
-  check_bool "nested union falls back" true
-    (compile [ Term.Union (Term.Var "X", Term.Rel "E") ] = None);
-  check_bool "nested fixpoint falls back" true
-    (compile [ Mura.Patterns.closure (Term.Var "X") ] = None)
-
-let test_explain_exec_mode () =
-  let ctx = session () in
-  check_bool "compiled mode shown" true
-    (contains_sub (Exec.explain ctx closure_term) "Execution: compiled columnar");
-  let cluster = Cluster.make ~workers:2 () in
-  let config = { (Exec.default_config cluster) with use_compiled_exec = false } in
-  let ctx2 = Exec.session config [ ("E", edges) ] in
-  check_bool "interpreted mode shown" true
-    (contains_sub (Exec.explain ctx2 closure_term) "Execution: interpreted operator-at-a-time")
-
-(* --- compiled shell (whole-plan columnar execution) ------------------- *)
-
-module Sh = Physical.Pipeline.Shell
-
-(* a shell-heavy plan: every non-fixpoint operator engages around the
-   closure — select, rename, join, antiproject, project, union, antijoin *)
+(* a shell-heavy plan: every non-fixpoint operator around the closure —
+   select, rename, join, antiproject, project, union, antijoin *)
 let shell_term =
-  let two_hop =
-    Term.Antiproject
-      ( [ "_m" ],
-        Term.Join
-          ( Term.Rename ([ ("trg", "_m") ], Term.Rel "E"),
-            Term.Rename ([ ("src", "_m") ], Term.Rel "E") ) )
-  in
   Term.Antijoin
     ( Term.Union
-        ( Term.Select (Pred.Gt_const ("src", 2), two_hop),
+        ( Term.Select (Pred.Gt_const ("src", 2), compose (Term.Rel "E") (Term.Rel "E")),
           Term.Project ([ "src"; "trg" ], closure_term) ),
       Term.Select (Pred.Eq_const ("src", 1), Term.Rel "E") )
 
-(* joins with no shared column: broadcast -> compiled cartesian probe;
-   shuffle -> the one dynamic per-subtree fallback *)
+(* a join with no shared column *)
 let cartesian_term =
   Term.Join
     ( Term.Rename ([ ("src", "a"); ("trg", "b") ], Term.Rel "E"),
       Term.Rename ([ ("src", "c"); ("trg", "d") ], Term.Rel "E") )
 
-let shell_run ?(threshold = -1) ~workers ~compiled term tables =
+(* P_gld branch shapes: an antijoin against a constant side, and a
+   join with no shared column *)
+let blocked = rel [ "trg" ] [ [ 4 ]; [ 11 ] ]
+
+let antijoin_fix =
+  Term.Fix
+    ("X", Term.Union (Term.Rel "E", Term.Antijoin (compose (Term.Var "X") (Term.Rel "E"), Term.Rel "B")))
+
+let cartesian_fix =
+  Term.Fix
+    ( "X",
+      Term.Union
+        ( Term.Rename ([ ("src", "x") ], Term.Project ([ "src" ], Term.Rel "E")),
+          Term.Rename
+            ( [ ("y", "x") ],
+              Term.Antiproject
+                ( [ "x" ],
+                  Term.Join
+                    (Term.Var "X", Term.Rename ([ ("src", "y") ], Term.Project ([ "src" ], Term.Rel "S")))
+                ) ) ) )
+
+(* a zero-arity accumulator: "is E non-empty", as a width-0 relation *)
+let zero_arity_fix =
+  Term.Fix
+    ( "X",
+      Term.Union
+        (Term.Project ([], Term.Rel "E"), Term.Project ([], Term.Join (Term.Var "X", Term.Rel "E"))) )
+
+(* Result cardinality, per-fixpoint (iterations, delta curve) outermost
+   first, and communication counters of each pinned run, keyed by
+   "<case>/<plan>/w<workers>" on the sequential cluster. Recorded when
+   the compiled pipelines were checked against the operator-at-a-time
+   interpreter, and unchanged since; the P_gld rows of the three branch
+   shapes above (antijoin_fix, cartesian_fix, zero_arity_fix) were
+   recorded once the compiled pipelines covered them. *)
+let pins =
+  [
+    ("closure/P_gld/w1", 63, [ (8, [11; 12; 9; 9; 9; 2; 1; 0]) ], (20, 73, 2336, 0, 0, 16));
+    ("closure/P_gld/w4", 63, [ (8, [11; 12; 9; 9; 9; 2; 1; 0]) ], (20, 192, 6144, 0, 0, 3));
+    ("closure/P_plw^s/w1", 63, [ (8, [11; 12; 9; 9; 9; 2; 1; 0]) ], (3, 73, 2336, 1, 10, 0));
+    ("closure/P_plw^s/w4", 63, [ (8, [11; 12; 9; 9; 9; 2; 1; 0]) ], (3, 80, 2560, 1, 30, 0));
+    ("same_gen/P_gld/w1", 21, [ (6, [2; 2; 2; 2; 2; 0]) ], (24, 41, 1312, 1, 10, 3));
+    ("same_gen/P_gld/w4", 21, [ (6, [2; 2; 2; 2; 2; 0]) ], (24, 109, 3592, 1, 30, 3));
+    ("same_gen/P_plw^s/w1", 21, [ (6, [2; 2; 2; 2; 2; 0]) ], (5, 41, 1312, 3, 30, 0));
+    ("same_gen/P_plw^s/w4", 21, [ (10, [7; 4; 4; 4; 4; 2; 2; 2; 2; 0]) ], (5, 75, 2400, 3, 90, 0));
+    ( "tc_path/P_gld/w1", 1830,
+      [ (60, [59; 58; 57; 56; 55; 54; 53; 52; 51; 50; 49; 48; 47; 46; 45; 44; 43; 42; 41; 40; 39;
+             38; 37; 36; 35; 34; 33; 32; 31; 30; 29; 28; 27; 26; 25; 24; 23; 22; 21; 20; 19; 18;
+             17; 16; 15; 14; 13; 12; 11; 10; 9; 8; 7; 6; 5; 4; 3; 2; 1; 0]) ],
+      (124, 1890, 60480, 0, 0, 0) );
+    ( "tc_path/P_gld/w4", 1830,
+      [ (60, [59; 58; 57; 56; 55; 54; 53; 52; 51; 50; 49; 48; 47; 46; 45; 44; 43; 42; 41; 40; 39;
+             38; 37; 36; 35; 34; 33; 32; 31; 30; 29; 28; 27; 26; 25; 24; 23; 22; 21; 20; 19; 18;
+             17; 16; 15; 14; 13; 12; 11; 10; 9; 8; 7; 6; 5; 4; 3; 2; 1; 0]) ],
+      (124, 4827, 154464, 0, 0, 0) );
+    ( "tc_path/P_plw^s/w1", 1830,
+      [ (60, [59; 58; 57; 56; 55; 54; 53; 52; 51; 50; 49; 48; 47; 46; 45; 44; 43; 42; 41; 40; 39;
+             38; 37; 36; 35; 34; 33; 32; 31; 30; 29; 28; 27; 26; 25; 24; 23; 22; 21; 20; 19; 18;
+             17; 16; 15; 14; 13; 12; 11; 10; 9; 8; 7; 6; 5; 4; 3; 2; 1; 0]) ],
+      (3, 1890, 60480, 1, 60, 0) );
+    ( "tc_path/P_plw^s/w4", 1830,
+      [ (60, [59; 58; 57; 56; 55; 54; 53; 52; 51; 50; 49; 48; 47; 46; 45; 44; 43; 42; 41; 40; 39;
+             38; 37; 36; 35; 34; 33; 32; 31; 30; 29; 28; 27; 26; 25; 24; 23; 22; 21; 20; 19; 18;
+             17; 16; 15; 14; 13; 12; 11; 10; 9; 8; 7; 6; 5; 4; 3; 2; 1; 0]) ],
+      (3, 1935, 61920, 1, 180, 0) );
+    ("tc_sparse_er/P_gld/w1", 46, [ (1, [0]) ], (6, 92, 2944, 0, 0, 0));
+    ("tc_sparse_er/P_gld/w4", 46, [ (1, [0]) ], (6, 205, 6560, 0, 0, 0));
+    ("tc_sparse_er/P_plw^s/w1", 46, [ (1, [0]) ], (3, 92, 2944, 1, 46, 0));
+    ("tc_sparse_er/P_plw^s/w4", 46, [ (1, [0]) ], (3, 128, 4096, 1, 138, 0));
+    ("tc_dense_er/P_gld/w1", 55, [ (1, [0]) ], (6, 110, 3520, 0, 0, 0));
+    ("tc_dense_er/P_gld/w4", 55, [ (1, [0]) ], (6, 241, 7712, 0, 0, 0));
+    ("tc_dense_er/P_plw^s/w1", 55, [ (1, [0]) ], (3, 110, 3520, 1, 55, 0));
+    ("tc_dense_er/P_plw^s/w4", 55, [ (1, [0]) ], (3, 151, 4832, 1, 165, 0));
+    ("shell_edges/P_gld/w1", 62, [ (8, [11; 12; 9; 9; 9; 2; 1; 0]) ], (23, 83, 2656, 2, 11, 16));
+    ("shell_edges/P_gld/w4", 62, [ (8, [11; 12; 9; 9; 9; 2; 1; 0]) ], (23, 206, 6592, 2, 33, 3));
+    ("shell_edges/P_plw^s/w1", 62, [ (8, [11; 12; 9; 9; 9; 2; 1; 0]) ], (7, 83, 2656, 3, 21, 0));
+    ("shell_edges/P_plw^s/w4", 62, [ (8, [11; 12; 9; 9; 9; 2; 1; 0]) ], (7, 143, 4576, 3, 63, 0));
+    ("shell_edges/P_plw^pg/w1", 62, [ (1, []) ], (7, 83, 2656, 3, 21, 0));
+    ("shell_edges/P_plw^pg/w4", 62, [ (1, []) ], (7, 143, 4576, 3, 63, 0));
+    ("shell_sparse_er/P_gld/w1", 43, [ (1, [0]) ], (9, 138, 4416, 2, 49, 0));
+    ("shell_sparse_er/P_gld/w4", 43, [ (1, [0]) ], (9, 251, 8032, 2, 147, 0));
+    ("shell_sparse_er/P_plw^s/w1", 43, [ (1, [0]) ], (7, 138, 4416, 3, 95, 0));
+    ("shell_sparse_er/P_plw^s/w4", 43, [ (1, [0]) ], (7, 209, 6688, 3, 285, 0));
+    ("shell_sparse_er/P_plw^pg/w1", 43, [ (1, []) ], (7, 138, 4416, 3, 95, 0));
+    ("shell_sparse_er/P_plw^pg/w4", 43, [ (1, []) ], (7, 209, 6688, 3, 285, 0));
+    ("shell_term_t0/auto/w1", 62, [ (8, [11; 12; 9; 9; 9; 2; 1; 0]) ], (8, 72, 2304, 1, 10, 0));
+    ("shell_term_t0/auto/w4", 62, [ (8, [11; 12; 9; 9; 9; 2; 1; 0]) ], (8, 150, 4800, 1, 30, 0));
+    ("cartesian_t0/auto/w1", 100, [  ], (3, 120, 5440, 1, 10, 0));
+    ("cartesian_t0/auto/w4", 100, [  ], (3, 120, 5440, 1, 30, 0));
+    ("cst_zero_arity/auto/w4", 173, [  ], (5, 360, 11456, 1, 3, 0));
+    ("e_zero_arity/auto/w4", 10, [  ], (4, 24, 704, 1, 3, 0));
+    ("gld_antijoin/P_gld/w1", 33, [ (6, [8; 6; 4; 3; 2; 0]) ], (24, 45, 1424, 0, 0, 1));
+    ("gld_antijoin/P_gld/w4", 33, [ (6, [8; 6; 4; 3; 2; 0]) ], (24, 151, 4800, 0, 0, 0));
+    ("gld_antijoin/P_plw^s/w1", 33, [ (6, [8; 6; 4; 3; 2; 0]) ], (3, 43, 1376, 2, 12, 0));
+    ("gld_antijoin/P_plw^s/w4", 33, [ (6, [8; 6; 4; 3; 2; 0]) ], (3, 50, 1600, 2, 36, 0));
+    ("gld_cartesian/P_gld/w1", 11, [ (2, [2; 0]) ], (8, 25, 696, 1, 2, 2));
+    ("gld_cartesian/P_gld/w4", 11, [ (2, [2; 0]) ], (8, 38, 1008, 1, 6, 4));
+    ("gld_cartesian/P_plw^s/w1", 11, [ (2, [2; 0]) ], (4, 21, 584, 1, 2, 0));
+    ("gld_cartesian/P_plw^s/w4", 11, [ (2, [8; 0]) ], (4, 33, 872, 1, 6, 0));
+    ("zero_arity_fix/P_gld/w1", 1, [ (1, [0]) ], (4, 21, 656, 1, 10, 0));
+    ("zero_arity_fix/P_gld/w4", 1, [ (1, [0]) ], (4, 24, 704, 1, 30, 0));
+    ("zero_arity_fix/P_plw^s/w1", 1, [ (1, [0]) ], (3, 11, 336, 1, 10, 0));
+    ("zero_arity_fix/P_plw^s/w4", 1, [ (1, [0]) ], (3, 14, 384, 1, 30, 0));
+  ]
+
+let run_pinned ?force_plan ?(threshold = -1) ~workers name term tables =
+  let key =
+    Printf.sprintf "%s/%s/w%d" name
+      (match force_plan with None -> "auto" | Some p -> Exec.plan_name p)
+      workers
+  in
   let cluster = Cluster.make ~workers () in
   let base = Exec.default_config cluster in
   let config =
-    { base with
-      use_compiled_exec = compiled;
-      broadcast_threshold =
-        (if threshold < 0 then base.Exec.broadcast_threshold else threshold);
+    {
+      base with
+      force_plan;
+      broadcast_threshold = (if threshold < 0 then base.Exec.broadcast_threshold else threshold);
     }
   in
   let ctx = Exec.session config tables in
-  (Exec.run ctx term, counters_full (Exec.metrics ctx))
+  let r = Exec.run ctx term in
+  check_rel (key ^ ": Mura.Eval agreement") (Mura.Eval.eval (Mura.Eval.env tables) term) r;
+  let sigs =
+    List.rev_map (fun (fr : Exec.fix_report) -> (fr.iterations, fr.deltas)) (Exec.report ctx).fixpoints
+  in
+  match List.find_opt (fun (k, _, _, _) -> String.equal k key) pins with
+  | None -> Alcotest.failf "no pin for %s" key
+  | Some (_, n, pinned_sigs, pinned_counters) ->
+    check_int (key ^ ": result size") n (Rel.cardinal r);
+    check_bool (key ^ ": iterations and delta curves") true (sigs = pinned_sigs);
+    check_bool (key ^ ": communication counters") true
+      (counters (Exec.metrics ctx) = pinned_counters)
 
-(* The compiled shell is a pure execution-strategy change: results and
-   every communication counter match the interpreter on all three
+let pin_matrix ?(plans = [ Exec.P_gld; Exec.P_plw_s ]) name term tables =
+  List.iter
+    (fun plan ->
+      List.iter (fun workers -> run_pinned ~force_plan:plan ~workers name term tables) [ 1; 4 ])
+    plans
+
+(* --- EXPLAIN ANALYZE ------------------------------------------------- *)
+
+(* an analyzed run: the plain run under a fresh tracer, its events folded
+   into the annotated tree *)
+let analyzed ?force_plan ?(tables = [ ("E", edges) ]) term =
+  let ctx = session_on ?force_plan tables in
+  let tr = Trace.make () in
+  Trace.install tr;
+  let r = Fun.protect ~finally:Trace.uninstall (fun () -> Exec.run ctx term) in
+  (ctx, r, Exec.Analyze.tree ctx (Trace.events tr) term)
+
+let run_counters ctx =
+  let m = Exec.metrics ctx in
+  (counters m, m.Metrics.supersteps, m.Metrics.stages)
+
+let test_analyze_no_observable_effect () =
+  List.iter
+    (fun plan ->
+      List.iter
+        (fun term ->
+          let plain = session ~force_plan:plan () in
+          let r_plain = Exec.run plain term in
+          let ctx, r_analyzed, _ = analyzed ~force_plan:plan term in
+          check_rel "same result" r_plain r_analyzed;
+          check_bool "same fixpoint reports" true
+            ((Exec.report plain).fixpoints = (Exec.report ctx).fixpoints);
+          check_bool "same counters" true (run_counters plain = run_counters ctx))
+        [ closure_term; shell_term ])
+    [ Exec.P_gld; Exec.P_plw_s; Exec.P_plw_pg ]
+
+let test_analyze_root_actual () =
+  List.iter
+    (fun plan ->
+      List.iter
+        (fun term ->
+          let _, result, tree = analyzed ~force_plan:plan term in
+          check_bool "root actual rows = |result|" true
+            (tree.Exec.Analyze.rows = Some (Rel.cardinal result));
+          check_bool "root timed" true (tree.Exec.Analyze.ns > 0.);
+          check_int "root evaluated once" 1 tree.Exec.Analyze.calls)
+        [ closure_term; shell_term ])
+    [ Exec.P_gld; Exec.P_plw_s; Exec.P_plw_pg ]
+
+(* a Fix node reports its fix_report, and each recursive branch node is
+   applied once per iteration, its rows summed over them *)
+let test_analyze_deltas () =
+  List.iter
+    (fun plan ->
+      let ctx, _, tree = analyzed ~force_plan:plan closure_term in
+      match (Exec.report ctx).fixpoints with
+      | [ fr ] ->
+        check_int "one delta per iteration" fr.iterations (List.length fr.deltas);
+        check_bool "terminating empty delta" true (List.nth fr.deltas (fr.iterations - 1) = 0);
+        check_bool "fix node rows" true (tree.Exec.Analyze.rows = Some fr.result_size);
+        check_int "fix node iterations" fr.iterations tree.Exec.Analyze.iterations;
+        check_bool "fix node deltas" true (tree.Exec.Analyze.deltas = fr.deltas);
+        (match tree.Exec.Analyze.children with
+        | [ seed; branch ] ->
+          check_bool "seed evaluated once" true (seed.Exec.Analyze.calls = 1);
+          check_int "branch applied once per iteration" fr.iterations branch.Exec.Analyze.calls;
+          check_bool "branch rows recorded" true (branch.Exec.Analyze.rows <> None)
+        | l -> Alcotest.failf "expected seed and branch children, got %d" (List.length l))
+      | l -> Alcotest.failf "expected one fixpoint report, got %d" (List.length l))
+    [ Exec.P_gld; Exec.P_plw_s ]
+
+(* under EXPLAIN ANALYZE, P_plw^pg runs the same local engine as a plain
+   run: a local plan the batch compiler rejects (a zero-arity join side)
+   falls back the same way *)
+let test_analyze_plw_pg_fallbacks () =
+  let term =
+    Term.Fix ("X", Term.Union (Term.Rel "E", Term.Join (Term.Var "X", Term.Project ([], Term.Cst edges))))
+  in
+  let fallbacks run =
+    let reg = Telemetry.make () in
+    Telemetry.install reg;
+    Fun.protect ~finally:Telemetry.uninstall @@ fun () ->
+    run ();
+    Telemetry.Snapshot.value
+      ~labels:[ ("reason", "zero_arity"); ("site", "plw_pg_local") ]
+      (Telemetry.snapshot reg) "pipeline_fallback_total"
+  in
+  let plain = fallbacks (fun () -> ignore (Exec.run (session ~force_plan:Exec.P_plw_pg ()) term)) in
+  let traced = fallbacks (fun () -> ignore (analyzed ~force_plan:Exec.P_plw_pg term)) in
+  check_bool "plain run falls back" true (plain = Some 1.);
+  check_bool "analyzed run counts the same fallbacks" true (traced = plain)
+
+let test_analyze_render () =
+  let _, _, tree = analyzed closure_term in
+  let rendered =
+    Exec.Analyze.render ~annot:(fun path -> if path = "0" then "est=42 err=2.00" else "") tree
+  in
+  check_bool "has actual rows" true (contains_sub rendered "rows=");
+  check_bool "annot injected" true (contains_sub rendered "est=42 err=2.00");
+  check_bool "has iteration counts" true (contains_sub rendered "iters=");
+  check_bool "has delta curve" true (contains_sub rendered "deltas=[");
+  check_bool "has per-branch calls" true (contains_sub rendered "calls=")
+
+(* --- delta maintenance / iteration-shuffle dedup ---------------------- *)
+
+(* The in-place accumulator and the map-side seen filter are pure
+   optimisations: on every semi-naive plan and worker count the result
+   matches the centralized oracle, and the delta curves and counters
+   match their pins (each curve ends with its empty iteration). *)
+let test_fused_parity () =
+  pin_matrix "closure" closure_term [ ("E", edges) ];
+  pin_matrix "same_gen" (Mura.Patterns.same_generation ()) [ ("E", edges) ]
+
+let exec_run ?force_plan ?(workers = 4) term tables =
+  let ctx = session_on ?force_plan ~workers tables in
+  let result = Exec.run ctx term in
+  (result, (Exec.report ctx).fixpoints, counters (Exec.metrics ctx))
+
+(* a fixpoint whose very first iteration derives nothing new *)
+let test_fused_empty_first_delta () =
+  let self = rel [ "src"; "trg" ] [ [ 1; 1 ]; [ 2; 2 ] ] in
+  List.iter
+    (fun plan ->
+      let r, reports, _ = exec_run ~force_plan:plan closure_term [ ("E", self) ] in
+      check_rel "fixpoint of self-loops = E" self r;
+      match reports with
+      | [ fr ] ->
+        check_int "terminates in one iteration" 1 fr.iterations;
+        check_bool "first delta empty" true (fr.deltas = [ 0 ])
+      | _ -> Alcotest.fail "expected exactly one fixpoint report")
+    [ Exec.P_gld; Exec.P_plw_s ]
+
+(* on P_gld the seen filter must drop re-derivations from the iteration
+   shuffles (transitive closure re-derives pairs every round) without
+   changing the result *)
+let test_dedup_reduces_gld_shuffle () =
+  let r, _, (_, _, _, _, _, dropped) =
+    exec_run ~force_plan:Exec.P_gld closure_term [ ("E", edges) ]
+  in
+  check_rel "closure while counting" expected_closure r;
+  check_bool "re-derivations dropped" true (dropped > 0)
+
+(* --- compiled columnar execution ------------------------------------- *)
+
+let test_counter_pins () =
+  List.iter
+    (fun (gname, g) -> pin_matrix ("tc_" ^ gname) closure_term [ ("E", g) ])
+    [
+      ("path", rel [ "src"; "trg" ] (List.init 60 (fun i -> [ i; i + 1 ])));
+      ("sparse_er", er_graph ~n:40 ~m:60 ~seed:7);
+      ("dense_er", er_graph ~n:18 ~m:90 ~seed:23);
+    ]
+
+(* every F_cond branch compiles: P_gld's shuffle antijoin co-partitions
+   its constant side once, its cartesian join broadcasts the constant
+   side once, and a zero-arity accumulator runs as width-0 batches *)
+let test_compiled_branch_shapes () =
+  pin_matrix "gld_antijoin" antijoin_fix [ ("E", edges); ("B", blocked) ];
+  pin_matrix "gld_cartesian" cartesian_fix
+    [ ("E", edges); ("S", rel [ "src"; "trg" ] [ [ 40; 41 ]; [ 42; 43 ] ]) ];
+  pin_matrix "zero_arity_fix" zero_arity_fix [ ("E", edges) ]
+
+(* the one-time compiler accepts the TC step shape and raises the tree
+   walk's errors on shapes outside F_cond's normal form *)
+let test_compiled_engagement () =
+  let cluster = Cluster.make ~workers:2 () in
+  let edges_schema = sch [ "src"; "trg" ] in
+  let eval t = Mura.Eval.eval (Mura.Eval.env [ ("E", edges) ]) t in
+  let compile recs =
+    ignore
+      (Physical.Pipeline.compile ~cluster ~var:"X" ~join_mode:`Broadcast ~x_schema:edges_schema
+         ~exec_const:(fun ~path:_ t -> Distsim.Dds.of_rel cluster (eval t))
+         ~eval_const:(fun ~path:_ t -> eval t)
+         ~branch_path:(fun i -> "0." ^ string_of_int i)
+         recs)
+  in
+  compile [ compose (Term.Var "X") (Term.Rel "E") ];
+  let raises what recs =
+    match compile recs with
+    | () -> Alcotest.failf "%s must raise" what
+    | exception Mura.Eval.Eval_error _ -> ()
+  in
+  raises "nested union" [ Term.Union (Term.Var "X", Term.Rel "E") ];
+  raises "nested fixpoint" [ Mura.Patterns.closure (Term.Var "X") ];
+  raises "foreign variable" [ compose (Term.Var "X") (Term.Var "Y") ];
+  raises "branch without the variable" [ Term.Rel "E" ]
+
+(* shapes that are not F_cond or not well-typed raise the same
+   exceptions on every plan *)
+let test_error_shapes () =
+  let x = Term.Var "X" in
+  let cases =
+    [
+      ("free variable", x, `Eval);
+      ("unknown relation", Term.Rel "F", `Eval);
+      ("unknown column", Term.Select (Pred.Eq_const ("zz", 1), Term.Rel "E"), `Schema);
+      ("union schema mismatch", Term.Union (Term.Rel "E", Term.Rename ([ ("src", "a") ], Term.Rel "E")), `Schema);
+      ("non-linear", Term.Fix ("X", Term.Union (Term.Rel "E", compose x x)), `Not_fcond);
+      ("non-positive", Term.Fix ("X", Term.Union (Term.Rel "E", Term.Antijoin (Term.Rel "E", x))), `Not_fcond);
+      ("foreign variable", Term.Fix ("X", Term.Union (Term.Rel "E", compose x (Term.Var "Y"))), `Eval);
+      ( "nested fixpoint",
+        Term.Fix ("X", Term.Union (Term.Rel "E", Term.Fix ("Y", Term.Union (x, compose (Term.Var "Y") (Term.Rel "E"))))),
+        `Not_fcond );
+      ("branch schema mismatch", Term.Fix ("X", Term.Union (Term.Rel "E", Term.Rename ([ ("trg", "z") ], x))), `Schema);
+      ("branch typing", Term.Fix ("X", Term.Union (Term.Rel "E", Term.Select (Pred.Eq_const ("zz", 1), x))), `Schema);
+    ]
+  in
+  List.iter
+    (fun (name, term, expected) ->
+      List.iter
+        (fun force_plan ->
+          let ctx = session_on ?force_plan ~workers:2 [ ("E", edges) ] in
+          let got =
+            match Exec.run ctx term with
+            | _ -> `Ok
+            | exception Mura.Eval.Eval_error _ -> `Eval
+            | exception Mura.Fcond.Not_fcond _ -> `Not_fcond
+            | exception Schema.Schema_error _ -> `Schema
+          in
+          check_bool (name ^ " raises its error") true (got = expected))
+        [ None; Some Exec.P_gld; Some Exec.P_plw_s ])
+    cases
+
+let test_explain_exec_mode () =
+  let ctx = session () in
+  check_bool "execution mode shown" true
+    (contains_sub (Exec.explain ctx closure_term) "Execution: compiled columnar")
+
+(* --- compiled shell (whole-plan columnar execution) ------------------- *)
+
+module Sh = Physical.Pipeline.Shell
+
+(* results match the oracle and the counters their pins on all three
    fixpoint plans (including P_plw^pg's compiled local fixpoints) and
-   every worker count. *)
+   every worker count *)
 let test_shell_parity () =
-  let graphs = [ ("edges", edges); ("sparse_er", er_graph ~n:40 ~m:60 ~seed:7) ] in
   List.iter
     (fun (gname, g) ->
-      let central = Mura.Eval.eval (Mura.Eval.env [ ("E", g) ]) shell_term in
-      List.iter
-        (fun plan ->
-          List.iter
-            (fun workers ->
-              let label = Printf.sprintf "%s %s w=%d" gname (Exec.plan_name plan) workers in
-              let br, bs, bc =
-                exec_run ~force_plan:plan ~workers ~compiled:false shell_term [ ("E", g) ]
-              in
-              let cr, cs, cc =
-                exec_run ~force_plan:plan ~workers ~compiled:true shell_term [ ("E", g) ]
-              in
-              check_rel (label ^ ": central agreement") central cr;
-              check_rel (label ^ ": results") br cr;
-              check_bool (label ^ ": iterations and delta curves") true (bs = cs);
-              check_bool (label ^ ": communication counters") true (bc = cc))
-            [ 1; 4 ])
-        [ Exec.P_gld; Exec.P_plw_s; Exec.P_plw_pg ])
-    graphs
+      pin_matrix ~plans:[ Exec.P_gld; Exec.P_plw_s; Exec.P_plw_pg ] ("shell_" ^ gname) shell_term
+        [ ("E", g) ])
+    [ ("edges", edges); ("sparse_er", er_graph ~n:40 ~m:60 ~seed:7) ]
 
 (* broadcast_threshold = 0 forces every shell join/antijoin onto the
-   shuffle paths (including the cartesian-shuffle dynamic fallback) *)
+   shuffle paths (including the above-threshold cartesian join) *)
 let test_shell_shuffle_parity () =
   List.iter
     (fun (tname, term) ->
-      let central = Mura.Eval.eval (Mura.Eval.env [ ("E", edges) ]) term in
       List.iter
-        (fun workers ->
-          let label = Printf.sprintf "%s w=%d threshold=0" tname workers in
-          let br, bc = shell_run ~threshold:0 ~workers ~compiled:false term [ ("E", edges) ] in
-          let cr, cc = shell_run ~threshold:0 ~workers ~compiled:true term [ ("E", edges) ] in
-          check_rel (label ^ ": central agreement") central cr;
-          check_rel (label ^ ": results") br cr;
-          check_bool (label ^ ": communication counters") true (bc = cc))
+        (fun workers -> run_pinned ~threshold:0 ~workers (tname ^ "_t0") term [ ("E", edges) ])
         [ 1; 4 ])
     [ ("shell_term", shell_term); ("cartesian", cartesian_term) ]
 
-(* per-subtree fallback: a zero-arity Project interprets itself (and
-   makes its parent Join interpret), the siblings stay compiled, results
-   match, and each fallback is counted once per site/reason *)
-let test_shell_subtree_fallback () =
-  let bad = Term.Join (Term.Rel "E", Term.Project ([], Term.Rel "E")) in
-  let expected = Mura.Eval.eval (Mura.Eval.env [ ("E", edges) ]) bad in
+(* a zero-arity subtree runs as width-0 batches: the result matches, no
+   fallback is counted, and the counters match their pin *)
+let test_shell_zero_arity () =
   let reg = Telemetry.make () in
   Telemetry.install reg;
   Fun.protect ~finally:Telemetry.uninstall @@ fun () ->
-  let ctx = session () in
-  let r = Exec.run ctx bad in
-  check_rel "zero-arity subtree result" expected r;
-  let snap = Telemetry.snapshot reg in
-  let v labels = Telemetry.Snapshot.value ~labels snap "pipeline_fallback_total" in
-  check_bool "join fell back (zero_arity_child)" true
-    (v [ ("reason", "zero_arity_child"); ("site", "shell") ] = Some 1.);
-  check_bool "project fell back (zero_arity)" true
-    (v [ ("reason", "zero_arity"); ("site", "shell") ] = Some 1.)
+  run_pinned ~workers:4 "e_zero_arity"
+    (Term.Join (Term.Rel "E", Term.Project ([], Term.Rel "E")))
+    [ ("E", edges) ];
+  check_bool "no fallback counted" true
+    (List.for_all
+       (fun (r : Telemetry.Snapshot.row) -> r.r_name <> "pipeline_fallback_total")
+       (Telemetry.snapshot reg).Telemetry.Snapshot.rows)
 
-(* anti-double-metering: supportability is decided from typing alone, so
-   a shell whose root is rejected late must not evaluate or re-meter the
-   constant under it a second time — the counters match the interpreter
-   exactly, where each Cst is distributed once *)
+(* each constant is distributed once: the counters match their pin *)
 let test_shell_no_double_const_eval () =
   let big = er_graph ~n:50 ~m:200 ~seed:3 in
-  let t = Term.Join (Term.Cst big, Term.Project ([], Term.Rel "E")) in
-  let br, bc = shell_run ~workers:4 ~compiled:false t [ ("E", edges) ] in
-  let cr, cc = shell_run ~workers:4 ~compiled:true t [ ("E", edges) ] in
-  check_rel "late-rejected shell result" br cr;
-  check_bool "constants metered exactly once" true (bc = cc)
+  run_pinned ~workers:4 "cst_zero_arity"
+    (Term.Join (Term.Cst big, Term.Project ([], Term.Rel "E")))
+    [ ("E", edges) ]
 
 let test_shell_explain () =
   let ctx = session () in
   let t = Term.Select (Pred.Gt_const ("src", 2), Term.Project ([ "src" ], closure_term)) in
   let text = Exec.explain ctx t in
-  check_bool "compiled nodes annotated" true (contains_sub text "[compiled]");
-  check_bool "branch verdicts listed" true (contains_sub text "branch 0: compiled");
-  let bad = Term.Join (Term.Rel "E", Term.Project ([], Term.Rel "E")) in
-  let text2 = Exec.explain ctx bad in
-  check_bool "interpreted nodes annotated with the reason" true
-    (contains_sub text2 "[interpreted: zero_arity]");
+  check_bool "operators listed" true
+    (contains_sub text "Filter [" && contains_sub text "Project [src] + Distinct");
+  check_bool "fixpoint plan listed" true (contains_sub text "Fixpoint ");
   let ctx3 = session ~force_plan:Exec.P_plw_pg () in
   let text3 = Exec.explain ctx3 closure_term in
   check_bool "P_plw^pg local plan verdict" true
@@ -601,13 +683,7 @@ let test_shell_explain () =
 (* the P_plw^pg local executor agrees with the Instance oracle and
    rejects non-fixpoints statically *)
 let test_bexec_local () =
-  let tc_step =
-    Term.Antiproject
-      ( [ "_m" ],
-        Term.Join
-          ( Term.Rename ([ ("trg", "_m") ], Term.Var "X"),
-            Term.Rename ([ ("src", "_m") ], Term.Rel "E") ) )
-  in
+  let tc_step = compose (Term.Var "X") (Term.Rel "E") in
   let local = Term.Fix ("X", Term.union_all [ Term.Rel "__seed"; tc_step ]) in
   let env = [ ("__seed", sch [ "src"; "trg" ]); ("E", sch [ "src"; "trg" ]) ] in
   let db = Localdb.Instance.create () in
@@ -623,7 +699,6 @@ let test_bexec_local () =
   | Error "not_a_fixpoint" -> ()
   | Error r -> Alcotest.failf "wrong rejection slug: %s" r
   | Ok _ -> Alcotest.fail "non-fixpoint must be rejected"
-
 (* grouped reductions as fused batch folds agree with a naive driver fold *)
 let test_group_aggregates () =
   let cluster = Cluster.make ~workers:4 () in
@@ -662,13 +737,7 @@ let test_compiled_batch_no_rehash () =
   in
   ignore (Sh.to_dds cluster (Sh.union cluster m m));
   check_int "no insert-triggered rehash in shell materialize/union" 0 (Tset.rehash_grow_count ());
-  let tc_step =
-    Term.Antiproject
-      ( [ "_m" ],
-        Term.Join
-          ( Term.Rename ([ ("trg", "_m") ], Term.Var "X"),
-            Term.Rename ([ ("src", "_m") ], Term.Rel "E") ) )
-  in
+  let tc_step = compose (Term.Var "X") (Term.Rel "E") in
   let local = Term.Fix ("X", Term.union_all [ Term.Rel "__seed"; tc_step ]) in
   let env = [ ("__seed", sch [ "src"; "trg" ]); ("E", sch [ "src"; "trg" ]) ] in
   let db = Localdb.Instance.create () in
@@ -686,74 +755,133 @@ let test_compiled_batch_no_rehash () =
 
 module Incr = Exec.Incr
 
-let incr_config ~force_plan ~workers ~compiled =
+let incr_config ~force_plan ~workers =
   let cluster = Cluster.make ~workers () in
-  { (Exec.default_config cluster) with force_plan = Some force_plan; use_compiled_exec = compiled }
+  { (Exec.default_config cluster) with force_plan = Some force_plan }
 
 let eval_on tables term = Mura.Eval.eval (Mura.Eval.env tables) term
 
-(* Parity contract: establish, apply a batch, and the repaired result is
-   bit-identical to a from-scratch evaluation on the updated catalog —
-   across both plans, worker counts and execution modes, including a
-   second repair on top of the first. *)
-let test_incr_insert_parity () =
-  let base = er_graph ~n:30 ~m:45 ~seed:11 in
-  let batch1 = rel [ "src"; "trg" ] [ [ 0; 17 ]; [ 17; 23 ]; [ 5; 0 ] ] in
-  let batch2 = rel [ "src"; "trg" ] [ [ 23; 29 ]; [ 29; 5 ] ] in
+let updated tables ~inserts ~deletes =
+  List.map
+    (fun (name, r) ->
+      let r = match List.assoc_opt name deletes with Some d -> Rel.diff r d | None -> r in
+      (name, match List.assoc_opt name inserts with Some d -> Rel.union r d | None -> r))
+    tables
+
+(* Per update step: repaired result size, resumed iterations and the
+   cluster's cumulative communication counters (establishment
+   included), keyed like [pins]. Recorded as for [pins]; the antijoin
+   and constant-part cases were recorded once repair ran on the compiled
+   pipelines. *)
+let incr_pins =
+  [
+    ("insert/P_gld/w1", [ (76, 3, (16, 162, 5184, 1, 2, 4)); (110, 5, (31, 319, 10208, 2, 4, 8)) ]);
+    ( "insert/P_gld/w4",
+      [ (76, 3, (16, 341, 10912, 1, 6, 0));
+        (110, 5, (31, 591, 18912, 2, 12, 0)) ] );
+    ( "insert/P_plw^s/w1",
+      [ (76, 3, (5, 119, 3808, 3, 86, 0));
+        (110, 5, (8, 231, 7392, 5, 133, 0)) ] );
+    ( "insert/P_plw^s/w4",
+      [ (76, 3, (5, 143, 4576, 3, 258, 0));
+        (110, 5, (8, 256, 8192, 5, 399, 0)) ] );
+    ( "delete/P_gld/w1",
+      [ (36, 8, (47, 56, 1792, 3, 20, 16));
+        (41, 4, (60, 109, 3488, 4, 22, 16)) ] );
+    ( "delete/P_gld/w4",
+      [ (36, 8, (47, 298, 9536, 3, 60, 3));
+        (41, 4, (60, 366, 11712, 4, 66, 3)) ] );
+    ("delete/P_plw^s/w1", [ (36, 8, (7, 56, 1792, 5, 38, 0)); (41, 4, (10, 99, 3168, 7, 50, 0)) ]);
+    ( "delete/P_plw^s/w4",
+      [ (36, 8, (7, 70, 2240, 5, 114, 0));
+        (41, 4, (10, 114, 3648, 7, 150, 0)) ] );
+    ("antijoin/P_gld/w1", [ (45, 7, (51, 73, 2304, 2, 4, 1)); (32, 1, (64, 119, 3760, 8, 34, 1)) ]);
+    ("const_part/P_gld/w1", [ (12, 3, (27, 34, 1088, 0, 0, 2)); (3, 0, (38, 39, 1248, 2, 20, 2)) ]);
+    ( "antijoin/P_gld/w4",
+      [ (45, 7, (51, 226, 7168, 2, 12, 0));
+        (32, 1, (64, 320, 10144, 8, 102, 0)) ] );
+    ("const_part/P_gld/w4", [ (12, 3, (27, 71, 2272, 0, 0, 0)); (3, 0, (38, 87, 2784, 2, 60, 0)) ]);
+    ( "antijoin/P_plw^s/w1",
+      [ (45, 7, (5, 57, 1824, 6, 30, 0));
+        (32, 1, (10, 101, 3232, 14, 73, 0)) ] );
+    ("const_part/P_plw^s/w1", [ (12, 3, (5, 14, 448, 2, 20, 0)); (3, 0, (10, 19, 608, 4, 40, 0)) ]);
+    ( "antijoin/P_plw^s/w4",
+      [ (45, 7, (5, 65, 2080, 6, 90, 0));
+        (32, 1, (10, 117, 3744, 14, 219, 0)) ] );
+    ( "const_part/P_plw^s/w4",
+      [ (12, 3, (5, 16, 512, 2, 60, 0));
+        (3, 0, (10, 23, 736, 4, 120, 0)) ] );
+  ]
+
+(* Establish [term] on [base], apply each (inserts, deletes) step, and
+   check every repaired result against [Mura.Eval] on the updated
+   catalog and the step's pin. *)
+let incr_pinned name term ~base steps =
   List.iter
     (fun plan ->
       List.iter
         (fun workers ->
-          List.iter
-            (fun compiled ->
-              let label =
-                Printf.sprintf "%s w=%d compiled=%b" (Exec.plan_name plan) workers compiled
-              in
-              let config = incr_config ~force_plan:plan ~workers ~compiled in
-              let h = Incr.establish config ~tables:[ ("E", base) ] closure_term in
-              let apply batch =
-                match Incr.update ~inserts:[ ("E", batch) ] h with
-                | `Repaired (r, _) -> r
-                | `Unsupported msg -> Alcotest.failf "%s: unsupported: %s" label msg
-              in
-              let after1 = apply batch1 in
-              let tables1 = [ ("E", Rel.union base batch1) ] in
-              check_rel (label ^ ": first repair") (eval_on tables1 closure_term) after1;
-              let after2 = apply batch2 in
-              let tables2 = [ ("E", Rel.union (Rel.union base batch1) batch2) ] in
-              check_rel (label ^ ": repair of repair") (eval_on tables2 closure_term) after2;
-              check_int (label ^ ": resumes counted") 2 (Incr.resumes h))
-            [ false; true ])
+          let key = Printf.sprintf "%s/%s/w%d" name (Exec.plan_name plan) workers in
+          let config = incr_config ~force_plan:plan ~workers in
+          let h = Incr.establish config ~tables:base term in
+          let pinned =
+            match List.assoc_opt key incr_pins with
+            | Some p -> p
+            | None -> Alcotest.failf "no pin for %s" key
+          in
+          let _ =
+            List.fold_left2
+              (fun tables (inserts, deletes) (n, iters, pinned_counters) ->
+                let tables = updated tables ~inserts ~deletes in
+                match Incr.update ~inserts ~deletes h with
+                | `Repaired (r, i) ->
+                  check_rel (key ^ ": repair = Mura.Eval") (eval_on tables term) r;
+                  check_int (key ^ ": result size") n (Rel.cardinal r);
+                  check_int (key ^ ": resumed iterations") iters i;
+                  check_bool (key ^ ": communication counters") true
+                    (counters (Cluster.metrics config.Exec.cluster) = pinned_counters);
+                  tables
+                | `Unsupported msg -> Alcotest.failf "%s: unsupported: %s" key msg)
+              base steps pinned
+          in
+          check_int (key ^ ": resumes counted") (List.length steps) (Incr.resumes h))
         [ 1; 4 ])
     [ Exec.P_gld; Exec.P_plw_s ]
 
+(* establish, apply a batch, and the repaired result equals a
+   from-scratch evaluation on the updated catalog — including a second
+   repair on top of the first *)
+let test_incr_insert_parity () =
+  let e rows = [ ("E", rel [ "src"; "trg" ] rows) ] in
+  incr_pinned "insert" closure_term
+    ~base:[ ("E", er_graph ~n:30 ~m:45 ~seed:11) ]
+    [ (e [ [ 0; 17 ]; [ 17; 23 ]; [ 5; 0 ] ], []); (e [ [ 23; 29 ]; [ 29; 5 ] ], []) ]
+
 let test_incr_delete_parity () =
-  let deletes = rel [ "src"; "trg" ] [ [ 3; 4 ]; [ 12; 10 ] ] in
-  let inserts = rel [ "src"; "trg" ] [ [ 4; 20 ]; [ 20; 3 ] ] in
-  List.iter
-    (fun plan ->
-      List.iter
-        (fun compiled ->
-          let label = Printf.sprintf "%s compiled=%b" (Exec.plan_name plan) compiled in
-          let config = incr_config ~force_plan:plan ~workers:4 ~compiled in
-          let h = Incr.establish config ~tables:[ ("E", edges) ] closure_term in
-          (match Incr.update ~deletes:[ ("E", deletes) ] h with
-          | `Repaired (r, _) ->
-            let tables = [ ("E", Rel.diff edges deletes) ] in
-            check_rel (label ^ ": DRed delete") (eval_on tables closure_term) r
-          | `Unsupported msg -> Alcotest.failf "%s: unsupported: %s" label msg);
-          match Incr.update ~inserts:[ ("E", inserts) ] ~deletes:[ ("E", deletes) ] h with
-          | `Repaired (r, _) ->
-            (* the first update already removed [deletes]; this one is an
-               effective pure insert riding through the combined path *)
-            let tables = [ ("E", Rel.union (Rel.diff edges deletes) inserts) ] in
-            check_rel (label ^ ": combined update") (eval_on tables closure_term) r
-          | `Unsupported msg -> Alcotest.failf "%s: unsupported: %s" label msg)
-        [ false; true ])
-    [ Exec.P_gld; Exec.P_plw_s ]
+  let deletes = [ ("E", rel [ "src"; "trg" ] [ [ 3; 4 ]; [ 12; 10 ] ]) ] in
+  (* the second step re-deletes the same edges (an effective pure insert
+     riding through the combined path) *)
+  incr_pinned "delete" closure_term ~base:[ ("E", edges) ]
+    [ ([], deletes); ([ ("E", rel [ "src"; "trg" ] [ [ 4; 20 ]; [ 20; 3 ] ]) ], deletes) ]
+
+(* inserts and deletes through the compiled P_gld antijoin branch, and
+   updates that only touch the constant part (every differential summand
+   is var-free) *)
+let test_incr_compiled_shapes () =
+  incr_pinned "antijoin" antijoin_fix
+    ~base:[ ("E", edges); ("B", blocked) ]
+    [
+      ([ ("E", rel [ "src"; "trg" ] [ [ 6; 20 ]; [ 20; 4 ] ]) ], []);
+      ([], [ ("E", rel [ "src"; "trg" ] [ [ 2; 3 ] ]) ]);
+    ];
+  let s rows = [ ("S", rel [ "src"; "trg" ] rows) ] in
+  incr_pinned "const_part"
+    (Mura.Patterns.closure_from (Term.Rel "S") (Term.Rel "E"))
+    ~base:(("E", edges) :: s [ [ 1; 2 ] ])
+    [ (s [ [ 10; 11 ] ], []); ([], s [ [ 1; 2 ] ]) ]
 
 let test_incr_noop_update () =
-  let config = incr_config ~force_plan:Exec.P_plw_s ~workers:2 ~compiled:true in
+  let config = incr_config ~force_plan:Exec.P_plw_s ~workers:2 in
   let h = Incr.establish config ~tables:[ ("E", edges) ] closure_term in
   let before = Incr.result h in
   (* inserting already-present tuples and deleting absent ones is a no-op *)
@@ -777,7 +905,7 @@ let test_incr_unsupported () =
   let term =
     Term.Fix ("X", Term.Union (Term.Rel "E", Term.Antijoin (Term.Var "X", Term.Rel "D")))
   in
-  let config = incr_config ~force_plan:Exec.P_gld ~workers:2 ~compiled:true in
+  let config = incr_config ~force_plan:Exec.P_gld ~workers:2 in
   let h = Incr.establish config ~tables:[ ("E", edges); ("D", blocked) ] term in
   let before = Incr.result h in
   (match Incr.update ~inserts:[ ("D", rel [ "src" ] [ [ 3 ] ]) ] h with
@@ -800,11 +928,11 @@ let test_incr_unsupported () =
   | `Unsupported msg -> Alcotest.failf "unsupported: %s" msg
 
 let test_incr_establish_shapes () =
-  let config = incr_config ~force_plan:Exec.P_gld ~workers:2 ~compiled:true in
+  let config = incr_config ~force_plan:Exec.P_gld ~workers:2 in
   (match Incr.establish config ~tables:[ ("E", edges) ] (Term.Rel "E") with
   | exception Incr.Unsupported _ -> ()
   | _ -> Alcotest.fail "non-fixpoint establish must raise");
-  let pg = incr_config ~force_plan:Exec.P_plw_pg ~workers:2 ~compiled:true in
+  let pg = incr_config ~force_plan:Exec.P_plw_pg ~workers:2 in
   match Incr.establish pg ~tables:[ ("E", edges) ] closure_term with
   | exception Incr.Unsupported _ -> ()
   | _ -> Alcotest.fail "P_plw^pg establish must raise"
@@ -818,7 +946,7 @@ let () =
             test_analyze_no_observable_effect;
           Alcotest.test_case "root actual = result cardinality" `Quick test_analyze_root_actual;
           Alcotest.test_case "fixpoint deltas recorded" `Quick test_analyze_deltas;
-          Alcotest.test_case "plw_pg local actuals" `Quick test_analyze_plw_pg_locals;
+          Alcotest.test_case "plw_pg local fallbacks" `Quick test_analyze_plw_pg_fallbacks;
           Alcotest.test_case "render" `Quick test_analyze_render;
         ] );
       ( "plans",
@@ -855,15 +983,17 @@ let () =
         ] );
       ( "compiled exec",
         [
-          Alcotest.test_case "compiled/interpreted parity" `Quick test_compiled_parity;
+          Alcotest.test_case "counter pins" `Quick test_counter_pins;
+          Alcotest.test_case "every F_cond branch compiles" `Quick test_compiled_branch_shapes;
           Alcotest.test_case "compiler engagement" `Quick test_compiled_engagement;
+          Alcotest.test_case "error shapes keep their exceptions" `Quick test_error_shapes;
           Alcotest.test_case "explain shows execution mode" `Quick test_explain_exec_mode;
         ] );
       ( "compiled shell",
         [
           Alcotest.test_case "shell parity (all plans)" `Quick test_shell_parity;
           Alcotest.test_case "shuffle/cartesian shell parity" `Quick test_shell_shuffle_parity;
-          Alcotest.test_case "per-subtree fallback + telemetry" `Quick test_shell_subtree_fallback;
+          Alcotest.test_case "zero-arity subtree compiles" `Quick test_shell_zero_arity;
           Alcotest.test_case "no double const evaluation" `Quick test_shell_no_double_const_eval;
           Alcotest.test_case "explain annotates subtrees" `Quick test_shell_explain;
           Alcotest.test_case "bexec local fixpoint" `Quick test_bexec_local;
@@ -874,6 +1004,7 @@ let () =
         [
           Alcotest.test_case "insert-and-resume parity" `Quick test_incr_insert_parity;
           Alcotest.test_case "DRed delete parity" `Quick test_incr_delete_parity;
+          Alcotest.test_case "compiled branch shapes repair" `Quick test_incr_compiled_shapes;
           Alcotest.test_case "no-op update" `Quick test_incr_noop_update;
           Alcotest.test_case "unsupported updates refuse" `Quick test_incr_unsupported;
           Alcotest.test_case "establish shape checks" `Quick test_incr_establish_shapes;
