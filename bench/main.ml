@@ -167,7 +167,9 @@ module Fig7 = struct
   (* P_plw implementations compared: SetRDD vs local-database backend *)
   let run () =
     section "Fig. 7 — P_plw implementations (SetRDD vs local DB) on Yago";
-    heading "graph: %d labelled edges" (Rel.cardinal (Lazy.force yago_graph));
+    heading "graph: %d labelled edges, host_cores %d"
+      (Rel.cardinal (Lazy.force yago_graph))
+      (Domain.recommended_domain_count ());
     let systems = [ S.dist_mu_ra_plw `Setrdd; S.dist_mu_ra_plw `Postgres ] in
     let picks = [ "Q1"; "Q2"; "Q4"; "Q8"; "Q12"; "Q19"; "Q22"; "Q24" ] in
     let rows = R.run_matrix ~timeout_s:!timeout ~systems (yago_workloads picks) in

@@ -2,17 +2,8 @@
 # CI gate: formatting (when the formatter is available), full build, tests,
 # quick-scale bench parity gates and serving/streaming smokes.
 # Run from the repository root:
-#   sh ci/check.sh            # full check: everything + bench/trend.sh
-#   sh ci/check.sh --quick    # same gates, but skips the trend diff
+#   sh ci/check.sh
 set -eu
-
-quick=0
-for arg in "$@"; do
-  case "$arg" in
-    --quick) quick=1 ;;
-    *) echo "usage: sh ci/check.sh [--quick]" >&2; exit 2 ;;
-  esac
-done
 
 cd "$(dirname "$0")/.."
 
@@ -248,13 +239,5 @@ else
     { echo "no cached result survived a batch without a-edges" >&2; exit 1; }
 fi
 echo "stream report OK: $stream2_report"
-
-# performance trajectory: diff this run's BENCH_*.json snapshots against
-# the previous invocation's and record them for next time (full check
-# only — the quick gate leaves the trend store untouched)
-if [ "$quick" = 0 ]; then
-  echo "== bench/trend.sh =="
-  sh bench/trend.sh
-fi
 
 echo "ci/check.sh: all checks passed"

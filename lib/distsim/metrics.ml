@@ -170,7 +170,6 @@ let straggler_ratio m = Hist.max_value m.straggler
    through the metrics API; the counter itself lives in [Relation.Tset]
    because worker domains grow sets concurrently. *)
 let rehash_grows () = Relation.Tset.rehash_grow_count ()
-let reset_rehash_grows () = Relation.Tset.reset_rehash_grows ()
 
 let pp ppf m =
   Format.fprintf ppf

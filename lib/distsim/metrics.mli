@@ -88,11 +88,9 @@ val straggler_ratio : t -> float
 val rehash_grows : unit -> int
 (** Process-wide count of insert-triggered hash-table growths
     ({!Relation.Tset.rehash_grow_count}; explicit presizing never
-    counts). The compiled execution core's output paths are presized end
-    to end — the micro benches reset this and assert it stays zero across
-    batch<->set conversions. *)
-
-val reset_rehash_grows : unit -> unit
+    counts). The compiled execution core presizes its batch outputs, so
+    this counts the set-side growths; [perfbench] reports it as
+    [relation.rehash_grows]. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

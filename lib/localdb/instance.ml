@@ -130,28 +130,7 @@ and run_fix db vars x body =
             else Plan.Map (Tuple.project (Schema.reorder_positions ~from:s ~into:schema), p))
           recs
       in
-      let tr = Trace.get () in
-      Trace.span tr ~cat:"localdb" ~attrs:[ ("var", Trace.Str x) ] "localdb.fix" @@ fun () ->
-      let rounds = ref 0 in
-      let rec loop () =
-        incr rounds;
-        let fresh = Tset.create () in
-        List.iter
-          (fun p ->
-            let produced = Plan.run p in
-            Tset.iter (fun tu -> if not (Tset.mem all tu) then ignore (Tset.add fresh tu)) produced)
-          rec_plans;
-        Trace.instant tr ~cat:"localdb"
-          ~attrs:[ ("round", Trace.Int !rounds); ("fresh", Trace.Int (Tset.cardinal fresh)) ]
-          "localdb.round";
-        if not (Tset.is_empty fresh) then begin
-          ignore (Tset.add_all all fresh);
-          work := fresh;
-          loop ()
-        end
-      in
-      loop ();
-      Trace.set_attr tr "rounds" (Trace.Int !rounds));
+      Plan.recursive_union ~name:x ~all ~work rec_plans);
     Rel.of_tset schema all
 
 let query db term =

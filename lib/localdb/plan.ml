@@ -175,3 +175,25 @@ let run plan =
   let out = Tset.create () in
   drain (open_cursor plan) (fun tu -> ignore (Tset.add out tu));
   out
+
+let recursive_union ~name ~all ~work branches =
+  let tr = Trace.get () in
+  Trace.span tr ~cat:"localdb" ~attrs:[ ("var", Trace.Str name) ] "localdb.fix" @@ fun () ->
+  let rounds = ref 0 in
+  let rec loop () =
+    incr rounds;
+    let fresh = Tset.create () in
+    List.iter
+      (fun p -> Tset.iter (fun tu -> if not (Tset.mem all tu) then ignore (Tset.add fresh tu)) (run p))
+      branches;
+    Trace.instant tr ~cat:"localdb"
+      ~attrs:[ ("round", Trace.Int !rounds); ("fresh", Trace.Int (Tset.cardinal fresh)) ]
+      "localdb.round";
+    if not (Tset.is_empty fresh) then begin
+      ignore (Tset.add_all all fresh);
+      work := fresh;
+      loop ()
+    end
+  in
+  loop ();
+  Trace.set_attr tr "rounds" (Trace.Int !rounds)

@@ -38,6 +38,15 @@ val open_cursor : t -> cursor
 val run : t -> Relation.Tset.t
 (** Drain a cursor into a set. *)
 
+val recursive_union : name:string -> all:Relation.Tset.t -> work:Relation.Tset.t ref -> t list -> unit
+(** The work-table loop of PostgreSQL's recursive [UNION] (semi-naive),
+    shared by the mu-RA and SQL front ends. [all] holds the seed and
+    [work] its copy; the recursive [branches] read [work] through
+    [Work_table]. Each round runs every branch, keeps the tuples not yet
+    in [all], adds them to [all] and makes them the next working table,
+    until a round yields none. Traced as one ["localdb.fix"] span (with
+    a [rounds] attribute) and a ["localdb.round"] instant per round. *)
+
 val pp : Format.formatter -> t -> unit
 (** Operator-tree rendering (EXPLAIN-style). *)
 

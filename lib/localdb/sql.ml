@@ -424,25 +424,7 @@ let compile_cte env name body =
       if Schema.equal_ordered schema rec_schema then rec_plan
       else Plan.Map (Tuple.project (Schema.reorder_positions ~from:rec_schema ~into:schema), rec_plan)
     in
-    let tr = Trace.get () in
-    Trace.span tr ~cat:"localdb" ~attrs:[ ("cte", Trace.Str name) ] "sql.recursive_cte" @@ fun () ->
-    let rounds = ref 0 in
-    let rec loop () =
-      incr rounds;
-      let produced = Plan.run rec_plan in
-      let fresh = Tset.create () in
-      Tset.iter (fun tu -> if not (Tset.mem all tu) then ignore (Tset.add fresh tu)) produced;
-      Trace.instant tr ~cat:"localdb"
-        ~attrs:[ ("round", Trace.Int !rounds); ("fresh", Trace.Int (Tset.cardinal fresh)) ]
-        "sql.round";
-      if not (Tset.is_empty fresh) then begin
-        ignore (Tset.add_all all fresh);
-        work := fresh;
-        loop ()
-      end
-    in
-    loop ();
-    Trace.set_attr tr "rounds" (Trace.Int !rounds);
+    Plan.recursive_union ~name ~all ~work [ rec_plan ];
     { mk = (fun () -> Plan.Scan (Rel.of_tset schema all)); schema }
   | _ ->
     let plan, schema = compile_select env body in
@@ -464,7 +446,3 @@ let query db text =
   @@ fun () ->
   let plan, schema = compile db text in
   Rel.of_tset schema (Plan.run plan)
-
-let explain db text =
-  let plan, _ = compile db text in
-  Format.asprintf "%a" Plan.pp plan

@@ -25,6 +25,3 @@ exception Sql_error of string
 
 val query : Instance.t -> string -> Relation.Rel.t
 (** Parse, plan and execute against the catalog. @raise Sql_error *)
-
-val explain : Instance.t -> string -> string
-(** The compiled operator tree. @raise Sql_error *)

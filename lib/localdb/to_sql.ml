@@ -32,6 +32,7 @@ let rec pred_sql alias (p : Pred.t) =
 let rec select_of st tenv vars (t : Term.t) : string =
   let schema = Typing.infer ~vars tenv t in
   let cols = Schema.cols schema in
+  if cols = [] then fail "zero-arity relations are not expressible in SQL text (empty select list)";
   match t with
   | Rel n -> Printf.sprintf "SELECT %s FROM %s" (String.concat ", " cols) n
   | Var x ->

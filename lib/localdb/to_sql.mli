@@ -5,8 +5,9 @@
     Fixpoints become [WITH RECURSIVE] CTEs (hoisted to the top of the
     statement, in dependency order); the other operators map to
     SELECT/JOIN/WHERE/UNION. Not all of mu-RA is expressible in the
-    local dialect: antijoins, constant relations and non-equality
-    predicates raise {!Unsupported}. *)
+    local dialect: antijoins, constant relations, zero-arity
+    subterms (an empty select list) and non-equality predicates raise
+    {!Unsupported}. *)
 
 exception Unsupported of string
 

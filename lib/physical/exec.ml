@@ -105,6 +105,23 @@ let worker_index side ~shared =
       idxs.(w) <- Some i;
       i
 
+(* The P_plw^pg local plan, decided once on the driver from typing
+   alone (nothing is evaluated): the local fixpoint [Fix (var, __seed ∪
+   recursive branches)] ships to the per-worker databases as SQL text (a
+   WITH RECURSIVE statement), as the paper's PostgreSQL backends receive
+   it; a term outside the SQL dialect runs on the volcano executor, for
+   the given reason. [run_plw_pg] and [explain] share this decision. *)
+type local_plan = Sql of string | Volcano of string
+
+let local_seed = "__seed"
+
+let local_plan ~env ~var recs =
+  let term = Term.Fix (var, Term.union_all (Term.Rel local_seed :: recs)) in
+  match Localdb.To_sql.of_term (Mura.Typing.env env) term with
+  | sql -> (term, Sql sql)
+  | exception (Localdb.To_sql.Unsupported reason | Mura.Typing.Type_error reason) ->
+    (term, Volcano reason)
+
 (* ------------------------------------------------------------------ *)
 (* Distributed evaluation                                              *)
 (* ------------------------------------------------------------------ *)
@@ -418,7 +435,6 @@ and run_plw_s ctx ~var ~init ~recs ~stable ~branch_path =
 and run_plw_pg ctx ~var ~body ~init ~stable =
   let m = Cluster.metrics ctx.config.cluster in
   let init = match stable with [] -> init | _ -> Dds.repartition ~by:stable init in
-  let seed_name = "__seed" in
   (* Broadcast every database relation the variable part mentions. *)
   let rels_needed = Term.free_rels body in
   let broadcast_tables =
@@ -435,37 +451,13 @@ and run_plw_pg ctx ~var ~body ~init ~stable =
         | None -> None)
       rels_needed
   in
-  let _, recs_b = Fcond.split ~var body in
-  let local_term = Term.Fix (var, Term.union_all (Term.Rel seed_name :: recs_b)) in
   Metrics.record_superstep m;
   let schema = Dds.schema init in
-  let local_env =
-    (seed_name, schema) :: List.map (fun (n, r) -> (n, Rel.schema r)) broadcast_tables
-  in
-  (* compiled local path: a driver-side, typing-only lowering of the
-     local fixpoint onto batch chains ([Localdb.Bexec]); every worker
-     then runs the same compiled loop. Plans outside it are shipped to
-     the local databases as SQL text (a WITH RECURSIVE statement), as the
-     paper's PostgreSQL backend receives them, and terms outside the SQL
-     dialect run on the volcano executor. *)
-  let bexec_plan =
-    match Localdb.Bexec.plan ~env:local_env local_term with
-    | Ok p -> Some p
-    | Error reason ->
-      let reg = Telemetry.get () in
-      if Telemetry.enabled reg then
-        Telemetry.inc reg
-          ~labels:[ ("reason", reason); ("site", "plw_pg_local") ]
-          "pipeline_fallback_total";
-      None
-  in
-  let sql_text =
-    if Option.is_some bexec_plan then None
-    else
-      let tenv = Mura.Typing.env local_env in
-      match Localdb.To_sql.of_term tenv local_term with
-      | sql -> Some sql
-      | exception (Localdb.To_sql.Unsupported _ | Mura.Typing.Type_error _) -> None
+  let local_term, plan =
+    local_plan
+      ~env:((local_seed, schema) :: List.map (fun (n, r) -> (n, Rel.schema r)) broadcast_tables)
+      ~var
+      (snd (Fcond.split ~var body))
   in
   let result =
     Trace.span (Trace.get ()) ~cat:"fixpoint"
@@ -478,14 +470,13 @@ and run_plw_pg ctx ~var ~body ~init ~stable =
       (fun _ part ->
         let db = Localdb.Instance.create () in
         List.iter (fun (n, r) -> Localdb.Instance.register db n r) broadcast_tables;
-        Localdb.Instance.register db seed_name (Rel.of_tset schema (Tset.copy part));
+        Localdb.Instance.register db local_seed (Rel.of_tset schema (Tset.copy part));
         let local_result =
-          match (bexec_plan, sql_text) with
-          | Some p, _ -> Rel.relayout schema (Localdb.Bexec.run p db)
-          | None, Some sql -> Rel.relayout schema (Localdb.Sql.query db sql)
-          | None, None -> Localdb.Instance.query db local_term
+          match plan with
+          | Sql sql -> Localdb.Sql.query db sql
+          | Volcano _ -> Localdb.Instance.query db local_term
         in
-        Rel.tuples local_result)
+        Rel.tuples (Rel.relayout schema local_result))
       init
   in
   let result = match stable with [] -> Dds.distinct result | _ -> result in
@@ -509,18 +500,17 @@ let explain ctx term =
         Buffer.add_char buf '\n')
       fmt
   in
-  (* the P_plw^pg local plan: the same static pass the executor runs *)
+  (* the P_plw^pg local plan: the same decision the executor takes *)
   let local_plan_line indent x body consts recs =
     let env =
-      ("__seed", Mura.Typing.infer tenv (Term.union_all consts))
+      (local_seed, Mura.Typing.infer tenv (Term.union_all consts))
       :: List.filter_map
            (fun n -> Option.map (fun r -> (n, Rel.schema r)) (List.assoc_opt n ctx.tables))
            (Term.free_rels body)
     in
-    let local_term = Term.Fix (x, Term.union_all (Term.Rel "__seed" :: recs)) in
-    match Localdb.Bexec.plan ~env local_term with
-    | Ok _ -> line indent "local plan: compiled batch fixpoint"
-    | Error r -> line indent "local plan: SQL (%s)" r
+    match local_plan ~env ~var:x recs with
+    | _, Sql _ -> line indent "local plan: SQL"
+    | _, Volcano reason -> line indent "local plan: volcano (%s)" reason
   in
   let rec go indent (t : Term.t) =
     match t with

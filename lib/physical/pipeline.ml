@@ -34,7 +34,6 @@ module Tuple = Relation.Tuple
 module Batch = Relation.Batch
 module Pred = Relation.Pred
 module Index = Relation.Index
-module Rowchain = Relation.Rowchain
 module Term = Mura.Term
 module Dds = Distsim.Dds
 module Cluster = Distsim.Cluster
@@ -283,29 +282,68 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
 
 (* Build the fused pass of one worker: load each input row into the
    entry scratch, run the closure chain, and let the chain's tail emit
-   surviving rows into a presized dedup builder. Scratch arrays live for
-   the whole fixpoint (zero steady-state allocation); the builder is
-   fresh per invocation and becomes the output batch. *)
+   surviving rows into a presized dedup builder. The chain is compiled
+   once into nested closures, each operator owning its output scratch
+   (and probe key) array; these live for the whole fixpoint, so running
+   the chain on a row allocates nothing beyond what probes return. The
+   builder is fresh per invocation and becomes the output batch. *)
 let build_runner ~w ~in_arity ~out_arity (rops : rop list) : Batch.t -> Batch.t =
   let builder = ref (Batch.Builder.create ~capacity:0 ~arity:out_arity ()) in
-  let scratch0 = Array.make in_arity 0 in
   let emit scratch =
     let bld = !builder in
     let s = Batch.Builder.scratch bld in
     Array.blit scratch 0 s 0 out_arity;
     ignore (Batch.Builder.add_scratch bld (Batch.hash_row s))
   in
-  let ops =
-    List.map
-      (function
-        | R_filter pred -> Rowchain.Filter pred
-        | R_project pos -> Rowchain.Project pos
-        | R_probe { key_pos; extra_pos; probe } ->
-          Rowchain.Probe { key_pos; extra_pos; probe = probe w }
-        | R_antiprobe { key_pos; mem } -> Rowchain.Antiprobe { key_pos; mem = mem w })
-      rops
+  let rec chain scratch = function
+    | [] -> fun () -> emit scratch
+    | R_filter pred :: rest ->
+      let next = chain scratch rest in
+      fun () -> if pred scratch then next ()
+    | R_project pos :: rest ->
+      let n = Array.length pos in
+      let out = Array.make n 0 in
+      let next = chain out rest in
+      fun () ->
+        for i = 0 to n - 1 do
+          out.(i) <- scratch.(pos.(i))
+        done;
+        next ()
+    | R_probe { key_pos; extra_pos; probe } :: rest ->
+      let probe = probe w in
+      let base = Array.length scratch and ne = Array.length extra_pos in
+      let out = Array.make (base + ne) 0 in
+      let next = chain out rest in
+      let nk = Array.length key_pos in
+      let key = Array.make nk 0 in
+      fun () ->
+        for i = 0 to nk - 1 do
+          key.(i) <- scratch.(key_pos.(i))
+        done;
+        (match probe key with
+        | [] -> ()
+        | matches ->
+          Array.blit scratch 0 out 0 base;
+          List.iter
+            (fun rt ->
+              for j = 0 to ne - 1 do
+                out.(base + j) <- rt.(extra_pos.(j))
+              done;
+              next ())
+            matches)
+    | R_antiprobe { key_pos; mem } :: rest ->
+      let mem = mem w in
+      let next = chain scratch rest in
+      let nk = Array.length key_pos in
+      let key = Array.make nk 0 in
+      fun () ->
+        for i = 0 to nk - 1 do
+          key.(i) <- scratch.(key_pos.(i))
+        done;
+        if not (mem key) then next ()
   in
-  let chain = Rowchain.compile ~entry:scratch0 ops ~emit in
+  let scratch0 = Array.make in_arity 0 in
+  let run = chain scratch0 rops in
   fun input ->
     let n = Batch.length input in
     builder := Batch.Builder.create ~capacity:n ~arity:out_arity ();
@@ -314,7 +352,7 @@ let build_runner ~w ~in_arity ~out_arity (rops : rop list) : Batch.t -> Batch.t 
       for c = 0 to in_arity - 1 do
         scratch0.(c) <- cols.(c).(row)
       done;
-      chain ()
+      run ()
     done;
     Batch.Builder.batch !builder
 

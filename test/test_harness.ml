@@ -5,6 +5,7 @@ open Relation
 module S = Harness.Systems
 module Q = Harness.Queries
 module R = Harness.Runner
+module Exec = Physical.Exec
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -227,24 +228,36 @@ let test_analyze_annotated_plan () =
   | S.Success s -> check_bool "tree root = result size" true (a.R.a_tree.rows = Some s.result_size)
   | o -> Alcotest.failf "analyze outcome: %s" (R.cell_text o)
 
-(* EXPLAIN ANALYZE over the chosen plans of Q1-Q49 on small graphs: each
-   traced run returns Mura.Eval's result, and its root reports it *)
+(* EXPLAIN ANALYZE over Q1-Q49 on small graphs, under the chosen plans
+   and with every fixpoint forced onto P_gld and onto P_plw^pg (SQL text
+   or the volcano executor per worker): each traced run returns
+   Mura.Eval's result, and its root reports it *)
 let test_analyze_corpus () =
   let check graph specs =
-    let nonempty = ref 0 in
+    let expected =
+      List.map
+        (fun (q : Q.spec) ->
+          let term = Rpq.Query.union_to_term (Rpq.Query.parse_union q.text) in
+          Rel.cardinal (Mura.Eval.eval (Mura.Eval.env [ ("E", graph) ]) term))
+        specs
+    in
+    check_bool "most queries return tuples" true
+      (2 * List.length (List.filter (fun n -> n > 0) expected) > List.length specs);
     List.iter
-      (fun (q : Q.spec) ->
-        let a = R.analyze ~workers:4 ~timeout_s:60. ~graph ~query:q.text () in
-        let term = Rpq.Query.union_to_term (Rpq.Query.parse_union q.text) in
-        let expected = Rel.cardinal (Mura.Eval.eval (Mura.Eval.env [ ("E", graph) ]) term) in
-        match a.R.a_outcome with
-        | S.Success s ->
-          check_int (q.id ^ ": result = Mura.Eval") expected s.result_size;
-          check_bool (q.id ^ ": root rows") true (a.R.a_tree.rows = Some expected);
-          if expected > 0 then incr nonempty
-        | o -> Alcotest.failf "%s: analyze outcome %s" q.id (R.cell_text o))
-      specs;
-    check_bool "most queries return tuples" true (2 * !nonempty > List.length specs)
+      (fun force_plan ->
+        List.iter2
+          (fun (q : Q.spec) expected ->
+            let a = R.analyze ~workers:4 ~timeout_s:60. ?force_plan ~graph ~query:q.text () in
+            let id =
+              q.id ^ "/" ^ match force_plan with None -> "chosen" | Some p -> Exec.plan_name p
+            in
+            match a.R.a_outcome with
+            | S.Success s ->
+              check_int (id ^ ": result = Mura.Eval") expected s.result_size;
+              check_bool (id ^ ": root rows") true (a.R.a_tree.rows = Some expected)
+            | o -> Alcotest.failf "%s: analyze outcome %s" id (R.cell_text o))
+          specs expected)
+      [ None; Some Exec.P_gld; Some Exec.P_plw_pg ]
   in
   check (Graphgen.Yago_like.generate ~seed:1 ~scale:300 ()) Q.yago;
   let u = Graphgen.Uniprot_like.generate ~seed:2 ~scale:300 () in

@@ -36,9 +36,24 @@ let session_on ?force_plan ?(workers = 4) tables =
 
 let session ?force_plan ?workers () = session_on ?force_plan ?workers [ ("E", edges) ]
 
+(* fixpoints joining a zero-arity side (a projection on no column, an
+   antiprojection dropping every column): outside the SQL dialect, so
+   P_plw^pg runs them on the volcano executor *)
+let zero_arity_fixpoints =
+  List.map
+    (fun side -> Term.Fix ("X", Term.Union (Term.Rel "E", Term.Join (Term.Var "X", side))))
+    [ Term.Project ([], Term.Rel "E"); Term.Antiproject ([ "src"; "trg" ], Term.Rel "E") ]
+
 let test_plan_agreement plan () =
-  let ctx = match plan with None -> session () | Some p -> session ~force_plan:p () in
-  check_rel "plan agreement" expected_closure (Exec.run ctx closure_term)
+  List.iter
+    (fun term ->
+      let expected = Mura.Eval.eval (Mura.Eval.env [ ("E", edges) ]) term in
+      List.iter
+        (fun workers ->
+          let ctx = session ?force_plan:plan ~workers () in
+          check_rel "plan agreement" expected (Exec.run ctx term))
+        [ 1; 4 ])
+    (closure_term :: zero_arity_fixpoints)
 
 let test_auto_selection_stable () =
   let ctx = session () in
@@ -466,26 +481,19 @@ let test_analyze_deltas () =
       | l -> Alcotest.failf "expected one fixpoint report, got %d" (List.length l))
     [ Exec.P_gld; Exec.P_plw_s ]
 
-(* under EXPLAIN ANALYZE, P_plw^pg runs the same local engine as a plain
-   run: a local plan the batch compiler rejects (a zero-arity join side)
-   falls back the same way *)
+(* under EXPLAIN ANALYZE, P_plw^pg takes the same local route as a plain
+   run: SQL text for the closure, the volcano fallback for a zero-arity
+   join side, each returning Mura.Eval's relation *)
 let test_analyze_plw_pg_fallbacks () =
-  let term =
-    Term.Fix ("X", Term.Union (Term.Rel "E", Term.Join (Term.Var "X", Term.Project ([], Term.Cst edges))))
-  in
-  let fallbacks run =
-    let reg = Telemetry.make () in
-    Telemetry.install reg;
-    Fun.protect ~finally:Telemetry.uninstall @@ fun () ->
-    run ();
-    Telemetry.Snapshot.value
-      ~labels:[ ("reason", "zero_arity"); ("site", "plw_pg_local") ]
-      (Telemetry.snapshot reg) "pipeline_fallback_total"
-  in
-  let plain = fallbacks (fun () -> ignore (Exec.run (session ~force_plan:Exec.P_plw_pg ()) term)) in
-  let traced = fallbacks (fun () -> ignore (analyzed ~force_plan:Exec.P_plw_pg term)) in
-  check_bool "plain run falls back" true (plain = Some 1.);
-  check_bool "analyzed run counts the same fallbacks" true (traced = plain)
+  List.iter
+    (fun (term, route) ->
+      let expected = Mura.Eval.eval (Mura.Eval.env [ ("E", edges) ]) term in
+      let explained = Exec.explain (session ~force_plan:Exec.P_plw_pg ()) term in
+      check_bool ("local route " ^ route) true (contains_sub explained ("local plan: " ^ route));
+      check_rel "plain run" expected (Exec.run (session ~force_plan:Exec.P_plw_pg ()) term);
+      let _, traced, _ = analyzed ~force_plan:Exec.P_plw_pg term in
+      check_rel "analyzed run" expected traced)
+    ((closure_term, "SQL") :: List.map (fun t -> (t, "volcano (")) zero_arity_fixpoints)
 
 let test_analyze_render () =
   let _, _, tree = analyzed closure_term in
@@ -628,7 +636,7 @@ let test_explain_exec_mode () =
 module Sh = Physical.Pipeline.Shell
 
 (* results match the oracle and the counters their pins on all three
-   fixpoint plans (including P_plw^pg's compiled local fixpoints) and
+   fixpoint plans (P_plw^pg's local fixpoints running as SQL text) and
    every worker count *)
 let test_shell_parity () =
   List.iter
@@ -647,19 +655,12 @@ let test_shell_shuffle_parity () =
         [ 1; 4 ])
     [ ("shell_term", shell_term); ("cartesian", cartesian_term) ]
 
-(* a zero-arity subtree runs as width-0 batches: the result matches, no
-   fallback is counted, and the counters match their pin *)
+(* a zero-arity subtree runs as width-0 batches: the result matches and
+   the counters match their pin *)
 let test_shell_zero_arity () =
-  let reg = Telemetry.make () in
-  Telemetry.install reg;
-  Fun.protect ~finally:Telemetry.uninstall @@ fun () ->
   run_pinned ~workers:4 "e_zero_arity"
     (Term.Join (Term.Rel "E", Term.Project ([], Term.Rel "E")))
-    [ ("E", edges) ];
-  check_bool "no fallback counted" true
-    (List.for_all
-       (fun (r : Telemetry.Snapshot.row) -> r.r_name <> "pipeline_fallback_total")
-       (Telemetry.snapshot reg).Telemetry.Snapshot.rows)
+    [ ("E", edges) ]
 
 (* each constant is distributed once: the counters match their pin *)
 let test_shell_no_double_const_eval () =
@@ -677,28 +678,8 @@ let test_shell_explain () =
   check_bool "fixpoint plan listed" true (contains_sub text "Fixpoint ");
   let ctx3 = session ~force_plan:Exec.P_plw_pg () in
   let text3 = Exec.explain ctx3 closure_term in
-  check_bool "P_plw^pg local plan verdict" true
-    (contains_sub text3 "local plan: compiled batch fixpoint")
+  check_bool "P_plw^pg local plan verdict" true (contains_sub text3 "local plan: SQL")
 
-(* the P_plw^pg local executor agrees with the Instance oracle and
-   rejects non-fixpoints statically *)
-let test_bexec_local () =
-  let tc_step = compose (Term.Var "X") (Term.Rel "E") in
-  let local = Term.Fix ("X", Term.union_all [ Term.Rel "__seed"; tc_step ]) in
-  let env = [ ("__seed", sch [ "src"; "trg" ]); ("E", sch [ "src"; "trg" ]) ] in
-  let db = Localdb.Instance.create () in
-  Localdb.Instance.register db "E" edges;
-  Localdb.Instance.register db "__seed" edges;
-  (match Localdb.Bexec.plan ~env local with
-  | Error r -> Alcotest.failf "bexec rejected the TC local plan: %s" r
-  | Ok p ->
-    let got = Localdb.Bexec.run p db in
-    let want = Localdb.Instance.query db local in
-    check_rel "bexec = instance oracle" (Rel.relayout (Rel.schema got) want) got);
-  match Localdb.Bexec.plan ~env (Term.Rel "E") with
-  | Error "not_a_fixpoint" -> ()
-  | Error r -> Alcotest.failf "wrong rejection slug: %s" r
-  | Ok _ -> Alcotest.fail "non-fixpoint must be rejected"
 (* grouped reductions as fused batch folds agree with a naive driver fold *)
 let test_group_aggregates () =
   let cluster = Cluster.make ~workers:4 () in
@@ -723,9 +704,8 @@ let test_group_aggregates () =
   let expected2 = rel [ "trg"; "src" ] (Hashtbl.fold (fun k v acc -> [ k; v ] :: acc) tbl2 []) in
   check_rel "group_min" expected2 mins
 
-(* capacity-hint audit: the batch paths presize every output, so neither
-   the shell's materialize/union/to_dds nor the local batch fixpoint
-   ever triggers an insert-time rehash *)
+(* capacity-hint audit: the batch paths presize every output, so the
+   shell's materialize/union/to_dds never trigger an insert-time rehash *)
 let test_compiled_batch_no_rehash () =
   let g = er_graph ~n:30 ~m:120 ~seed:11 in
   let cluster = Cluster.make ~workers:2 () in
@@ -736,20 +716,7 @@ let test_compiled_batch_no_rehash () =
     Sh.materialize cluster (Sh.project [ "src" ] (Sh.filter (fun tu -> tu.(0) land 1 = 0) c0))
   in
   ignore (Sh.to_dds cluster (Sh.union cluster m m));
-  check_int "no insert-triggered rehash in shell materialize/union" 0 (Tset.rehash_grow_count ());
-  let tc_step = compose (Term.Var "X") (Term.Rel "E") in
-  let local = Term.Fix ("X", Term.union_all [ Term.Rel "__seed"; tc_step ]) in
-  let env = [ ("__seed", sch [ "src"; "trg" ]); ("E", sch [ "src"; "trg" ]) ] in
-  let db = Localdb.Instance.create () in
-  Localdb.Instance.register db "E" g;
-  Localdb.Instance.register db "__seed" g;
-  match Localdb.Bexec.plan ~env local with
-  | Error r -> Alcotest.failf "bexec rejected: %s" r
-  | Ok p ->
-    Tset.reset_rehash_grows ();
-    ignore (Localdb.Bexec.run p db);
-    check_int "no insert-triggered rehash in the local batch fixpoint" 0
-      (Tset.rehash_grow_count ())
+  check_int "no insert-triggered rehash in shell materialize/union" 0 (Tset.rehash_grow_count ())
 
 (* --- incremental fixpoint maintenance -------------------------------- *)
 
@@ -996,7 +963,6 @@ let () =
           Alcotest.test_case "zero-arity subtree compiles" `Quick test_shell_zero_arity;
           Alcotest.test_case "no double const evaluation" `Quick test_shell_no_double_const_eval;
           Alcotest.test_case "explain annotates subtrees" `Quick test_shell_explain;
-          Alcotest.test_case "bexec local fixpoint" `Quick test_bexec_local;
           Alcotest.test_case "grouped batch folds" `Quick test_group_aggregates;
           Alcotest.test_case "zero-rehash capacity audit" `Quick test_compiled_batch_no_rehash;
         ] );
