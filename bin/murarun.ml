@@ -71,7 +71,7 @@ let run gen graph_file labels query system all_systems workers timeout show expl
     Printf.printf "graph: %d edges\n" (Relation.Rel.cardinal graph);
     let w = S.of_ucrpq graph query in
     if explain_only then begin
-      Printf.printf "\n%s" (R.explain ~workers ~graph ~query ());
+      Printf.printf "\n%s" (R.explain ~workers ?force_plan:(force_plan_of system) ~graph ~query ());
       raise Exit
     end;
     if stream_rounds > 0 then begin

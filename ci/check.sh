@@ -24,14 +24,15 @@ echo "== dune runtest =="
 dune runtest
 
 # EXPLAIN ANALYZE smoke: an analyzed run must print the annotated plan
-# and skew table, and the JSON run report must parse and contain the
-# required sections (metrics, per-operator actuals, straggler ratio)
+# (with the candidate rows each materialized chain emitted) and skew
+# table, and the JSON run report must parse and contain the required
+# sections (metrics, per-operator actuals, straggler ratio)
 echo "== murarun --analyze smoke =="
 report=$(mktemp /tmp/murarun_report.XXXXXX.json)
 trap 'rm -f "$report"' EXIT
 out=$(dune exec bin/murarun.exe -- --gen er:2000:0.002 --labels a \
         --query "?x, ?y <- ?x a+ ?y" --analyze --report "$report")
-for needle in "rows=" "est=" "err=" "straggler"; do
+for needle in "rows=" "candidates=" "est=" "err=" "straggler"; do
   case "$out" in
     *"$needle"*) ;;
     *) echo "--analyze output missing '$needle'" >&2; exit 1 ;;

@@ -128,11 +128,11 @@ module Metrics = Distsim.Metrics
 
 let term_of_query query = Rpq.Query.union_to_term (Rpq.Query.parse_union query)
 
-let explain ?(workers = 4) ~graph ~query () =
+let explain ?(workers = 4) ?force_plan ~graph ~query () =
   let tables = [ ("E", graph) ] in
   let best = Systems.optimize tables (term_of_query query) in
   let cluster = Cluster.make ~workers () in
-  let ctx = Exec.session (Exec.default_config cluster) tables in
+  let ctx = Exec.session { (Exec.default_config cluster) with force_plan } tables in
   Printf.sprintf "logical plan (after rewriting):\n  %s\n\nphysical plan:\n%s"
     (Mura.Term.to_string best) (Exec.explain ctx best)
 
@@ -341,6 +341,7 @@ let rec node_json (n : Exec.Analyze.node) =
   obj
     ([ ("path", str n.path); ("label", str n.label) ]
     @ (match n.rows with Some r -> [ ("rows", string_of_int r) ] | None -> [])
+    @ (match n.candidates with Some c -> [ ("candidates", string_of_int c) ] | None -> [])
     @ [ ("ns", num n.ns); ("calls", string_of_int n.calls) ]
     @ (match n.plan with Some p -> [ ("plan", str p) ] | None -> [])
     @ (if n.iterations > 0 then

@@ -47,10 +47,18 @@ val print_trace_rollup : unit -> unit
 
 (** {1 EXPLAIN and EXPLAIN ANALYZE} *)
 
-val explain : ?workers:int -> graph:Relation.Rel.t -> query:string -> unit -> string
+val explain :
+  ?workers:int ->
+  ?force_plan:Physical.Exec.fixpoint_plan ->
+  graph:Relation.Rel.t ->
+  query:string ->
+  unit ->
+  string
 (** Optimize the UCRPQ and describe, without executing: the rewritten
-    logical plan and the physical plan [Physical.Exec] would choose
-    (the [murarun --explain] pipeline). *)
+    logical plan and the physical plan [Physical.Exec] would choose, or
+    the one [force_plan] forces for every fixpoint, with the P_plw^pg
+    local plan when that is the plan (the [murarun --explain]
+    pipeline). *)
 
 type analysis = {
   a_query : string;

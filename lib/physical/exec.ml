@@ -1,9 +1,8 @@
 module Schema = Relation.Schema
 module Rel = Relation.Rel
 module Tset = Relation.Tset
-module Pred = Relation.Pred
 module Batch = Relation.Batch
-module Index = Relation.Index
+module Join_index = Relation.Join_index
 module Term = Mura.Term
 module Fcond = Mura.Fcond
 module Dds = Distsim.Dds
@@ -94,14 +93,15 @@ let scan ctx n =
 
 (* Per-worker index over a co-partitioned build side, built lazily:
    slot [w] is only ever touched by worker [w]'s chain. *)
-let worker_index side ~shared =
+let worker_index side ~shared ~payload_pos =
   let batches = Sh.batches side in
+  let key_pos = Schema.positions (Sh.schema side) shared in
   let idxs = Array.make (Array.length batches) None in
   fun w ->
     match idxs.(w) with
     | Some i -> i
     | None ->
-      let i = Index.build (Sh.schema side) shared (Sh.batch_tuples batches.(w)) in
+      let i = Join_index.of_batch ~key_pos ~payload_pos batches.(w) in
       idxs.(w) <- Some i;
       i
 
@@ -174,8 +174,7 @@ and node ctx ~path ~mat (term : Term.t) : Sh.chain =
       Sh.of_batches ~schema:(Dds.schema d) ~part:(Dds.partitioning d) (Lazy.force batches)
     | Term.Cst _ | Term.Var _ | Term.Fix _ -> Sh.of_dds cluster (leaf ctx ~path term)
     | Term.Select (p, u) ->
-      let c = kid 0 u in
-      Sh.filter (Pred.compile (Sh.schema c) p) c
+      Sh.filter p (kid 0 u)
     | Term.Project (keep, u) -> distinct ctx (Sh.project keep (kid 0 u))
     | Term.Antiproject (drop, u) ->
       let c = kid 0 u in
@@ -246,23 +245,23 @@ and join ctx sa sb : Sh.chain =
     let rs = Rel.schema rel in
     let shared = Schema.common base_schema rs in
     let extra = List.filter (fun c -> not (Schema.mem base_schema c)) (Schema.cols rs) in
-    let idx = Index.build rs shared (Tset.to_seq (Rel.tuples rel)) in
-    ( Schema.positions base_schema shared,
-      Schema.positions rs extra,
-      (fun _w key -> Index.probe idx key),
-      rs )
+    let idx =
+      Join_index.of_tset ~key_pos:(Schema.positions rs shared)
+        ~payload_pos:(Schema.positions rs extra) (Rel.tuples rel)
+    in
+    (Schema.positions base_schema shared, List.length extra, (fun _ -> idx), rs)
   in
   if cb <= ca && cb <= threshold then begin
-    let key_pos, extra_pos, probe, rs = bcast_probe sb ~base_schema:sch_a in
-    Sh.probe sa ~key_pos ~extra_pos ~out_schema:(Schema.append_distinct sch_a rs) ~probe
+    let key_pos, width, index, rs = bcast_probe sb ~base_schema:sch_a in
+    Sh.probe sa ~key_pos ~width ~out_schema:(Schema.append_distinct sch_a rs) ~index
   end
   else if ca < cb && ca <= threshold then begin
     (* broadcast [a], probe from [b] (b-first layout), then the fused
        relayout back to the conventional left-first layout *)
-    let key_pos, extra_pos, probe, rs = bcast_probe sa ~base_schema:sch_b in
+    let key_pos, width, index, rs = bcast_probe sa ~base_schema:sch_b in
     let bfirst = Schema.append_distinct sch_b rs in
     let afirst = Schema.append_distinct sch_a sch_b in
-    let c = Sh.probe sb ~key_pos ~extra_pos ~out_schema:bfirst ~probe in
+    let c = Sh.probe sb ~key_pos ~width ~out_schema:bfirst ~index in
     if Schema.equal_ordered bfirst afirst then c
     else Sh.set_part (Sh.reorder ~into:afirst c) Dds.Arbitrary
   end
@@ -276,12 +275,10 @@ and join ctx sa sb : Sh.chain =
       let sa = repart_if ctx sa ~by:shared in
       let sb = repart_if ctx sb ~by:shared in
       let extra = List.filter (fun c -> not (Schema.mem sch_a c)) (Schema.cols sch_b) in
-      let index = worker_index sb ~shared in
-      let probe w key = Index.probe (index w) key in
+      let index = worker_index sb ~shared ~payload_pos:(Schema.positions sch_b extra) in
       Sh.set_part
-        (Sh.probe sa ~key_pos:(Schema.positions sch_a shared)
-           ~extra_pos:(Schema.positions sch_b extra)
-           ~out_schema:(Schema.append_distinct sch_a sch_b) ~probe)
+        (Sh.probe sa ~key_pos:(Schema.positions sch_a shared) ~width:(List.length extra)
+           ~out_schema:(Schema.append_distinct sch_a sch_b) ~index)
         (Dds.Hashed shared)
 
 and antijoin ctx sa sb : Sh.chain =
@@ -295,9 +292,11 @@ and antijoin ctx sa sb : Sh.chain =
     match Schema.common sch_a rs with
     | [] -> if Rel.is_empty rel_b then sa else Sh.empty_like sa
     | shared ->
-      let idx = Index.build rs shared (Tset.to_seq (Rel.tuples rel_b)) in
-      Sh.antiprobe sa ~key_pos:(Schema.positions sch_a shared) ~mem:(fun _w key ->
-          Index.mem idx key)
+      let idx =
+        Join_index.of_tset ~key_pos:(Schema.positions rs shared) ~payload_pos:[||]
+          (Rel.tuples rel_b)
+      in
+      Sh.antiprobe sa ~key_pos:(Schema.positions sch_a shared) ~index:(fun _ -> idx)
   end
   else begin
     match Schema.common sch_a sch_b with
@@ -305,10 +304,9 @@ and antijoin ctx sa sb : Sh.chain =
     | shared ->
       let sa = repart_if ctx sa ~by:shared in
       let sb = repart_if ctx sb ~by:shared in
-      let index = worker_index sb ~shared in
+      let index = worker_index sb ~shared ~payload_pos:[||] in
       Sh.set_part
-        (Sh.antiprobe sa ~key_pos:(Schema.positions sch_a shared) ~mem:(fun w key ->
-             Index.mem (index w) key))
+        (Sh.antiprobe sa ~key_pos:(Schema.positions sch_a shared) ~index)
         (Dds.Hashed shared)
   end
 
@@ -593,6 +591,7 @@ module Analyze = struct
     path : string;
     label : string;
     rows : int option;
+    candidates : int option;
     ns : float;
     calls : int;
     plan : string option;
@@ -613,26 +612,32 @@ module Analyze = struct
       | exception Fcond.Not_fcond _ -> [])
 
   (* Fold the trace's ["op"] spans by node path: calls, inclusive time,
-     and rows summed over the spans that materialized the node. *)
+     and rows and candidates summed over the spans that carry them. *)
   let tree ctx (events : Trace.event list) term =
     let acc = Hashtbl.create 64 in
+    let sum key (e : Trace.event) prev =
+      match List.assoc_opt key e.attrs with
+      | Some (Trace.Int n) -> Some (n + Option.value ~default:0 prev)
+      | _ -> prev
+    in
     List.iter
       (fun (e : Trace.event) ->
         match (e.kind, e.cat, List.assoc_opt "path" e.attrs) with
         | Trace.Span, "op", Some (Trace.Str p) ->
-          let rows, ns, calls =
-            Option.value ~default:(None, 0., 0) (Hashtbl.find_opt acc p)
+          let rows, candidates, ns, calls =
+            Option.value ~default:(None, None, 0., 0) (Hashtbl.find_opt acc p)
           in
-          let rows =
-            match List.assoc_opt "rows" e.attrs with
-            | Some (Trace.Int n) -> Some (n + Option.value ~default:0 rows)
-            | _ -> rows
-          in
-          Hashtbl.replace acc p (rows, ns +. (e.wall_dur_us *. 1e3), calls + 1)
+          Hashtbl.replace acc p
+            ( sum "rows" e rows,
+              sum "candidates" e candidates,
+              ns +. (e.wall_dur_us *. 1e3),
+              calls + 1 )
         | _ -> ())
       events;
     let rec go path (t : Term.t) =
-      let rows, ns, calls = Option.value ~default:(None, 0., 0) (Hashtbl.find_opt acc path) in
+      let rows, candidates, ns, calls =
+        Option.value ~default:(None, None, 0., 0) (Hashtbl.find_opt acc path)
+      in
       let plan, iterations, deltas =
         match t with
         | Term.Fix _ -> (
@@ -645,6 +650,7 @@ module Analyze = struct
         path;
         label = Pipeline.op_label t;
         rows;
+        candidates;
         ns;
         calls;
         plan;
@@ -676,6 +682,7 @@ module Analyze = struct
       | None -> Buffer.add_string buf " (fused into parent)"
       | Some rows ->
         Printf.bprintf buf " rows=%d" rows;
+        Option.iter (Printf.bprintf buf " candidates=%d") n.candidates;
         (match annot n.path with "" -> () | s -> Printf.bprintf buf " %s" s);
         Printf.bprintf buf " time=%.3fms" (n.ns /. 1e6);
         if n.calls > 1 then Printf.bprintf buf " calls=%d" n.calls);

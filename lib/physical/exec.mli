@@ -180,6 +180,10 @@ module Analyze : sig
         (** output cardinality where the node materialized (summed over
             the node's evaluations, e.g. a recursive branch's iterations);
             [None] for a node fused into its consumer's chain *)
+    candidates : int option;
+        (** rows the node's fused chains emitted into their dedup
+            builders before dedup, summed like [rows]; [None] where no
+            chain materialized through a builder *)
     ns : float;  (** cumulative time, inclusive of children *)
     calls : int;  (** evaluations (iteration count for recursive branches) *)
     plan : string option;  (** fixpoint plan name, [Fix] nodes only *)
@@ -194,6 +198,6 @@ module Analyze : sig
 
   val render : ?annot:(string -> string) -> node -> string
   (** Indented annotated-plan text. [annot path] injects extra
-      per-node text right after [rows=] (the harness passes
+      per-node text right after [rows=] and [candidates=] (the harness passes
       "est=<estimate> err=<q-error>" from [Cost.Feedback]). *)
 end

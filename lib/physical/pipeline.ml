@@ -33,7 +33,7 @@ module Tset = Relation.Tset
 module Tuple = Relation.Tuple
 module Batch = Relation.Batch
 module Pred = Relation.Pred
-module Index = Relation.Index
+module Join_index = Relation.Join_index
 module Term = Mura.Term
 module Dds = Distsim.Dds
 module Cluster = Distsim.Cluster
@@ -68,6 +68,11 @@ let set_rows n =
   let tr = Trace.get () in
   if Trace.enabled tr then Trace.set_attr tr "rows" (Trace.Int n)
 
+(* Rows a span's fused chains emitted into their dedup builders. *)
+let set_candidates n =
+  let tr = Trace.get () in
+  if Trace.enabled tr then Trace.set_attr tr "candidates" (Trace.Int n)
+
 (* ------------------------------------------------------------------ *)
 (* Row-level operators of a fused segment                              *)
 (* ------------------------------------------------------------------ *)
@@ -75,18 +80,23 @@ let set_rows n =
 (* One operator of a fused chain, acting on a scratch row (an [int
    array] laid out per the operator's input schema — which makes it a
    valid [Tuple.t], so compiled predicates apply directly). [R_probe]
-   and [R_antiprobe] close over per-worker index lookups; broadcast
-   indexes are immutable and shared by all workers, shuffle-side indexes
-   are built lazily per worker over the co-partitioned constant side. *)
+   and [R_antiprobe] read a per-worker {!Join_index} whose payload is
+   the appended columns; broadcast indexes are shared by all workers,
+   shuffle-side indexes are built lazily per worker over the
+   co-partitioned constant side. *)
 type rop =
-  | R_filter of (Tuple.t -> bool)
+  | R_filter of { pred : Tuple.t -> bool; cols : int array (* positions it reads *) }
   | R_project of int array  (* new scratch = old scratch at these positions *)
   | R_probe of {
       key_pos : int array;  (* shared columns, positions in the input scratch *)
-      extra_pos : int array;  (* appended columns, positions in the right tuple *)
-      probe : int -> Tuple.t -> Tuple.t list;  (* worker -> key -> matches *)
+      width : int;  (* appended columns: the index's payload width *)
+      index : int -> Join_index.t;  (* worker -> index *)
     }
-  | R_antiprobe of { key_pos : int array; mem : int -> Tuple.t -> bool }
+  | R_antiprobe of { key_pos : int array; index : int -> Join_index.t }
+
+let filter_rop schema p =
+  let pred = Pred.compile schema p in
+  R_filter { pred; cols = Schema.positions schema (Pred.columns p) }
 
 (* Atoms of a lowered branch, before fusion: row operators (each with
    its output schema and partitioning transfer) separated by exchange
@@ -99,9 +109,13 @@ type atom =
     }
   | A_exch of { by : string list; schema : Schema.t }
 
+(* A fused pass: the output batch and its candidate count — the rows the
+   chain emitted into its dedup builder. *)
+type runner = Batch.t -> Batch.t * int
+
 type step =
   | Fuse of {
-      runners : (Batch.t -> Batch.t) array;  (* one fused pass per worker *)
+      runners : runner array;  (* one fused pass per worker *)
       ptrans : Dds.partitioning -> Dds.partitioning;
     }
   | Exch of { by : string list; schema : Schema.t }
@@ -149,16 +163,17 @@ let project_partitioning keep (p : Dds.partitioning) : Dds.partitioning =
    exchange is charged once per fixpoint, unless [Dds.repartition]
    no-ops), and worker [w]'s index over its partition is built lazily by
    [w]'s own stage, then reused by every later application. *)
-let copartitioned ~workers ~shared const_dds =
+let copartitioned ~workers ~shared ~payload_pos const_dds =
   let part = ref None in
   let idxs = Array.make workers None in
   let prepare () = if !part = None then part := Some (Dds.repartition ~by:shared const_dds) in
+  let key_pos = Schema.positions (Dds.schema const_dds) shared in
   let index w =
     match idxs.(w) with
     | Some i -> i
     | None ->
       let cp = match !part with Some d -> d | None -> assert false in
-      let i = Index.build (Dds.schema cp) shared (Tset.to_seq (Dds.partition cp w)) in
+      let i = Join_index.of_tset ~key_pos ~payload_pos (Dds.partition cp w) in
       idxs.(w) <- Some i;
       i
   in
@@ -183,9 +198,19 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
     let shared = Schema.common sr rs in
     let out = Schema.append_distinct sr rs in
     let _, extra_pos = extra_of sr rs in
-    let idx = Index.build rs shared (Tset.to_seq (Rel.tuples rel)) in
-    let probe _w key = Index.probe idx key in
-    (row (R_probe { key_pos = Schema.positions sr shared; extra_pos; probe }) out Fun.id, out)
+    let idx =
+      Join_index.of_tset ~key_pos:(Schema.positions rs shared) ~payload_pos:extra_pos
+        (Rel.tuples rel)
+    in
+    let probe =
+      R_probe
+        {
+          key_pos = Schema.positions sr shared;
+          width = Array.length extra_pos;
+          index = (fun _ -> idx);
+        }
+    in
+    (row probe out Fun.id, out)
   in
   let rec go ~path (t : Term.t) : atom list * Schema.t =
     match t with
@@ -193,7 +218,7 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
     | Term.Var x -> err "foreign recursive variable %S in branch" x
     | Term.Select (p, u) ->
       let atoms, s = go ~path:(child path 0) u in
-      (atoms @ [ row (R_filter (Pred.compile s p)) s Fun.id ], s)
+      (atoms @ [ row (filter_rop s p) s Fun.id ], s)
     | Term.Project (keep, u) ->
       let atoms, s = go ~path:(child path 0) u in
       let out = Schema.restrict s keep in
@@ -227,22 +252,20 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
           (atoms @ [ atom ], out)
         | shared ->
           let out = Schema.append_distinct sr cs in
-          let _, extra_pos = extra_of sr cs in
-          let prepare, index = copartitioned ~workers ~shared const_dds in
+          let _, payload_pos = extra_of sr cs in
+          let prepare, index = copartitioned ~workers ~shared ~payload_pos const_dds in
           prepares := prepare :: !prepares;
-          let probe w key = Index.probe (index w) key in
-          ( atoms
-            @ [
-                A_exch { by = shared; schema = sr };
-                row (R_probe { key_pos = Schema.positions sr shared; extra_pos; probe }) out Fun.id;
-              ],
-            out )))
+          let probe =
+            R_probe
+              { key_pos = Schema.positions sr shared; width = Array.length payload_pos; index }
+          in
+          (atoms @ [ A_exch { by = shared; schema = sr }; row probe out Fun.id ], out)))
     | Term.Antijoin (a, b) -> (
       if Term.has_free_var var b then err "fixpoint on %s is not positive" var;
       let atoms, sr = go ~path:(child path 0) a in
       let bpath = child path 1 in
-      let antiprobe shared mem =
-        row (R_antiprobe { key_pos = Schema.positions sr shared; mem }) sr Fun.id
+      let antiprobe shared index =
+        row (R_antiprobe { key_pos = Schema.positions sr shared; index }) sr Fun.id
       in
       match join_mode with
       | `Broadcast ->
@@ -250,25 +273,26 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
         Dds.broadcast cluster rel;
         let rs = Rel.schema rel in
         let shared = Schema.common sr rs in
-        let idx = Index.build rs shared (Tset.to_seq (Rel.tuples rel)) in
-        (atoms @ [ antiprobe shared (fun _w key -> Index.mem idx key) ], sr)
+        let idx =
+          Join_index.of_tset ~key_pos:(Schema.positions rs shared) ~payload_pos:[||]
+            (Rel.tuples rel)
+        in
+        (atoms @ [ antiprobe shared (fun _ -> idx) ], sr)
       | `Shuffle -> (
         let const_dds = exec_const ~path:bpath b in
         match Schema.common sr (Dds.schema const_dds) with
         | [] ->
           (* no shared column: all of the left side when the right one is
-             empty, nothing otherwise *)
-          let nonempty = Dds.cardinal const_dds > 0 in
-          (atoms @ [ antiprobe [] (fun _w _key -> nonempty) ], sr)
+             empty, nothing otherwise — an index with one empty key or
+             none *)
+          let keys = Tset.create () in
+          if Dds.cardinal const_dds > 0 then ignore (Tset.add keys [||]);
+          let idx = Join_index.of_tset ~key_pos:[||] ~payload_pos:[||] keys in
+          (atoms @ [ antiprobe [] (fun _ -> idx) ], sr)
         | shared ->
-          let prepare, index = copartitioned ~workers ~shared const_dds in
+          let prepare, index = copartitioned ~workers ~shared ~payload_pos:[||] const_dds in
           prepares := prepare :: !prepares;
-          ( atoms
-            @ [
-                A_exch { by = shared; schema = sr };
-                antiprobe shared (fun w key -> Index.mem (index w) key);
-              ],
-            sr )))
+          (atoms @ [ A_exch { by = shared; schema = sr }; antiprobe shared index ], sr)))
     | Term.Union _ -> err "internal: union inside a normalised branch"
     | Term.Fix (x, _) -> err "internal: recursive variable %s under nested fixpoint %s" var x
     | Term.Rel _ | Term.Cst _ -> err "internal: recursive branch without %s" var
@@ -285,68 +309,135 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
    surviving rows into a presized dedup builder. The chain is compiled
    once into nested closures, each operator owning its output scratch
    (and probe key) array; these live for the whole fixpoint, so running
-   the chain on a row allocates nothing beyond what probes return. The
-   builder is fresh per invocation and becomes the output batch. *)
-let build_runner ~w ~in_arity ~out_arity (rops : rop list) : Batch.t -> Batch.t =
+   the chain on a row allocates nothing. The builder is fresh per
+   invocation and becomes the output batch; the pass also answers its
+   candidate count, the rows emitted into the builder.
+
+   Compiling the chain also computes liveness: each operator learns
+   which columns of its input scratch the rest of the chain reads. A
+   probe whose input has a column dead after it (typically the join key
+   an antiproject drops next) is factorized: two input rows that agree
+   on the live columns and meet groups with equal payload sets (one
+   canonical id) would expand into the same downstream rows, so a
+   per-application seen set keyed by (live columns, canonical id) lets
+   each such pair expand once. The output is a set, so only duplicates
+   are skipped, and the first occurrence of every output row keeps its
+   place in the batch. *)
+let no_index = Join_index.of_tset ~key_pos:[||] ~payload_pos:[||] (Tset.create ())
+
+let mark live pos = Array.iter (fun p -> live.(p) <- true) pos
+
+let build_runner ~w ~in_arity ~out_arity (rops : rop list) : runner =
   let builder = ref (Batch.Builder.create ~capacity:0 ~arity:out_arity ()) in
+  let candidates = ref 0 in
+  (* per-application setup, given the input rows: resolve the worker's
+     indexes, clear seen sets *)
+  let setups = ref [] in
   let emit scratch =
+    incr candidates;
     let bld = !builder in
     let s = Batch.Builder.scratch bld in
     Array.blit scratch 0 s 0 out_arity;
     ignore (Batch.Builder.add_scratch bld (Batch.hash_row s))
   in
+  (* [chain scratch rops] is the row closure over [scratch] and the
+     liveness of [scratch]'s columns *)
   let rec chain scratch = function
-    | [] -> fun () -> emit scratch
-    | R_filter pred :: rest ->
-      let next = chain scratch rest in
-      fun () -> if pred scratch then next ()
+    | [] -> ((fun () -> emit scratch), Array.make (Array.length scratch) true)
+    | R_filter { pred; cols } :: rest ->
+      let next, live = chain scratch rest in
+      mark live cols;
+      ((fun () -> if pred scratch then next ()), live)
     | R_project pos :: rest ->
       let n = Array.length pos in
       let out = Array.make n 0 in
-      let next = chain out rest in
-      fun () ->
-        for i = 0 to n - 1 do
-          out.(i) <- scratch.(pos.(i))
-        done;
-        next ()
-    | R_probe { key_pos; extra_pos; probe } :: rest ->
-      let probe = probe w in
-      let base = Array.length scratch and ne = Array.length extra_pos in
-      let out = Array.make (base + ne) 0 in
-      let next = chain out rest in
-      let nk = Array.length key_pos in
-      let key = Array.make nk 0 in
-      fun () ->
-        for i = 0 to nk - 1 do
-          key.(i) <- scratch.(key_pos.(i))
-        done;
-        (match probe key with
-        | [] -> ()
-        | matches ->
-          Array.blit scratch 0 out 0 base;
-          List.iter
-            (fun rt ->
-              for j = 0 to ne - 1 do
-                out.(base + j) <- rt.(extra_pos.(j))
+      let next, live_out = chain out rest in
+      let live = Array.make (Array.length scratch) false in
+      Array.iteri (fun i p -> if live_out.(i) then live.(p) <- true) pos;
+      ( (fun () ->
+          for i = 0 to n - 1 do
+            out.(i) <- scratch.(pos.(i))
+          done;
+          next ()),
+        live )
+    | R_probe { key_pos; width; index } :: rest ->
+      let base = Array.length scratch in
+      let out = Array.make (base + width) 0 in
+      let next, live_out = chain out rest in
+      let dead = List.filter (fun i -> not live_out.(i)) (List.init base Fun.id) in
+      let live = Array.sub live_out 0 base in
+      mark live key_pos;
+      let idx = ref no_index and payload = ref [||] in
+      let expand g =
+        Array.blit scratch 0 out 0 base;
+        let p = !payload in
+        for r = Join_index.start !idx g to Join_index.stop !idx g - 1 do
+          let o = r * width in
+          for j = 0 to width - 1 do
+            out.(base + j) <- p.(o + j)
+          done;
+          next ()
+        done
+      in
+      (* factorized (when some column is dead): a seen set over (live
+         input columns, canonical id) *)
+      let live_base =
+        Array.of_list (List.filter (fun i -> not (List.mem i dead)) (List.init base Fun.id))
+      in
+      let nl = Array.length live_base in
+      let seen = Batch.Builder.create ~capacity:0 ~arity:(nl + 1) () in
+      let key = Batch.Builder.scratch seen in
+      let canon = ref [||] and factor = ref false in
+      setups :=
+        (fun n ->
+          idx := index w;
+          (* canonical ids cost a pass over the index: worth it once an
+             application probes about as many rows as the index has
+             groups, and free after that *)
+          factor := dead <> [] && (Join_index.has_canon !idx || n >= Join_index.groups !idx);
+          if !factor then begin
+            canon := Join_index.canon !idx;
+            Batch.Builder.clear seen
+          end;
+          payload := Join_index.payload !idx)
+        :: !setups;
+      (* When every dead column is a key column, distinct input rows that
+         agree on the live columns meet distinct groups, so a group whose
+         payload set is unique (negative canonical id) never repeats a
+         pair. A one-row group costs no more to expand than to look up.
+         Both expand without the seen set. *)
+      let key_dead_only = List.for_all (fun i -> Array.mem i key_pos) dead in
+      ( (fun () ->
+          let g = Join_index.find !idx scratch key_pos in
+          if g >= 0 then
+            if
+              (not !factor)
+              || Join_index.stop !idx g - Join_index.start !idx g < 2
+              || (key_dead_only && !canon.(g) < 0)
+            then expand g
+            else begin
+              for i = 0 to nl - 1 do
+                key.(i) <- scratch.(live_base.(i))
               done;
-              next ())
-            matches)
-    | R_antiprobe { key_pos; mem } :: rest ->
-      let mem = mem w in
-      let next = chain scratch rest in
-      let nk = Array.length key_pos in
-      let key = Array.make nk 0 in
-      fun () ->
-        for i = 0 to nk - 1 do
-          key.(i) <- scratch.(key_pos.(i))
-        done;
-        if not (mem key) then next ()
+              key.(nl) <- !canon.(g);
+              if Batch.Builder.add_scratch seen (Batch.hash_row key) then expand g
+            end),
+        live )
+    | R_antiprobe { key_pos; index } :: rest ->
+      let next, live = chain scratch rest in
+      mark live key_pos;
+      let idx = ref no_index in
+      setups := (fun _ -> idx := index w) :: !setups;
+      ((fun () -> if not (Join_index.mem !idx scratch key_pos) then next ()), live)
   in
   let scratch0 = Array.make in_arity 0 in
-  let run = chain scratch0 rops in
+  let run, _ = chain scratch0 rops in
+  let setups = !setups in
   fun input ->
     let n = Batch.length input in
+    List.iter (fun f -> f n) setups;
     builder := Batch.Builder.create ~capacity:n ~arity:out_arity ();
+    candidates := 0;
     let cols = Batch.cols input in
     for row = 0 to n - 1 do
       for c = 0 to in_arity - 1 do
@@ -354,7 +445,7 @@ let build_runner ~w ~in_arity ~out_arity (rops : rop list) : Batch.t -> Batch.t 
       done;
       run ()
     done;
-    Batch.Builder.batch !builder
+    (Batch.Builder.batch !builder, !candidates)
 
 let fuse_atoms ~cluster ~x_schema atoms : step list =
   let workers = Cluster.workers cluster in
@@ -374,7 +465,7 @@ let fuse_atoms ~cluster ~x_schema atoms : step list =
         match rops with
         | [] when in_arity = out_arity ->
           (* schema-only segment (pure renames): the batch passes through *)
-          Fuse { runners = Array.make workers Fun.id; ptrans }
+          Fuse { runners = Array.make workers (fun b -> (b, 0)); ptrans }
         | _ ->
           let runners = Array.init workers (fun w -> build_runner ~w ~in_arity ~out_arity rops) in
           Fuse { runners; ptrans }
@@ -406,13 +497,21 @@ let compile ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~branch_p
 
 let total_rows (bs : Batch.t array) = Array.fold_left (fun acc b -> acc + Batch.length b) 0 bs
 
+(* Run one fused stage on every worker: the output batches and the
+   stage's candidate count. *)
+let run_fused cluster (runners : runner array) (bs : Batch.t array) =
+  let outs = Cluster.run_stage cluster (fun w -> runners.(w) bs.(w)) in
+  (Array.map fst outs, Array.fold_left (fun acc (_, c) -> acc + c) 0 outs)
+
 (* One application of a branch, inside the branch node's op span; the
-   span's rows are the branch output (summed over a fixpoint's
-   iterations when the trace is folded by path). *)
+   span's rows are the branch output and its candidates the rows its
+   chains emitted (both summed over a fixpoint's iterations when the
+   trace is folded by path). *)
 let apply_branch cluster br (delta : Batch.t array) (delta_part : Dds.partitioning) :
     Batch.t array * Dds.partitioning =
   op_span ~path:br.path br.label @@ fun () ->
   List.iter (fun p -> p ()) br.prepares;
+  let candidates = ref 0 in
   let bs, part =
     List.fold_left
       (fun (bs, part) step ->
@@ -421,10 +520,13 @@ let apply_branch cluster br (delta : Batch.t array) (delta_part : Dds.partitioni
           if Dds.same_hashing part (Dds.Hashed by) then (bs, part)
           else (Dds.repartition_batches cluster bs ~schema ~by, Dds.Hashed by)
         | Fuse { runners; ptrans } ->
-          (Cluster.run_stage cluster (fun w -> runners.(w) bs.(w)), ptrans part))
+          let bs, c = run_fused cluster runners bs in
+          candidates := !candidates + c;
+          (bs, ptrans part))
       (delta, delta_part) br.steps
   in
   set_rows (total_rows bs);
+  set_candidates !candidates;
   (bs, part)
 
 let batches_of ~arity d =
@@ -626,11 +728,9 @@ module Shell = struct
     of_batches ~schema:c.c_schema ~part:c.c_part
       (Array.map (fun _ -> Batch.create ~capacity:1 ~arity ()) c.c_base)
 
-  let batch_tuples (b : Batch.t) : Tuple.t Seq.t = Seq.init (Batch.length b) (Batch.to_tuple b)
-
   (* Pending-op fusers. Positions are relative to [c_schema] (the schema
      after the already-pending ops), so fused suffixes compose. *)
-  let filter pred c = { c with c_rops = c.c_rops @ [ R_filter pred ] }
+  let filter p c = { c with c_rops = c.c_rops @ [ filter_rop c.c_schema p ] }
 
   let rename_cols m c =
     { c with c_schema = Schema.rename m c.c_schema; c_part = rename_partitioning m c.c_part }
@@ -645,15 +745,16 @@ module Shell = struct
       c_rehash = true;
     }
 
-  let probe ~key_pos ~extra_pos ~out_schema ~probe c =
+  let probe ~key_pos ~width ~out_schema ~index c =
     {
       c with
-      c_rops = c.c_rops @ [ R_probe { key_pos; extra_pos; probe } ];
+      c_rops = c.c_rops @ [ R_probe { key_pos; width; index } ];
       c_schema = out_schema;
       c_rehash = true;
     }
 
-  let antiprobe ~key_pos ~mem c = { c with c_rops = c.c_rops @ [ R_antiprobe { key_pos; mem } ] }
+  let antiprobe ~key_pos ~index c =
+    { c with c_rops = c.c_rops @ [ R_antiprobe { key_pos; index } ] }
 
   let reorder ~into c =
     if Schema.equal_ordered c.c_schema into then c
@@ -669,16 +770,10 @@ module Shell = struct
     let preds =
       List.map
         (function
-          | R_filter p -> fun () -> p scratch
-          | R_antiprobe { key_pos; mem } ->
-            let nk = Array.length key_pos in
-            let key = Array.make nk 0 in
-            let mem = mem w in
-            fun () ->
-              for i = 0 to nk - 1 do
-                key.(i) <- scratch.(key_pos.(i))
-              done;
-              not (mem key)
+          | R_filter { pred; _ } -> fun () -> pred scratch
+          | R_antiprobe { key_pos; index } ->
+            let idx = index w in
+            fun () -> not (Join_index.mem idx scratch key_pos)
           | R_project _ | R_probe _ -> assert false)
         rops
     in
@@ -693,6 +788,8 @@ module Shell = struct
     done;
     out
 
+  (* A rehashing chain runs through [build_runner] and reports its
+     candidates on the enclosing span. *)
   let materialize cluster c =
     if is_mat c then c
     else begin
@@ -701,9 +798,15 @@ module Shell = struct
       let outs =
         if not c.c_rehash then
           Cluster.run_stage cluster (fun w -> run_keep ~w ~arity:in_arity c.c_rops c.c_base.(w))
-        else
-          Cluster.run_stage cluster (fun w ->
-              (build_runner ~w ~in_arity ~out_arity c.c_rops) c.c_base.(w))
+        else begin
+          let runners =
+            Array.init (Array.length c.c_base) (fun w ->
+                build_runner ~w ~in_arity ~out_arity c.c_rops)
+          in
+          let outs, candidates = run_fused cluster runners c.c_base in
+          set_candidates candidates;
+          outs
+        end
       in
       { c with c_base = outs; c_base_schema = c.c_schema; c_rops = []; c_rehash = false }
     end

@@ -11,9 +11,18 @@
     {!Shell} lowers the non-fixpoint operators around [Fix] nodes onto
     the same chains. Zero-arity relations run as width-0 batches.
 
+    Joins probe a {!Relation.Join_index}. A probe whose input has a
+    column no later operator of its chain reads expands each distinct
+    (live columns, canonical payload group) pair once per application,
+    from the first application with at least as many input rows as the
+    index has groups: only duplicate rows are skipped, so results,
+    iterations and communication counters are those of the unfactorized
+    chain.
+
     Every application of a branch runs inside an ["op"] trace span
-    ({!op_span}) carrying the branch node's path and output [rows], so a
-    folded trace reports per-branch rows summed over iterations. *)
+    ({!op_span}) carrying the branch node's path, output [rows] and
+    [candidates] (the rows its chains emitted into their dedup builders),
+    so a folded trace reports both per branch, summed over iterations. *)
 
 module Schema = Relation.Schema
 module Rel = Relation.Rel
@@ -136,26 +145,30 @@ module Shell : sig
   val materialize : Cluster.t -> chain -> chain
   (** Run the pending suffix: a hash-reusing copy pass when no pending
       op changes row content, otherwise one fused closure chain per
-      worker into a presized dedup builder. *)
+      worker into a presized dedup builder, whose candidate count goes
+      on the innermost open span as its [candidates] attribute. *)
 
   val empty_like : chain -> chain
   (** Materialized empty chain with the same schema and partitioning. *)
 
-  val filter : (Relation.Tuple.t -> bool) -> chain -> chain
+  val filter : Relation.Pred.t -> chain -> chain
+  (** Fused selection, compiled against the chain's schema. *)
+
   val rename_cols : (string * string) list -> chain -> chain
   val project : string list -> chain -> chain
 
   val probe :
     key_pos:int array ->
-    extra_pos:int array ->
+    width:int ->
     out_schema:Schema.t ->
-    probe:(int -> Relation.Tuple.t -> Relation.Tuple.t list) ->
+    index:(int -> Relation.Join_index.t) ->
     chain ->
     chain
-  (** Fused index join: worker-indexed probe, appending [extra_pos] of
-      each match. *)
+  (** Fused index join: probe worker [w]'s index at [key_pos] and append
+      each matching payload row ([width] columns). *)
 
-  val antiprobe : key_pos:int array -> mem:(int -> Relation.Tuple.t -> bool) -> chain -> chain
+  val antiprobe : key_pos:int array -> index:(int -> Relation.Join_index.t) -> chain -> chain
+  (** Fused antijoin: keep the rows whose key worker [w]'s index lacks. *)
 
   val reorder : into:Schema.t -> chain -> chain
   (** Fused column permutation into the given layout (same names). *)
@@ -168,7 +181,4 @@ module Shell : sig
   val repartition : Cluster.t -> chain -> by:string list -> chain
   (** Charged batch exchange ([Dds.repartition_batches]); the caller
       applies the [same_hashing] no-op rule. *)
-
-  val batch_tuples : Relation.Batch.t -> Relation.Tuple.t Seq.t
-  (** Row view of a batch, for driver-side index builds. *)
 end

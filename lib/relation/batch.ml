@@ -138,26 +138,26 @@ module Builder = struct
   let batch t = t.out
   let length t = t.out.len
 
-  let scratch_matches t row =
-    let cols = t.out.cols in
-    let rec eq c =
-      c >= t.out.arity
-      || Array.unsafe_get t.scratch c = Array.unsafe_get (Array.unsafe_get cols c) row
-         && eq (c + 1)
-    in
-    eq 0
+  let rec scratch_matches scratch cols arity row c =
+    c >= arity
+    || Array.unsafe_get scratch c = Array.unsafe_get (Array.unsafe_get cols c) row
+       && scratch_matches scratch cols arity row (c + 1)
 
-  let find t h =
-    let i = h land t.mask in
-    let rec probe i =
-      let r = Array.unsafe_get t.slots i in
-      if r = 0 then i
-      else if
-        Array.unsafe_get t.out.hashes (r - 1) = h && scratch_matches t (r - 1)
-      then i
-      else probe ((i + 1) land t.mask)
-    in
-    probe i
+  (* Top-level probe loop with explicit arguments: without flambda a
+     local [let rec] would allocate its closure on every call. *)
+  let rec find_from t h i =
+    let r = Array.unsafe_get t.slots i in
+    if r = 0 then i
+    else if
+      Array.unsafe_get t.out.hashes (r - 1) = h
+      && scratch_matches t.scratch t.out.cols t.out.arity (r - 1) 0
+    then i
+    else find_from t h ((i + 1) land t.mask)
+
+  let find t h = find_from t h (h land t.mask)
+
+  let rec free_slot slots mask i =
+    if Array.unsafe_get slots i = 0 then i else free_slot slots mask ((i + 1) land mask)
 
   let resize t =
     let size = (t.mask + 1) * 2 in
@@ -165,8 +165,7 @@ module Builder = struct
     let mask = size - 1 in
     for r = 0 to t.out.len - 1 do
       let h = Array.unsafe_get t.out.hashes r in
-      let rec probe i = if Array.unsafe_get slots i = 0 then i else probe ((i + 1) land mask) in
-      slots.(probe (h land mask)) <- r + 1
+      slots.(free_slot slots mask (h land mask)) <- r + 1
     done;
     t.slots <- slots;
     t.mask <- mask
@@ -186,6 +185,11 @@ module Builder = struct
   let mem_scratch t h =
     let i = find t h in
     Array.unsafe_get t.slots i <> 0
+
+  (* Forget every row, keeping the allocated capacity. *)
+  let clear t =
+    Array.fill t.slots 0 (Array.length t.slots) 0;
+    t.out.len <- 0
 end
 
 (* Full-row hash of the builder scratch (or any [int array] row):

@@ -68,6 +68,11 @@ module Builder : sig
       [h] must be [hash_row] of the scratch. Returns [true] iff appended. *)
 
   val mem_scratch : t -> int -> bool
+
+  val clear : t -> unit
+  (** Forget every row (the builder then works as a fresh one), keeping
+      the allocated capacity: a reusable seen set. *)
+
   val batch : t -> batch
   val length : t -> int
 end

@@ -5,27 +5,19 @@ module H = Hashtbl.Make (struct
   let hash = Tuple.hash
 end)
 
-type t = { table : Tuple.t list H.t; key_pos : int array; mutable count : int }
+type t = Tuple.t list H.t
 
 let build schema key_cols tuples =
   let key_pos = Schema.positions schema key_cols in
   let table = H.create 256 in
-  let count = ref 0 in
   Seq.iter
     (fun tu ->
       let key = Tuple.project key_pos tu in
-      incr count;
       match H.find_opt table key with
       | Some l -> H.replace table key (tu :: l)
       | None -> H.replace table key [ tu ])
     tuples;
-  { table; key_pos; count = !count }
+  table
 
-let probe idx key = match H.find_opt idx.table key with Some l -> l | None -> []
-
-let probe_with idx schema cols tu =
-  probe idx (Tuple.project (Schema.positions schema cols) tu)
-
-let mem idx key = H.mem idx.table key
-let cardinal idx = idx.count
-let key_positions idx = idx.key_pos
+let probe idx key = match H.find_opt idx key with Some l -> l | None -> []
+let mem idx key = H.mem idx key

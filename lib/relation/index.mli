@@ -1,6 +1,7 @@
 (** Hash indexes over tuple collections, keyed by a subset of columns.
 
-    Used by hash joins, antijoins and the per-worker local engine. *)
+    Used only by the reference joins and antijoins of {!Rel} and
+    [Distsim.Dds]; the compiled executor probes {!Join_index}. *)
 
 type t
 
@@ -13,12 +14,4 @@ val probe : t -> Tuple.t -> Tuple.t list
 (** [probe idx key] returns the tuples whose key projection equals [key]
     (a tuple of the key columns, in the order given to {!build}). *)
 
-val probe_with : t -> Schema.t -> string list -> Tuple.t -> Tuple.t list
-(** [probe_with idx s cols tu] projects [tu] (laid out per [s]) on [cols]
-    and probes. [cols] must name the key columns in index key order. *)
-
 val mem : t -> Tuple.t -> bool
-val cardinal : t -> int
-(** Number of indexed tuples. *)
-
-val key_positions : t -> int array

@@ -24,17 +24,17 @@ let create ?(capacity = 16) () =
 let cardinal s = s.count + if s.has_unit then 1 else 0
 let is_empty s = cardinal s = 0
 
-let rec find_slot slots mask tu h =
-  let i = h land mask in
-  let rec probe i =
-    let cur = Array.unsafe_get slots i in
-    if Array.length cur = 0 then i
-    else if Tuple.equal cur tu then i
-    else probe ((i + 1) land mask)
-  in
-  probe i
+(* Probe loops are top-level functions with explicit arguments: without
+   flambda a local [let rec] would allocate its closure on every call. *)
+let rec probe_slot slots mask tu i =
+  let cur = Array.unsafe_get slots i in
+  if Array.length cur = 0 then i
+  else if Tuple.equal cur tu then i
+  else probe_slot slots mask tu ((i + 1) land mask)
 
-and resize_to s size =
+let find_slot slots mask tu h = probe_slot slots mask tu (h land mask)
+
+let resize_to s size =
   let old = s.slots in
   let slots = Array.make size empty_slot in
   let mask = size - 1 in
@@ -102,23 +102,19 @@ let mem s tu =
    column block without materialising it as a tuple. The tuple array is
    allocated only when the insert actually happens — the hot path of the
    compiled executor, where most candidate rows are duplicates. *)
-let find_slot_cols slots mask cols row h =
+let rec row_matches (tu : Tuple.t) cols row c arity =
+  c >= arity
+  || Array.unsafe_get tu c = Array.unsafe_get (Array.unsafe_get cols c) row
+     && row_matches tu cols row (c + 1) arity
+
+let rec probe_slot_cols slots mask cols row i =
+  let cur = Array.unsafe_get slots i in
   let arity = Array.length cols in
-  let matches tu =
-    Array.length tu = arity
-    &&
-    let rec eq c =
-      c >= arity
-      || Array.unsafe_get tu c = Array.unsafe_get (Array.unsafe_get cols c) row
-         && eq (c + 1)
-    in
-    eq 0
-  in
-  let rec probe i =
-    let cur = Array.unsafe_get slots i in
-    if Array.length cur = 0 then i else if matches cur then i else probe ((i + 1) land mask)
-  in
-  probe (h land mask)
+  if Array.length cur = 0 then i
+  else if Array.length cur = arity && row_matches cur cols row 0 arity then i
+  else probe_slot_cols slots mask cols row ((i + 1) land mask)
+
+let find_slot_cols slots mask cols row h = probe_slot_cols slots mask cols row (h land mask)
 
 let add_cols s cols ~row ~hash =
   Deadline.tick ();

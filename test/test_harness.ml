@@ -216,6 +216,19 @@ let test_explain_text () =
   check_bool "logical plan" true (contains s "logical plan");
   check_bool "physical plan" true (contains s "physical plan")
 
+(* a forced plan shows in the explained physical plan, and P_plw^pg
+   adds its local route *)
+let test_explain_forced_plan () =
+  let g = Graphgen.Generators.add_labels ~labels:[ "a" ] (Lazy.force analyze_graph) in
+  let explain force_plan = R.explain ?force_plan ~graph:g ~query:analyze_query () in
+  check_bool "default chooses P_plw^s" true (contains (explain None) "plan=P_plw^s");
+  let gld = explain (Some Physical.Exec.P_gld) in
+  check_bool "forced P_gld" true (contains gld "plan=P_gld");
+  check_bool "no local plan under P_gld" false (contains gld "local plan:");
+  let pg = explain (Some Physical.Exec.P_plw_pg) in
+  check_bool "forced P_plw^pg" true (contains pg "plan=P_plw^pg");
+  check_bool "P_plw^pg local route" true (contains pg "local plan: SQL")
+
 let test_analyze_annotated_plan () =
   let a = Lazy.force analysis in
   check_bool "actual rows annotated" true (contains a.R.a_annotated_plan "rows=");
@@ -336,6 +349,7 @@ let () =
       ( "analyze",
         [
           Alcotest.test_case "explain" `Quick test_explain_text;
+          Alcotest.test_case "explain forced plan" `Quick test_explain_forced_plan;
           Alcotest.test_case "annotated plan" `Quick test_analyze_annotated_plan;
           Alcotest.test_case "Q1-Q49 agree with Mura.Eval" `Quick test_analyze_corpus;
           Alcotest.test_case "skew table" `Quick test_analyze_skew_table;

@@ -379,15 +379,63 @@ let pins =
     ("zero_arity_fix/P_gld/w4", 1, [ (1, [0]) ], (4, 24, 704, 1, 30, 0));
     ("zero_arity_fix/P_plw^s/w1", 1, [ (1, [0]) ], (3, 11, 336, 1, 10, 0));
     ("zero_arity_fix/P_plw^s/w4", 1, [ (1, [0]) ], (3, 14, 384, 1, 30, 0));
+    (* the factorized-probe cases, recorded on the executor whose probes
+       expanded every match *)
+("factor_a_inv_a/P_gld/w1", 384, [  ], (4, 504, 16128, 1, 60, 0));
+    ("factor_a_inv_a/P_gld/w4", 384, [  ], (4, 823, 26336, 1, 180, 0));
+    ("factor_a_inv_a/P_plw^s/w1", 384, [  ], (4, 504, 16128, 1, 60, 0));
+    ("factor_a_inv_a/P_plw^s/w4", 384, [  ], (4, 823, 26336, 1, 180, 0));
+    ( "factor_a_inv_a_closure_b_closure/P_gld/w1", 760,
+      [ (7, [368; 312; 240; 168; 96; 32; 0]); (10, [21; 22; 22; 20; 18; 16; 11; 7; 2; 0]) ],
+      (46, 1121, 35872, 3, 280, 1753) );
+    ( "factor_a_inv_a_closure_b_closure/P_gld/w4", 760,
+      [ (7, [368; 312; 240; 168; 96; 32; 0]); (10, [21; 22; 22; 20; 18; 16; 11; 7; 2; 0]) ],
+      (46, 10252, 328064, 3, 840, 3505) );
+    ( "factor_a_inv_a_closure_b_closure/P_plw^s/w1", 760,
+      [ (7, [368; 312; 240; 168; 96; 32; 0]); (10, [21; 22; 22; 20; 18; 16; 11; 7; 2; 0]) ],
+      (8, 1061, 33952, 4, 625, 0) );
+    ( "factor_a_inv_a_closure_b_closure/P_plw^s/w4", 760,
+      [ (7, [368; 312; 240; 168; 96; 32; 0]); (10, [21; 22; 22; 20; 18; 16; 11; 7; 2; 0]) ],
+      (8, 1698, 54336, 4, 1875, 0) );
+    ( "factor_key_filter/P_gld/w1", 136,
+      [ (8, [23; 24; 21; 17; 16; 10; 4; 0]) ],
+      (23, 277, 8864, 1, 60, 163) );
+    ( "factor_key_filter/P_gld/w4", 136,
+      [ (8, [23; 24; 21; 17; 16; 10; 4; 0]) ],
+      (23, 1316, 42112, 1, 180, 133) );
+    ( "factor_key_filter/P_plw^s/w1", 136,
+      [ (8, [23; 24; 21; 17; 16; 10; 4; 0]) ],
+      (3, 157, 5024, 1, 384, 0) );
+    ( "factor_key_filter/P_plw^s/w4", 136,
+      [ (8, [23; 24; 21; 17; 16; 10; 4; 0]) ],
+      (3, 177, 5664, 1, 1152, 0) );
+    ("factor_key_kept/P_gld/w1", 392, [ (3, [169; 202; 0]) ], (13, 533, 17056, 1, 60, 579));
+    ("factor_key_kept/P_gld/w4", 392, [ (3, [169; 202; 0]) ], (13, 1787, 57184, 1, 180, 567));
+    ("factor_key_kept/P_plw^s/w1", 392, [ (3, [169; 202; 0]) ], (3, 413, 13216, 1, 384, 0));
+    ( "factor_key_kept/P_plw^s/w4", 392,
+      [ (5, [192; 867; 400; 64; 0]) ],
+      (3, 1570, 50240, 1, 1152, 0) );
+    ( "factor_antijoin_after/P_gld/w1", 1508,
+      [ (7, [340; 290; 222; 152; 88; 32; 0]) ],
+      (30, 1691, 54088, 2, 120, 1612) );
+    ( "factor_antijoin_after/P_gld/w4", 1508,
+      [ (7, [340; 290; 222; 152; 88; 32; 0]) ],
+      (30, 12105, 387312, 2, 360, 1612) );
+    ( "factor_antijoin_after/P_plw^s/w1", 1508,
+      [ (7, [340; 290; 222; 152; 88; 32; 0]) ],
+      (5, 1628, 52096, 3, 447, 0) );
+    ( "factor_antijoin_after/P_plw^s/w4", 1508,
+      [ (7, [340; 290; 222; 152; 88; 32; 0]) ],
+      (5, 2245, 71840, 3, 1341, 0) )
   ]
 
-let run_pinned ?force_plan ?(threshold = -1) ~workers name term tables =
+let run_pinned ?force_plan ?(threshold = -1) ?parallel ~workers name term tables =
   let key =
     Printf.sprintf "%s/%s/w%d" name
       (match force_plan with None -> "auto" | Some p -> Exec.plan_name p)
       workers
   in
-  let cluster = Cluster.make ~workers () in
+  let cluster = Cluster.make ?parallel ~workers () in
   let base = Exec.default_config cluster in
   let config =
     {
@@ -403,7 +451,14 @@ let run_pinned ?force_plan ?(threshold = -1) ~workers name term tables =
     List.rev_map (fun (fr : Exec.fix_report) -> (fr.iterations, fr.deltas)) (Exec.report ctx).fixpoints
   in
   match List.find_opt (fun (k, _, _, _) -> String.equal k key) pins with
-  | None -> Alcotest.failf "no pin for %s" key
+  | None ->
+    (* print the run's pin row, for recording *)
+    let a, b, c, d, e, f = counters (Exec.metrics ctx) in
+    let ints l = String.concat "; " (List.map string_of_int l) in
+    Alcotest.failf "no pin for %s; this run: (%S, %d, [ %s ], (%d, %d, %d, %d, %d, %d))" key key
+      (Rel.cardinal r)
+      (String.concat "; " (List.map (fun (i, ds) -> Printf.sprintf "(%d, [%s])" i (ints ds)) sigs))
+      a b c d e f
   | Some (_, n, pinned_sigs, pinned_counters) ->
     check_int (key ^ ": result size") n (Rel.cardinal r);
     check_bool (key ^ ": iterations and delta curves") true (sigs = pinned_sigs);
@@ -713,10 +768,103 @@ let test_compiled_batch_no_rehash () =
   let c0 = Sh.of_dds cluster d in
   Tset.reset_rehash_grows ();
   let m =
-    Sh.materialize cluster (Sh.project [ "src" ] (Sh.filter (fun tu -> tu.(0) land 1 = 0) c0))
+    Sh.materialize cluster (Sh.project [ "src" ] (Sh.filter (Pred.Lt_const ("src", 15)) c0))
   in
   ignore (Sh.to_dds cluster (Sh.union cluster m m));
   check_int "no insert-triggered rehash in shell materialize/union" 0 (Tset.rehash_grow_count ())
+
+(* --- factorized probes ------------------------------------------------- *)
+
+(* keyword-like relation A(src, trg): nodes 0-39, node i holding the
+   keywords of position i mod 20 — so i and i + 20 have equal keyword
+   sets (equal match groups under a/-a, one on each side of 19.5). The
+   positions form blocks of three sharing keyword 100 + block; each
+   block's first position also holds the next block's keyword, which
+   chains the blocks (a long closure). Positions 17-19 share a hub
+   keyword (a skewed group). *)
+let kw_graph =
+  rel [ "src"; "trg" ]
+    (List.concat
+       (List.init 40 (fun i ->
+            let p = i mod 20 in
+            [ [ i; 100 + (p / 3) ] ]
+            @ (if p mod 3 = 0 then [ [ i; 101 + (p / 3) ] ] else [])
+            @ if p >= 17 then [ [ i; 99 ] ] else [])))
+
+let chain_graph =
+  rel [ "src"; "trg" ]
+    (List.init 15 (fun i -> [ i; i + 1 ]) @ List.init 6 (fun i -> [ 3 * i; i * 7 mod 40 ]))
+
+let inv r = Term.Rename ([ ("src", "trg"); ("trg", "src") ], r)
+
+(* a/-a: pairs of nodes sharing a keyword *)
+let a_inv_a = Mura.Patterns.compose (Term.Rel "A") (inv (Term.Rel "A"))
+
+(* seed ∪ X ⋈ a/-a on X.trg = _k, with [over] applied to the (src, _k,
+   trg) join before it is cut back to (src, trg) *)
+let step_fix ?(seed = a_inv_a) over =
+  Term.Fix
+    ( "X",
+      Term.Union
+        ( seed,
+          over
+            (Term.Join
+               ( Term.Rename ([ ("trg", "_k") ], Term.Var "X"),
+                 Term.Rename ([ ("src", "_k") ], a_inv_a) )) ) )
+
+let factor_cases =
+  [
+    ("a_inv_a", a_inv_a);
+    ( "a_inv_a_closure_b_closure",
+      Mura.Patterns.compose (Mura.Patterns.closure a_inv_a)
+        (Mura.Patterns.closure (Term.Rel "B")) );
+    (* the filter reads the join key, so every input column stays live;
+       it splits every class of equal groups *)
+    ( "key_filter",
+      step_fix ~seed:(Term.Rel "B") (fun j ->
+          Term.Antiproject ([ "_k" ], Term.Select (Pred.Gt_const ("_k", 19), j))) );
+    (* the key is kept and [src] dropped: factored on (_k, group) *)
+    ( "key_kept",
+      step_fix ~seed:(Term.Rel "B") (fun j ->
+          Term.Rename ([ ("_k", "src") ], Term.Project ([ "_k"; "trg" ], j))) );
+    (* an antijoin after the factored probe *)
+    ( "antijoin_after",
+      step_fix (fun j ->
+          Term.Antijoin
+            ( Term.Antiproject ([ "_k" ], j),
+              Term.Rename ([ ("src", "trg") ], Term.Project ([ "src" ], Term.Rel "S")) )) );
+  ]
+
+let factor_tables =
+  [ ("A", kw_graph); ("B", chain_graph); ("S", rel [ "src" ] [ [ 5 ]; [ 17 ]; [ 33 ] ]) ]
+
+(* Results match Mura.Eval, and iterations, delta curves and
+   communication counters match the pins (recorded on the unfactorized
+   executor), on P_gld and P_plw^s with 1 and 4 workers, and with 4
+   worker domains sharing each broadcast index. *)
+let test_factorized_parity () =
+  List.iter
+    (fun (name, term) ->
+      pin_matrix ("factor_" ^ name) term factor_tables;
+      run_pinned ~force_plan:Exec.P_plw_s ~parallel:true ~workers:4 ("factor_" ^ name) term
+        factor_tables)
+    factor_cases
+
+(* The (a/-a)+ branch's candidates (rows its chain emits into the dedup
+   builder, summed over iterations): pinned, with the count of the chain
+   that expanded every match beside it. A change that undoes the
+   factorization brings the pin back up to that count. *)
+let test_factorized_candidates () =
+  let term = Mura.Patterns.closure a_inv_a in
+  let ctx, r, tree = analyzed ~force_plan:Exec.P_plw_s ~tables:factor_tables term in
+  check_rel "closure = Mura.Eval" (Mura.Eval.eval (Mura.Eval.env factor_tables) term) r;
+  match tree.Exec.Analyze.children with
+  | [ _seed; branch ] ->
+    check_int "branch applied once per iteration"
+      (List.hd (Exec.report ctx).fixpoints).iterations branch.Exec.Analyze.calls;
+    (* 15360 when every match expands *)
+    check_int "branch candidates" 5360 (Option.value ~default:(-1) branch.Exec.Analyze.candidates)
+  | l -> Alcotest.failf "expected seed and branch children, got %d" (List.length l)
 
 (* --- incremental fixpoint maintenance -------------------------------- *)
 
@@ -965,6 +1113,11 @@ let () =
           Alcotest.test_case "explain annotates subtrees" `Quick test_shell_explain;
           Alcotest.test_case "grouped batch folds" `Quick test_group_aggregates;
           Alcotest.test_case "zero-rehash capacity audit" `Quick test_compiled_batch_no_rehash;
+        ] );
+      ( "factorized probes",
+        [
+          Alcotest.test_case "parity and pinned counters" `Quick test_factorized_parity;
+          Alcotest.test_case "pinned candidates" `Quick test_factorized_candidates;
         ] );
       ( "incremental",
         [

@@ -485,6 +485,84 @@ let test_batch_no_rehash () =
   check_int "add_to_tset reserves" (Tset.cardinal s) (Tset.cardinal acc);
   check_int "no insert-triggered rehash" 0 (Tset.rehash_grow_count ())
 
+(* Join index against the reference index: every key (present or not)
+   finds the same payload set, and two groups share a canonical id iff
+   their payload sets are equal (a negative id iff no other group has
+   the set). Rows are (key, payload) pairs with few distinct values, so
+   groups repeat payload sets. *)
+let prop_join_index =
+  qtest "join index: groups and canonical ids"
+    QCheck2.Gen.(list_size (int_range 0 80) (pair (int_range 0 12) (int_range 0 3)))
+    (fun pairs ->
+      let rows = List.map (fun (k, v) -> [ k; v ]) pairs in
+      let r = rel [ "k"; "v" ] rows in
+      let idx = Join_index.of_tset ~key_pos:[| 0 |] ~payload_pos:[| 1 |] (Rel.tuples r) in
+      let canon = Join_index.canon idx in
+      let payload = Join_index.payload idx in
+      let group_set g =
+        List.sort compare
+          (List.init (Join_index.stop idx g - Join_index.start idx g) (fun i ->
+               payload.(Join_index.start idx g + i)))
+      in
+      let reference = Index.build (Rel.schema r) [ "k" ] (Tset.to_seq (Rel.tuples r)) in
+      let keys = List.init 14 Fun.id in
+      let groups =
+        List.filter (fun g -> g >= 0) (List.map (fun k -> Join_index.find idx [| k |] [| 0 |]) keys)
+      in
+      List.for_all
+        (fun k ->
+          let expected =
+            List.sort compare (List.map (fun tu -> tu.(1)) (Index.probe reference [| k |]))
+          in
+          match Join_index.find idx [| k |] [| 0 |] with
+          | -1 -> expected = []
+          | g -> group_set g = expected)
+        keys
+      && List.for_all
+           (fun g ->
+             let same = List.filter (fun g' -> group_set g' = group_set g) groups in
+             List.for_all (fun g' -> canon.(g') = canon.(g)) same
+             && List.for_all (fun g' -> List.mem g' same || canon.(g') <> canon.(g)) groups
+             && (canon.(g) < 0) = (List.length same = 1))
+           groups)
+
+(* The hash-probe loops are closure-free: inserting a duplicate scratch
+   row into a builder, and a resident row into a set, allocate nothing
+   (the loops run between two [Gc.minor_words] reads, whose own cost an
+   empty measurement gives). *)
+let test_probe_loops_no_alloc () =
+  let rows = List.init 64 (fun i -> [| i; i * 7; i mod 5 |]) in
+  let bld = Batch.Builder.create ~arity:3 () in
+  let sc = Batch.Builder.scratch bld in
+  List.iter
+    (fun row ->
+      Array.blit row 0 sc 0 3;
+      ignore (Batch.Builder.add_scratch bld (Batch.hash_row sc)))
+    rows;
+  let b = Batch.Builder.batch bld in
+  let s = Batch.to_tset b in
+  let cols = Batch.cols b and hashes = Batch.hashes b in
+  let added = ref 0 in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for row = 0 to Batch.length b - 1 do
+    for c = 0 to 2 do
+      sc.(c) <- cols.(c).(row)
+    done;
+    if Batch.Builder.add_scratch bld hashes.(row) then incr added
+  done;
+  let w2 = Gc.minor_words () in
+  for row = 0 to Batch.length b - 1 do
+    if Tset.add_cols s cols ~row ~hash:hashes.(row) then incr added
+  done;
+  let w3 = Gc.minor_words () in
+  check_int "nothing inserted" 0 !added;
+  let empty = w1 -. w0 in
+  Alcotest.(check (float 0.)) "Builder.add_scratch of a duplicate allocates nothing" 0.
+    (w2 -. w1 -. empty);
+  Alcotest.(check (float 0.)) "Tset.add_cols of a resident row allocates nothing" 0.
+    (w3 -. w2 -. empty)
+
 let () =
   Alcotest.run "relation"
     [
@@ -535,6 +613,8 @@ let () =
       ( "batch",
         [
           Alcotest.test_case "converters never rehash" `Quick test_batch_no_rehash;
+          Alcotest.test_case "probe loops allocate nothing" `Quick test_probe_loops_no_alloc;
+          prop_join_index;
           prop_batch_roundtrip;
           prop_batch_hash_column;
           prop_builder_dedup;
