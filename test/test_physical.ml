@@ -1114,7 +1114,7 @@ let () =
           Alcotest.test_case "grouped batch folds" `Quick test_group_aggregates;
           Alcotest.test_case "zero-rehash capacity audit" `Quick test_compiled_batch_no_rehash;
         ] );
-      ( "factorized probes",
+      ( "factorized",
         [
           Alcotest.test_case "parity and pinned counters" `Quick test_factorized_parity;
           Alcotest.test_case "pinned candidates" `Quick test_factorized_candidates;
