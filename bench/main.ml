@@ -528,11 +528,6 @@ let path_graph n =
     (Relation.Schema.of_list [ "src"; "trg" ])
     (List.init (n - 1) (fun i -> [| i; i + 1 |]))
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 (* ------------------------------------------------------------------ *)
 (* micro_serve: the serving layer's caches vs a cache-less server      *)
 (* ------------------------------------------------------------------ *)
@@ -559,12 +554,7 @@ module MicroServe = struct
     let cluster = Distsim.Cluster.make ~workers:4 () in
     let t =
       if cached then Serve.create ~cluster ()
-      else
-        (* the cache-less baseline must also disable incremental repair:
-           a parked handle answers repeat submissions from its converged
-           accumulator, which is exactly the reuse being benchmarked *)
-        Serve.create ~plan_cache_capacity:0 ~result_cache_bytes:0 ~max_repair_handles:0
-          ~cluster ()
+      else Serve.create ~plan_cache_capacity:0 ~result_cache_bytes:0 ~cluster ()
     in
     Serve.register t "E" graph;
     let mix = Harness.Serve_mix.default_mix () in
@@ -799,183 +789,6 @@ module MicroTelemetry = struct
       failwith
         (Printf.sprintf "micro_telemetry: registry overhead above 2%% (%.1f%%)"
            (100. *. overhead))
-end
-
-(* ------------------------------------------------------------------ *)
-(* micro_incremental: fixpoint repair vs from-scratch recomputation    *)
-(* ------------------------------------------------------------------ *)
-
-(* Incremental fixpoint maintenance (Exec.Incr): establish a transitive
-   closure, apply edge-insert and edge-delete batches, and compare the
-   repaired result against a from-scratch evaluation of the updated
-   graph. The parity matrix runs always (--quick included) across
-   P_gld/P_plw^s and 1 and 4 workers — insert-then-resume and DRed
-   delete-then-re-derive must both be identical to recomputing. At full scale on a multi-core host,
-   repairing a small insert batch on the gate workload (a long path
-   graph, where from-scratch convergence pays one iteration per hop)
-   must be at least 5x faster than recomputation. *)
-module MicroIncremental = struct
-  let closure () = Mura.Patterns.closure (Term.Rel "E")
-
-  (* [k] fresh edges over [g]'s node universe, deterministic *)
-  let fresh_edges ~seed ~k g =
-    let rng = Graphgen.Rng.create seed in
-    let nodes = 1 + Rel.fold (fun tu m -> max m (max tu.(0) tu.(1))) g 0 in
-    let out = Rel.create (Rel.schema g) in
-    let attempts = ref 0 in
-    while Rel.cardinal out < k && !attempts < k * 50 do
-      incr attempts;
-      let i = Graphgen.Rng.int rng nodes and j = Graphgen.Rng.int rng nodes in
-      if i <> j && not (Rel.mem g [| i; j |]) then ignore (Rel.add out [| i; j |])
-    done;
-    out
-
-  let resident_edges ~k g =
-    let out = Rel.create (Rel.schema g) in
-    (try
-       Rel.iter
-         (fun tu ->
-           if Rel.cardinal out >= k then raise Exit;
-           ignore (Rel.add out (Array.copy tu)))
-         g
-     with Exit -> ());
-    out
-
-  let eval_on tables term = Mura.Eval.eval (Mura.Eval.env tables) term
-
-  type row = {
-    plan : Physical.Exec.fixpoint_plan;
-    workers : int;
-    base_tuples : int;
-    insert_iters : int;
-    delete_iters : int;
-    parity : bool;
-  }
-
-  let parity_row g plan ~workers =
-    let cluster = Distsim.Cluster.make ~parallel:true ~workers () in
-    let config = { (Physical.Exec.default_config cluster) with force_plan = Some plan } in
-    let ins = fresh_edges ~seed:91 ~k:6 g in
-    let del = resident_edges ~k:3 g in
-    let h = Physical.Exec.Incr.establish config ~tables:[ ("E", g) ] (closure ()) in
-    let base_tuples = Physical.Exec.Incr.size h in
-    let parity0 = Rel.equal (Physical.Exec.Incr.result h) (eval_on [ ("E", g) ] (closure ())) in
-    let g1 = Rel.union g ins in
-    let r1, insert_iters =
-      match Physical.Exec.Incr.update ~inserts:[ ("E", ins) ] h with
-      | `Repaired (r, n) -> (r, n)
-      | `Unsupported msg -> failwith ("micro_incremental: insert unsupported: " ^ msg)
-    in
-    let parity1 = Rel.equal r1 (eval_on [ ("E", g1) ] (closure ())) in
-    let g2 = Rel.diff g1 del in
-    let r2, delete_iters =
-      match Physical.Exec.Incr.update ~deletes:[ ("E", del) ] h with
-      | `Repaired (r, n) -> (r, n)
-      | `Unsupported msg -> failwith ("micro_incremental: delete unsupported: " ^ msg)
-    in
-    let parity2 = Rel.equal r2 (eval_on [ ("E", g2) ] (closure ())) in
-    Distsim.Cluster.shutdown cluster;
-    {
-      plan;
-      workers;
-      base_tuples;
-      insert_iters;
-      delete_iters;
-      parity = parity0 && parity1 && parity2;
-    }
-
-  (* Gate: a small batch appended at the tail of the path (new nodes
-     arriving — the streaming regime where the derived delta is small
-     relative to the closure) repaired under P_gld, whose from-scratch
-     evaluation pays one charged shuffle round per hop. *)
-  let measure_gate ~n g =
-    let ins = Rel.create (Rel.schema g) in
-    for k = 0 to 4 do
-      ignore (Rel.add ins [| n - 1 + k; n + k |])
-    done;
-    let g1 = Rel.union g ins in
-    let cluster = Distsim.Cluster.make ~parallel:true ~workers:4 () in
-    let config =
-      { (Physical.Exec.default_config cluster) with force_plan = Some Physical.Exec.P_gld }
-    in
-    let h = Physical.Exec.Incr.establish config ~tables:[ ("E", g) ] (closure ()) in
-    let repaired, repair_s =
-      time (fun () ->
-          match Physical.Exec.Incr.update ~inserts:[ ("E", ins) ] h with
-          | `Repaired (r, _) -> r
-          | `Unsupported msg -> failwith ("micro_incremental: gate unsupported: " ^ msg))
-    in
-    Distsim.Cluster.shutdown cluster;
-    let cluster = Distsim.Cluster.make ~parallel:true ~workers:4 () in
-    let config =
-      { (Physical.Exec.default_config cluster) with force_plan = Some Physical.Exec.P_gld }
-    in
-    let ctx = Physical.Exec.session config [ ("E", g1) ] in
-    let recomputed, recompute_s = time (fun () -> Physical.Exec.run ctx (closure ())) in
-    Distsim.Cluster.shutdown cluster;
-    (repair_s, recompute_s, Rel.equal repaired recomputed)
-
-  let run () =
-    section "micro_incremental — fixpoint repair vs from-scratch recomputation";
-    let host_cores = Domain.recommended_domain_count () in
-    let g =
-      G.erdos_renyi ~seed:63 ~nodes:(sc 200 50) ~p:(3. /. float_of_int (sc 200 50)) ()
-    in
-    heading "er graph: %d edges; 6 inserts then 3 deletes per configuration" (Rel.cardinal g);
-    heading "%-8s %7s %10s %12s %12s %7s" "plan" "workers" "tuples" "ins_iters" "del_iters"
-      "parity";
-    let rows =
-      List.concat_map
-        (fun plan ->
-          List.map
-            (fun workers ->
-              let r = parity_row g plan ~workers in
-              heading "%-8s %7d %10d %12d %12d %7b"
-                (Physical.Exec.plan_name r.plan)
-                r.workers r.base_tuples r.insert_iters r.delete_iters r.parity;
-              r)
-            [ 1; 4 ])
-        [ Physical.Exec.P_gld; Physical.Exec.P_plw_s ]
-    in
-    let gate_n = sc 2000 200 in
-    let gate = path_graph gate_n in
-    let repair_s, recompute_s, gate_parity = measure_gate ~n:gate_n gate in
-    let speedup = recompute_s /. Float.max 1e-9 repair_s in
-    heading
-      "gate: path-%d graph, 5 tail inserts, P_gld: repair %.3fs vs recompute %.3fs — %.1fx \
-       (parity %b)"
-      gate_n repair_s recompute_s speedup gate_parity;
-    let oc = open_out "BENCH_incremental.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let row_json r =
-          Printf.sprintf
-            "{\"plan\":\"%s\",\"workers\":%d,\"base_tuples\":%d,\"insert_iterations\":%d,\"delete_iterations\":%d,\"parity\":%b}"
-            (Physical.Exec.plan_name r.plan)
-            r.workers r.base_tuples r.insert_iters r.delete_iters r.parity
-        in
-        Printf.fprintf oc
-          "{\"name\":\"incremental\",\"quick\":%b,\"host_cores\":%d,\n\
-           \"repair_s\":%.6f,\"recompute_s\":%.6f,\"speedup\":%.3f,\"gate_parity\":%b,\n\
-           \"rows\":[%s]}\n"
-          !quick host_cores repair_s recompute_s speedup gate_parity
-          (String.concat ",\n" (List.map row_json rows)));
-    heading "wrote BENCH_incremental.json";
-    (* hard gates: parity always; the 5x repair speedup only at full
-       scale on a host with real parallelism (quick scales are too
-       small for stable ratios) *)
-    List.iter
-      (fun r ->
-        if not r.parity then
-          failwith
-            (Printf.sprintf "micro_incremental: %s/%dw diverged from recomputation"
-               (Physical.Exec.plan_name r.plan)
-               r.workers))
-      rows;
-    if not gate_parity then failwith "micro_incremental: gate repair diverged";
-    if (not !quick) && host_cores >= 2 && speedup < 5.0 then
-      failwith (Printf.sprintf "micro_incremental: repair speedup %.2fx < 5x" speedup)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1259,7 +1072,6 @@ let experiments =
     ("micro", Micro.run);
     ("micro_serve", MicroServe.run);
     ("micro_telemetry", MicroTelemetry.run);
-    ("micro_incremental", MicroIncremental.run);
     ("regret", Regret.run);
   ]
 

@@ -1,9 +1,15 @@
 (* murarun — run a UCRPQ on a graph with any of the supported engines.
 
+   One-shot runs evaluate the query from scratch; --analyze adds EXPLAIN
+   ANALYZE, and --serve resubmits it through the caching server from
+   concurrent sessions. Edge updates are applied interactively in
+   murashell.
+
    Examples:
      murarun --gen yago:2000 --query "?x <- ?x isLocatedIn+ Japan"
      murarun --graph edges.txt --query "?x, ?y <- ?x a+/b ?y" --system bigdatalog
-     murarun --gen er:10000:0.001 --labels a,b --query "?x, ?y <- ?x a+/b+ ?y" --all *)
+     murarun --gen er:10000:0.001 --labels a,b --query "?x, ?y <- ?x a+/b+ ?y" --all
+     murarun --gen yago:2000 --query "?x, ?y <- ?x isLocatedIn+ ?y" --serve 4 *)
 
 open Cmdliner
 module S = Harness.Systems
@@ -52,7 +58,7 @@ let force_plan_of = function
 
 let run gen graph_file labels query system all_systems workers timeout show explain_only
     analyze report_file compare_plans trace_file serve_sessions serve_repeat max_inflight
-    metrics_out sample_every slow_ms stream_rounds stream_batch =
+    metrics_out sample_every slow_ms =
   try
     if trace_file <> None then Trace.install (Trace.make ());
     if metrics_out <> None then Telemetry.install (Telemetry.make ());
@@ -72,32 +78,6 @@ let run gen graph_file labels query system all_systems workers timeout show expl
     let w = S.of_ucrpq graph query in
     if explain_only then begin
       Printf.printf "\n%s" (R.explain ~workers ?force_plan:(force_plan_of system) ~graph ~query ());
-      raise Exit
-    end;
-    if stream_rounds > 0 then begin
-      (* streaming mode: sustained edge updates interleaved with queries,
-         incremental repair measured against from-scratch recomputation *)
-      let mix =
-        [ ("query", fun () -> Rpq.Query.union_to_term (Rpq.Query.parse_union query)) ]
-      in
-      let config =
-        {
-          Harness.Stream_mix.default_config with
-          Harness.Stream_mix.workers;
-          rounds = stream_rounds;
-          batch = stream_batch;
-          force_plan = force_plan_of system;
-        }
-      in
-      let r = Harness.Stream_mix.run ~mix config ~graph in
-      Harness.Stream_mix.print r;
-      (match report_file with
-      | Some file ->
-        Harness.Stream_mix.write_report ~file r;
-        Printf.printf "stream report written to %s\n" file
-      | None -> ());
-      write_metrics ();
-      if r.Harness.Stream_mix.parity_failures > 0 then failwith "stream parity failure";
       raise Exit
     end;
     if serve_sessions > 0 then begin
@@ -280,23 +260,11 @@ let () =
            ~doc:"With --serve: queries slower than MS land in the server's bounded slow-query \
                  log (0 disables).")
   in
-  let stream_rounds =
-    Arg.(value & opt int 0 & info [ "stream" ] ~docv:"ROUNDS"
-           ~doc:"Streaming mode: apply ROUNDS edge-update batches interleaved with the query, \
-                 on two servers — incremental repair enabled vs disabled — and report repair \
-                 latency percentiles and the repair-vs-recompute speedup. --report writes the \
-                 stream JSON.")
-  in
-  let stream_batch =
-    Arg.(value & opt int 4 & info [ "stream-batch" ] ~docv:"N"
-           ~doc:"With --stream: inserted edges per update batch (default 4).")
-  in
   let term =
     Term.(
       const run $ gen $ graph_file $ labels $ query $ system $ all_systems $ workers $ timeout
       $ show $ explain $ analyze $ report_file $ compare_plans $ trace_file $ serve_sessions
-      $ serve_repeat $ max_inflight $ metrics_out $ sample_every $ slow_ms $ stream_rounds
-      $ stream_batch)
+      $ serve_repeat $ max_inflight $ metrics_out $ sample_every $ slow_ms)
   in
   let info =
     Cmd.info "murarun" ~version:"1.0"

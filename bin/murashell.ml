@@ -9,8 +9,8 @@
    Commands:
      load FILE            load a (2- or 3-column) edge-list file as E
      gen SPEC             generate a graph (yago:N, uniprot:N, er:N:P, tree:N)
-     insert EDGES         apply an edge-insert batch (incremental repair)
-     delete EDGES         apply an edge-delete batch (DRed repair)
+     insert EDGES         apply an edge-insert batch
+     delete EDGES         apply an edge-delete batch
      workers N            set the simulated cluster size (default 4)
      explain QUERY        show optimized logical + physical plans
      stats                cache/admission counters with a since-last-stats
@@ -50,8 +50,8 @@ let help () =
     \  load FILE      load an edge-list file as the relation E\n\
     \  gen SPEC       yago:N | uniprot:N | er:N:P | tree:N\n\
     \  insert EDGES   add edges, e.g.  insert 3 a 7; 7 b 9\n\
-    \  delete EDGES   remove edges (same syntax); cached fixpoints\n\
-    \                 are repaired incrementally, not recomputed\n\
+    \  delete EDGES   remove edges (same syntax); cached results that\n\
+    \                 read a changed label are recomputed on next use\n\
     \  workers N      set cluster size\n\
     \  explain QUERY  show the optimized plans without executing\n\
     \  stats          cache/admission counters + since-last-stats deltas\n\
@@ -124,22 +124,17 @@ let parse_edges spec =
 
 (* Updates go through [Serve.update]: only the cached results and
    fixpoints that read a label (or other σ-key) the batch changes are
-   invalidated; the rest keep hitting. An invalidated fixpoint is parked
-   for incremental repair instead of being discarded, so the next query
-   pays only the delta. *)
+   invalidated; the rest keep hitting. The next query that needs an
+   invalidated result recomputes it. *)
 let insert_edges spec =
   let batch = parse_edges spec in
   Serve.update ~inserts:batch st.serve "E";
-  let s = Serve.stats st.serve in
-  Printf.printf "+%d edges (graph version %d, %d repairable fixpoints)\n"
-    (Rel.cardinal batch) s.Serve.graph_version s.Serve.repair_handles
+  Printf.printf "+%d edges (graph version %d)\n" (Rel.cardinal batch) (Serve.graph_version st.serve)
 
 let delete_edges spec =
   let batch = parse_edges spec in
   Serve.update ~deletes:batch st.serve "E";
-  let s = Serve.stats st.serve in
-  Printf.printf "-%d edges (graph version %d, %d repairable fixpoints)\n"
-    (Rel.cardinal batch) s.Serve.graph_version s.Serve.repair_handles
+  Printf.printf "-%d edges (graph version %d)\n" (Rel.cardinal batch) (Serve.graph_version st.serve)
 
 let explain_query text =
   ignore (require_graph ());
@@ -171,16 +166,10 @@ let print_stats () =
   row "fixpoints recomputed" s.Serve.fix_evals (cache "fix" "eval");
   row "fixpoint cache hits" s.Serve.fix_hits (cache "fix" "hit");
   row "fixpoints shared" s.Serve.fix_shared (cache "fix" "shared");
-  let plain name =
-    match Telemetry.Snapshot.value snap name with Some v -> int_of_float v | None -> 0
-  in
-  row "fixpoints repaired" s.Serve.repaired (plain "serve_cache_repaired_total");
   Printf.printf
     "  caches: %d result entries (%d bytes), %d plan entries; invalidated %d, evicted %d\n"
     s.Serve.result_entries s.Serve.result_bytes s.Serve.plan_entries s.Serve.invalidated
     s.Serve.evictions;
-  Printf.printf "  repair: %d handles live, %d fallbacks to recompute\n"
-    s.Serve.repair_handles s.Serve.repair_fallbacks;
   if s.Serve.slow_queries > 0 || s.Serve.traces_captured > 0 then
     Printf.printf "  telemetry: %d slow queries logged, %d traces captured\n"
       s.Serve.slow_queries s.Serve.traces_captured

@@ -468,60 +468,6 @@ let set_diff_local a b =
   record_skew tr parts;
   { a with parts }
 
-let set_inter_local a b =
-  if num_partitions a <> num_partitions b then invalid_arg "Dds.set_inter_local: partition counts";
-  let tr = Trace.get () in
-  Trace.span tr ~cat:"dds" "dds.inter_local" @@ fun () ->
-  records_in_attr tr a b;
-  let parts =
-    Cluster.run_stage a.cluster (fun w ->
-        let rhs = relayout_set ~from:b.schema ~into:a.schema b.parts.(w) in
-        let small, big =
-          if Tset.cardinal a.parts.(w) <= Tset.cardinal rhs then (a.parts.(w), rhs)
-          else (rhs, a.parts.(w))
-        in
-        let out = Tset.create ~capacity:(Tset.cardinal small) () in
-        Tset.iter (fun tu -> if Tset.mem big tu then ignore (Tset.add out tu)) small;
-        out)
-  in
-  record_skew tr parts;
-  { a with parts }
-
-let copy_parts d = { d with parts = Array.map Tset.copy d.parts }
-
-(* Fused delta maintenance: one pooled stage instead of separate
-   diff, copy and union passes. The accumulator's partitions
-   are mutated in place ([Tset.absorb_fresh]), so [acc] must be loop
-   private — in the semi-naive drivers it is created by the initial
-   repartition (or defensively [copy_parts]ed), never shared with the
-   table cache. Returns [(acc', fresh)] where [fresh = produced \ acc]
-   and [acc' = acc ∪ produced]; [acc'] keeps [acc]'s partitioning when
-   both sides agree on it. *)
-let diff_union_in_place ~acc ~produced =
-  if num_partitions acc <> num_partitions produced then
-    invalid_arg "Dds.diff_union_in_place: partition counts";
-  let tr = Trace.get () in
-  Trace.span tr ~cat:"dds" "dds.diff_union" @@ fun () ->
-  records_in_attr tr acc produced;
-  let fresh_parts =
-    Cluster.run_stage acc.cluster (fun w ->
-        let rhs = relayout_set ~from:produced.schema ~into:acc.schema produced.parts.(w) in
-        (* a recursive branch that is just the variable returns the delta
-           itself: absorbing a set into itself is both unsound and
-           pointless (nothing can be fresh), so short-circuit *)
-        if rhs == acc.parts.(w) then Tset.create () else Tset.absorb_fresh acc.parts.(w) rhs)
-  in
-  record_skew tr fresh_parts;
-  let acc' =
-    { acc with
-      partitioning =
-        (if same_hashing acc.partitioning produced.partitioning then acc.partitioning
-         else Arbitrary);
-    }
-  in
-  let fresh = { acc with parts = fresh_parts; partitioning = produced.partitioning } in
-  (acc', fresh)
-
 (* Per-partition natural join, indexing the smaller side (semi-naive
    loops join a small delta against a large stable relation). *)
 let local_join_sets ~left_schema ~right_schema left right =

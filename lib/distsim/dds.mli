@@ -93,34 +93,6 @@ val set_diff_local : t -> t -> t
     co-partitioned; the caller is responsible (checked: both [Hashed] on
     the same columns, or both [Arbitrary] by explicit choice). *)
 
-val set_inter_local : t -> t -> t
-(** Partition-wise intersection (probes the smaller side of each
-    partition pair against the larger). Like {!set_diff_local}, only
-    meaningful on co-partitioned inputs; the result keeps the left
-    side's schema layout and partitioning. Used by the DRed
-    over-deletion pass to clip propagated deletions to tuples actually
-    in the accumulator. *)
-
-val copy_parts : t -> t
-(** Driver-side deep copy of every partition (not charged — no simulated
-    data movement). The escape hatch callers use to obtain a loop-private
-    accumulator before handing it to {!diff_union_in_place}. *)
-
-val diff_union_in_place : acc:t -> produced:t -> t * t
-(** [diff_union_in_place ~acc ~produced] is the semi-naive delta
-    maintenance step: returns [(acc', fresh)] where [fresh = produced \
-    acc] and [acc' = acc ∪ produced], computed in a single stage with one
-    probe per tuple ({!Relation.Tset.absorb_fresh}); the accumulator is
-    grown in place rather than copied every iteration.
-
-    {b Ownership:} [acc]'s partitions are mutated in place ([acc'] shares
-    them). The caller must own [acc] exclusively — in the semi-naive
-    drivers the accumulator is loop private, created by the initial
-    repartition or defensively {!copy_parts}ed; it must never alias a
-    cached base relation. Traced as [dds.diff_union] with input/output
-    size and skew attributes. [acc'] keeps [acc]'s partitioning when
-    both sides agree on it, and is [Arbitrary] otherwise. *)
-
 (** {2 Iteration-shuffle deduplication}
 
     A semi-naive P_gld loop reshuffles its produced delta every iteration,

@@ -695,269 +695,3 @@ module Analyze = struct
     go 0 root;
     Buffer.contents buf
 end
-
-(* ------------------------------------------------------------------ *)
-(* Incremental fixpoint maintenance                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Incr = struct
-  exception Unsupported of string
-
-  let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
-
-  type handle = {
-    i_config : config;
-    i_var : string;
-    i_body : Term.t;
-    i_consts : Term.t list;
-    i_recs : Term.t list;
-    i_plan : fixpoint_plan;
-    i_hash_cols : string list;  (* the accumulator's hash-partitioning key *)
-    i_narrow : bool;  (* P_plw^s with stable columns: no per-iteration exchange *)
-    i_report : fix_report list;  (* establishment-run fixpoint reports, innermost-first *)
-    mutable i_tables : (string * Rel.t) list;
-    mutable i_acc : Dds.t;  (* live converged accumulator; owned exclusively *)
-    mutable i_resumes : int;
-    mutable i_resume_iterations : int;
-  }
-
-  let result h = Dds.collect h.i_acc
-  let size h = Dds.cardinal h.i_acc
-  let tables h = h.i_tables
-  let resumes h = h.i_resumes
-  let resume_iterations h = h.i_resume_iterations
-  let plan h = h.i_plan
-  let establish_report h = h.i_report
-
-  let establish config ~tables term =
-    let var, body =
-      match (term : Term.t) with
-      | Fix (var, body) -> (var, body)
-      | _ -> unsupported "not a fixpoint term"
-    in
-    if Term.free_vars term <> [] then unsupported "fixpoint term has free recursive variables";
-    let ctx = session config tables in
-    let acc = exec_any ctx ~path:"0" term in
-    let consts, recs = Fcond.split ~var body in
-    let stable =
-      try Mura.Stabilizer.stable_columns (typing_env ctx) ~var body
-      with Mura.Typing.Type_error _ -> []
-    in
-    let plan =
-      match config.force_plan with
-      | Some p -> p
-      | None -> if stable <> [] then P_plw_s else P_gld
-    in
-    if plan = P_plw_pg then unsupported "P_plw^pg keeps no driver-side accumulator to resume";
-    let partitioned_by = if config.use_stable_partitioning then stable else [] in
-    let narrow = plan = P_plw_s && partitioned_by <> [] in
-    let hash_cols = if narrow then partitioned_by else Schema.cols (Dds.schema acc) in
-    (* membership probes during resume are partition-local, so the live
-       accumulator must be hash-partitioned; the plans above already
-       leave it that way and the repartition no-ops *)
-    let acc =
-      if Dds.same_hashing (Dds.partitioning acc) (Dds.Hashed hash_cols) then acc
-      else Dds.repartition ~by:hash_cols acc
-    in
-    {
-      i_config = config;
-      i_var = var;
-      i_body = body;
-      i_consts = consts;
-      i_recs = recs;
-      i_plan = plan;
-      i_hash_cols = hash_cols;
-      i_narrow = narrow;
-      i_report = ctx.rpt.fixpoints;
-      i_tables = tables;
-      i_acc = acc;
-      i_resumes = 0;
-      i_resume_iterations = 0;
-    }
-
-  let union_all = function
-    | [] -> None
-    | d :: rest -> Some (List.fold_left Dds.set_union_local d rest)
-
-  (* Apply recursive branches (or differential summands) once to [d],
-     compiled in broadcast mode — the delta constants inside are small. *)
-  let apply_once ctx ~var ~path d terms =
-    let branch_path i = path ^ "." ^ string_of_int i in
-    Pipeline.apply
-      (compile ctx ~var ~join_mode:`Broadcast ~x_schema:(Dds.schema d) ~branch_path terms)
-      d
-
-  (* Evaluate differential summands against the live accumulator: those
-     mentioning the variable are applied once with [X := acc]; var-free
-     ones evaluate as constant sides and are distributed. Returns their
-     union, or [None] when there are no summands. *)
-  let eval_summands ctx ~var ~acc summands =
-    let recursive, constant = List.partition (Term.has_free_var var) summands in
-    let applied = apply_once ctx ~var ~path:"incr" acc recursive in
-    let constants =
-      List.mapi
-        (fun i s ->
-          Dds.of_rel ctx.config.cluster (eval_const ctx ~path:("incr.cst." ^ string_of_int i) s))
-        constant
-    in
-    union_all (applied @ constants)
-
-  (* Resume the semi-naive loop from [(acc, fresh)] over the catalog in
-     [ctx]: the from-scratch driver, entered with [?delta0]. *)
-  let resume_loop h ctx ~acc ~fresh =
-    let branch_path i = "incr.rec." ^ string_of_int i in
-    let join_mode = if h.i_plan = P_gld then `Shuffle else `Broadcast in
-    let plan_label = plan_name h.i_plan ^ "(resume)" in
-    let seen = if h.i_narrow then None else Some (Dds.seen_filter h.i_config.cluster) in
-    let per_iter_by = if h.i_narrow then None else Some h.i_hash_cols in
-    let cp = compile ctx ~var:h.i_var ~join_mode ~x_schema:(Dds.schema acc) ~branch_path h.i_recs in
-    Pipeline.run cp ~var:h.i_var ~plan_label ~x0:acc ~x0_private:true ~delta0:fresh ~per_iter_by
-      ?seen ~max_iterations:h.i_config.max_iterations ~max_tuples:h.i_config.max_tuples
-      ~limit:(fun msg -> Resource_limit msg)
-      ()
-
-  (* The narrow (stable-partitioned) loop can lose the partitioning label
-     when branch outputs come back [Arbitrary]; physically every derived
-     tuple stays on its premise's worker (the stable-column locality
-     theorem of Sec. IV-A2), so re-assert the fact instead of paying an
-     exchange. *)
-  let assert_partitioning h d =
-    if Dds.same_hashing (Dds.partitioning d) (Dds.Hashed h.i_hash_cols) then d
-    else if h.i_narrow then
-      Dds.map_partitions ~partitioning:(Dds.Hashed h.i_hash_cols) ~schema:(Dds.schema d)
-        (fun _ part -> part)
-        d
-    else Dds.repartition ~by:h.i_hash_cols d
-
-  (* DRed over-deletion: propagate deletions through the old rules,
-     clipped to tuples actually in the accumulator. [ctx_old] reads the
-     pre-update catalog. *)
-  let over_delete h ctx_old ~deletes =
-    let seed_terms =
-      List.concat_map (Mura.Deriv.delta ~changed:deletes) (h.i_consts @ h.i_recs)
-    in
-    match eval_summands ctx_old ~var:h.i_var ~acc:h.i_acc seed_terms with
-    | None -> None
-    | Some seed ->
-      let seed = Dds.repartition ~by:h.i_hash_cols seed in
-      let o_acc = ref (Dds.set_inter_local seed h.i_acc) in
-      if Dds.cardinal !o_acc = 0 then None
-      else if h.i_recs = [] then Some !o_acc
-      else begin
-        let cp =
-          compile ctx_old ~var:h.i_var ~join_mode:`Broadcast ~x_schema:(Dds.schema !o_acc)
-            ~branch_path:(fun i -> "incr.del." ^ string_of_int i)
-            h.i_recs
-        in
-        let delta = ref !o_acc in
-        let iterations = ref 0 in
-        let continue = ref true in
-        while !continue do
-          incr iterations;
-          if !iterations > h.i_config.max_iterations then
-            raise (Resource_limit "max iterations exceeded (DRed over-delete)");
-          let produced = Option.get (union_all (Pipeline.apply cp !delta)) in
-          let produced = Dds.repartition ~by:h.i_hash_cols produced in
-          let produced = Dds.set_inter_local produced h.i_acc in
-          let o', fresh = Dds.diff_union_in_place ~acc:!o_acc ~produced in
-          if Dds.cardinal fresh = 0 then continue := false
-          else begin
-            o_acc := o';
-            delta := fresh
-          end
-        done;
-        Some !o_acc
-      end
-
-  let apply_table_updates tables ~inserts ~deletes =
-    List.map
-      (fun (name, r) ->
-        let r = match List.assoc_opt name deletes with Some d -> Rel.diff r d | None -> r in
-        let r = match List.assoc_opt name inserts with Some d -> Rel.union r d | None -> r in
-        (name, r))
-      tables
-
-  let update ?(inserts = []) ?(deletes = []) h =
-    (* trim the update to its effective part: inserts already present and
-       deletions of absent tuples change nothing *)
-    let effective deltas trim =
-      List.filter_map
-        (fun (name, d) ->
-          match List.assoc_opt name h.i_tables with
-          | None -> unsupported "update to unregistered relation %S" name
-          | Some r ->
-            if not (Schema.equal_names (Rel.schema r) (Rel.schema d)) then
-              unsupported "update schema mismatch on %S" name;
-            let d = trim d r in
-            if Rel.is_empty d then None else Some (name, d))
-        deltas
-    in
-    match
-      let inserts = effective inserts (fun d r -> Rel.diff d r) in
-      let deletes = effective deletes (fun d r -> Rel.inter d r) in
-      let changed = List.map fst inserts @ List.map fst deletes in
-      if changed = [] then `Repaired 0
-      else begin
-        (match Mura.Deriv.supported ~changed h.i_body with
-        | Ok () -> ()
-        | Error msg -> raise (Mura.Deriv.Unsupported msg));
-        (* 1. over-delete through the old rules (DRed), before the catalog
-           changes under us *)
-        let x_under =
-          if deletes = [] then None
-          else begin
-            let ctx_old = session h.i_config h.i_tables in
-            match over_delete h ctx_old ~deletes with
-            | None -> None
-            | Some o -> Some (Dds.set_diff_local h.i_acc o)
-          end
-        in
-        (* 2. switch to the new catalog *)
-        let new_tables = apply_table_updates h.i_tables ~inserts ~deletes in
-        let ctx_new = session h.i_config new_tables in
-        (* 3. seed the resume frontier: for pure insertions, the
-           differential of the body at [X := acc] (small — only
-           delta-touching derivations); after deletions, a full
-           re-derivation pass over the surviving accumulator *)
-        let x0, seed =
-          match x_under with
-          | None ->
-            let terms =
-              List.concat_map (Mura.Deriv.delta ~changed:inserts) (h.i_consts @ h.i_recs)
-            in
-            (h.i_acc, eval_summands ctx_new ~var:h.i_var ~acc:h.i_acc terms)
-          | Some x_under ->
-            let consts =
-              List.mapi (fun i c -> exec_any ctx_new ~path:("incr.cst." ^ string_of_int i) c)
-                h.i_consts
-            in
-            let recs = apply_once ctx_new ~var:h.i_var ~path:"incr.rec" x_under h.i_recs in
-            (x_under, union_all (consts @ recs))
-        in
-        let acc, iterations =
-          match seed with
-          | None -> (x0, 0)
-          | Some seed ->
-            let seed = Dds.repartition ~by:h.i_hash_cols seed in
-            let acc', fresh = Dds.diff_union_in_place ~acc:x0 ~produced:seed in
-            if Dds.cardinal fresh = 0 || h.i_recs = [] then (acc', 0)
-            else
-              let acc, iters, _deltas = resume_loop h ctx_new ~acc:acc' ~fresh in
-              (acc, iters)
-        in
-        h.i_acc <- assert_partitioning h acc;
-        h.i_tables <- new_tables;
-        h.i_resumes <- h.i_resumes + 1;
-        h.i_resume_iterations <- h.i_resume_iterations + iterations;
-        (let reg = Telemetry.get () in
-         if Telemetry.enabled reg then
-           Telemetry.observe reg
-             ~labels:[ ("plan", plan_name h.i_plan) ]
-             "fixpoint_resume_iterations" (float_of_int iterations));
-        `Repaired iterations
-      end
-    with
-    | `Repaired iterations -> `Repaired (result h, iterations)
-    | exception Mura.Deriv.Unsupported msg -> `Unsupported msg
-    | exception Unsupported msg -> `Unsupported msg
-end

@@ -93,78 +93,6 @@ val explain : ctx -> Mura.Term.t -> string
 val run : ctx -> Mura.Term.t -> Relation.Rel.t
 (** [exec_dds] followed by a collect to the driver. *)
 
-(** Incremental fixpoint maintenance: keep a converged fixpoint's
-    distributed accumulator live and repair it under base-relation
-    updates instead of recomputing from scratch.
-
-    {!Incr.establish} runs the fixpoint once and retains the converged
-    accumulator (hash-partitioned, owned exclusively by the handle).
-    {!Incr.update} then applies an edge batch:
-
-    - {b insertions} seed the semi-naive loop with the differential of
-      the body at [X := accumulator] ({!Mura.Deriv}) — only derivations
-      touching the new tuples are evaluated — and resume the loop
-      through its [?delta0] resume point;
-    - {b deletions} run DRed: over-delete everything derivable from the
-      deleted tuples through the {e old} rules (clipped to the
-      accumulator), then re-derive by resuming from the surviving
-      under-approximation over the new catalog.
-
-    Both run on the compiled pipelines: {!Pipeline.apply} for the
-    differential summands and the over-delete rounds, {!Pipeline.run}
-    for the resumed loop. Results are identical to a from-scratch
-    fixpoint on the updated catalog — the parity tests and
-    [micro_incremental] check them against [Mura.Eval]. Unsupported
-    updates (changed relation under an antijoin right side or a nested
-    fixpoint, P_plw^pg plans) report [`Unsupported] and the caller
-    falls back to recomputation. *)
-module Incr : sig
-  type handle
-
-  exception Unsupported of string
-
-  val establish : config -> tables:(string * Relation.Rel.t) list -> Mura.Term.t -> handle
-  (** Evaluate the closed [Fix] term and keep its accumulator live.
-      @raise Unsupported on non-fixpoint terms, terms with free
-      recursive variables, or a forced P_plw^pg plan. *)
-
-  val update :
-    ?inserts:(string * Relation.Rel.t) list ->
-    ?deletes:(string * Relation.Rel.t) list ->
-    handle ->
-    [ `Repaired of Relation.Rel.t * int | `Unsupported of string ]
-  (** Apply an update batch and repair the fixpoint. [`Repaired (r, n)]
-      is the new result after [n] resumed semi-naive iterations (0 when
-      the batch changed nothing derivable); the handle's catalog and
-      accumulator now reflect the update. [`Unsupported] leaves the
-      handle untouched (same catalog, same result) — fall back to
-      recomputing and re-establishing. Updates naming unregistered
-      relations or mismatched schemas also report [`Unsupported]. A
-      raised exception (e.g. {!Resource_limit} mid-resume) leaves the
-      handle corrupt: drop it. *)
-
-  val result : handle -> Relation.Rel.t
-  (** Collect the current converged result to the driver. *)
-
-  val size : handle -> int
-  (** Tuples in the live accumulator (driver-side count, not charged). *)
-
-  val tables : handle -> (string * Relation.Rel.t) list
-  (** The catalog the current result reflects. *)
-
-  val resumes : handle -> int
-  (** Updates that repaired (vs. no-op) since establishment. *)
-
-  val resume_iterations : handle -> int
-  (** Total resumed semi-naive iterations across all updates. *)
-
-  val plan : handle -> fixpoint_plan
-
-  val establish_report : handle -> fix_report list
-  (** The establishment run's fixpoint reports (innermost-first), for
-      callers that account iterations and plan choices per evaluation. *)
-end
-
 (** EXPLAIN ANALYZE: the annotated plan tree of a traced run.
 
     Actuals come from the code that ran: run the term with a tracer

@@ -1,12 +1,12 @@
 (* Compiled columnar execution core: the distributed executor.
 
    [compile] lowers the union-free recursive branches of a fixpoint into
-   fused operator pipelines over {!Relation.Batch} column blocks, [run]
-   drives the semi-naive loop over them and [apply] applies them once.
-   Each branch becomes an alternating list of fused segments (closure
-   chains that stream a partition column-at-a-time through
-   select/project/rename/join-probe without materialising intermediate
-   [Tuple.t] rows) and exchange points (charged batch repartitions).
+   fused operator pipelines over {!Relation.Batch} column blocks and
+   [run] drives the semi-naive loop over them. Each branch becomes an
+   alternating list of fused segments (closure chains that stream a
+   partition column-at-a-time through select/project/rename/join-probe
+   without materialising intermediate [Tuple.t] rows) and exchange
+   points (charged batch repartitions).
    [Shell] lowers the non-fixpoint operators around [Fix] nodes onto the
    same chains.
 
@@ -532,18 +532,6 @@ let apply_branch cluster br (delta : Batch.t array) (delta_part : Dds.partitioni
 let batches_of ~arity d =
   Array.init (Dds.num_partitions d) (fun w -> Batch.of_tset ~arity (Dds.partition d w))
 
-let apply t d =
-  match t.branches with
-  | [] -> []
-  | branches ->
-    let delta = batches_of ~arity:t.arity d in
-    List.map
-      (fun br ->
-        let bs, part = apply_branch t.cluster br delta (Dds.partitioning d) in
-        Dds.of_partitions t.cluster ~schema:br.out_schema ~partitioning:part
-          (Cluster.run_stage t.cluster (fun w -> Batch.to_tset bs.(w))))
-      branches
-
 (* Union the branch outputs into accumulator layout: per partition, a
    presized dedup builder over every branch's rows, permuted into
    [x_schema] order (reusing stored hashes when the permutation is the
@@ -593,7 +581,7 @@ let union_branches ~x_schema ~arity (outs : (Batch.t array * Dds.partitioning * 
     let final = if Schema.equal_ordered schema0 x_schema then u_part else Dds.Arbitrary in
     (merged, final)
 
-let run t ~var ~plan_label ~x0 ~x0_private ?delta0 ~per_iter_by ?seen ~max_iterations ~max_tuples
+let run t ~var ~plan_label ~x0 ~x0_private ~per_iter_by ?seen ~max_iterations ~max_tuples
     ~limit () : Dds.t * int * int list =
   let cluster = t.cluster in
   let workers = Cluster.workers cluster in
@@ -609,12 +597,8 @@ let run t ~var ~plan_label ~x0 ~x0_private ?delta0 ~per_iter_by ?seen ~max_itera
         if x0_private then p else Tset.copy p)
   in
   let acc_part = ref (Dds.partitioning x0) in
-  (* resume entry point: [delta0] restarts the loop with a given frontier
-     (already absorbed into [x0] by the caller) instead of the whole
-     accumulator — the incremental-maintenance path *)
-  let d0 = match delta0 with Some d -> d | None -> x0 in
-  let delta = ref (batches_of ~arity d0) in
-  let delta_part = ref (Dds.partitioning d0) in
+  let delta = ref (batches_of ~arity x0) in
+  let delta_part = ref (Dds.partitioning x0) in
   let iterations = ref 0 in
   let deltas = ref [] in
   let continue = ref true in

@@ -7,7 +7,7 @@
     no intermediate [Tuple.t] materialisation) separated by charged
     batch exchanges; [run] drives the semi-naive loop over them with a
     mutable per-worker accumulator ({!Relation.Tset.add_cols} probes
-    reusing the batch hash column) and [apply] applies them once.
+    reusing the batch hash column).
     {!Shell} lowers the non-fixpoint operators around [Fix] nodes onto
     the same chains. Zero-arity relations run as width-0 batches.
 
@@ -77,7 +77,6 @@ val run :
   plan_label:string ->
   x0:Dds.t ->
   x0_private:bool ->
-  ?delta0:Dds.t ->
   per_iter_by:string list option ->
   ?seen:Dds.seen_filter ->
   max_iterations:int ->
@@ -88,24 +87,14 @@ val run :
 (** Run the compiled semi-naive loop from [x0]. [x0_private] says the
     caller's initial repartition allocated fresh partitions (they are
     adopted and mutated in place; otherwise a defensive copy is taken).
-    [?delta0] resumes an interrupted or incrementally-maintained
-    fixpoint: the first iteration's frontier is [delta0] (which the
-    caller has already absorbed into [x0]) instead of the whole of
-    [x0]; it must share [x0]'s schema. [per_iter_by] is the
-    per-iteration repartition key (P_gld's full schema columns; [None]
-    for P_plw's narrow loop) with [?seen] attaching the
-    iteration-shuffle dedup filter. [limit] builds the resource-limit
-    exception ([Exec.Resource_limit] — passed in to keep this module
-    below [Exec]). Returns (result, iterations, per-iteration fresh
-    counts).
+    [per_iter_by] is the per-iteration repartition key (P_gld's full
+    schema columns; [None] for P_plw's narrow loop) with [?seen]
+    attaching the iteration-shuffle dedup filter. [limit] builds the
+    resource-limit exception ([Exec.Resource_limit] — passed in to keep
+    this module below [Exec]). Returns (result, iterations,
+    per-iteration fresh counts).
     @raise Relation.Schema.Schema_error when a branch's output columns
     differ from [x_schema]'s. *)
-
-val apply : t -> Dds.t -> Dds.t list
-(** Apply every branch once to [d] (laid out as [x_schema]), with the
-    metering of {!run}'s iterations: one dataset per branch, in the
-    branch's own output layout, partitioned where its rows were
-    produced. The incremental-maintenance entry. *)
 
 (** {1 Whole-plan shell compilation}
 

@@ -216,18 +216,5 @@ let copy_with_capacity s n =
     out
   end
 
-(* Fused union + diff: one probe sequence per tuple serves both the
-   accumulator insert and the fresh-set insert, reusing the hash. [dst] is
-   presized up front so no resize interrupts the scan. *)
-let absorb_fresh dst src =
-  reserve dst (cardinal dst + cardinal src);
-  let fresh = create ~capacity:(cardinal src) () in
-  iter
-    (fun tu ->
-      let h = if Array.length tu = 0 then 0 else Tuple.hash tu in
-      if add_hashed dst tu h then ignore (add_hashed fresh tu h))
-    src;
-  fresh
-
 let add_all dst src = fold (fun tu n -> if add dst tu then n + 1 else n) src 0
 let equal a b = cardinal a = cardinal b && for_all (mem b) a

@@ -73,15 +73,6 @@ val copy_with_capacity : t -> int -> t
     table has exactly the geometry (and so iteration order) of the two-step
     version. *)
 
-val absorb_fresh : t -> t -> t
-(** [absorb_fresh dst src] inserts every tuple of [src] into [dst] (in
-    place) and returns the set of tuples that were actually new — i.e. the
-    fused form of [union dst src] + [diff src dst], with a single probe and
-    a single hash per tuple shared by both tables. [dst] is presized for
-    [cardinal dst + cardinal src] up front so the scan never resizes
-    mid-run. The semi-naive delta-maintenance kernel (BigDatalog's SetRDD
-    trick). *)
-
 val add_all : t -> t -> int
 (** [add_all dst src] inserts every tuple of [src] into [dst]; returns the
     number of tuples that were new. *)

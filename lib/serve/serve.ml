@@ -120,28 +120,6 @@ type query_trace = {
   qt_events : Trace.event list;
 }
 
-(* A live incremental-repair handle: the converged accumulator of a
-   cached fixpoint, kept resident on the workers after the cache entry
-   itself is invalidated by an [update] that hits one of its
-   dependencies. That update's delta is parked here; the next miss
-   replays it through [Exec.Incr.update] — paying only the differential
-   resume — instead of recomputing from scratch. Batches that hit none
-   of its dependencies change no tuple the fixpoint reads, so the handle
-   ignores them.
-
-   Pending deltas are a net (inserts, deletes) pair per relation with
-   delete-before-insert apply semantics. Folding an arriving batch
-   (i, d) into the net (I, D) preserves arrival order:
-   I' = (I \ d) ∪ i and D' = (D \ i) ∪ d — a tuple's final presence is
-   decided by the last batch that mentions it. *)
-type rhandle = {
-  r_handle : Exec.Incr.handle;
-  r_deps : Dep.t list;
-  mutable r_ins : (string * Rel.t) list;  (* pending net inserts *)
-  mutable r_del : (string * Rel.t) list;  (* pending net deletes *)
-  mutable r_last_use : int;
-}
-
 type t = {
   cluster : Cluster.t;
   exec_config : Exec.config;
@@ -170,9 +148,6 @@ type t = {
   plan_cache : (string, pentry) Hashtbl.t;
   result_cache : (string, centry) Hashtbl.t;
   mutable cache_bytes : int;
-  max_repair_handles : int;  (* 0 disables incremental repair *)
-  repair_frac : float;  (* pending-delta / base-size fallback threshold *)
-  repair : (string, rhandle) Hashtbl.t;  (* fix normal key -> live handle *)
   q_promises : (string, promise) Hashtbl.t;
       (* whole-query in-flight evaluations, by normal key of the input *)
   f_promises : (string, promise) Hashtbl.t;
@@ -213,17 +188,12 @@ type t = {
   mutable c_evictions : int;
   mutable c_slow : int;
   mutable c_traces : int;
-  mutable c_repaired : int;
-  mutable c_repair_fallbacks : int;
 }
 
 let create ?(max_inflight = 1) ?(plan_cache_capacity = 128)
     ?(result_cache_bytes = 64 * 1024 * 1024) ?(max_plans = 120) ?(sample_every = 0)
-    ?(slow_threshold_ms = infinity) ?(slow_log_capacity = 64) ?(max_repair_handles = 32)
-    ?(repair_max_delta_frac = 0.5) ?config ~cluster () =
+    ?(slow_threshold_ms = infinity) ?(slow_log_capacity = 64) ?config ~cluster () =
   if max_inflight < 1 then invalid_arg "Serve.create: max_inflight < 1";
-  if max_repair_handles < 0 then invalid_arg "Serve.create: max_repair_handles < 0";
-  if repair_max_delta_frac < 0. then invalid_arg "Serve.create: repair_max_delta_frac < 0";
   let exec_config =
     match config with
     | Some c -> { c with Exec.cluster }
@@ -263,9 +233,6 @@ let create ?(max_inflight = 1) ?(plan_cache_capacity = 128)
     plan_cache = Hashtbl.create 64;
     result_cache = Hashtbl.create 64;
     cache_bytes = 0;
-    max_repair_handles;
-    repair_frac = repair_max_delta_frac;
-    repair = Hashtbl.create 16;
     q_promises = Hashtbl.create 16;
     f_promises = Hashtbl.create 16;
     clock = 0;
@@ -296,8 +263,6 @@ let create ?(max_inflight = 1) ?(plan_cache_capacity = 128)
     c_evictions = 0;
     c_slow = 0;
     c_traces = 0;
-    c_repaired = 0;
-    c_repair_fallbacks = 0;
   }
 
 let cluster t = t.cluster
@@ -318,18 +283,6 @@ let tele_done ~outcome ~session_name ~wait_ns ~latency_ns =
     Telemetry.observe r ~labels:[ ("session", session_name) ] "serve_query_latency_ns" latency_ns;
     if wait_ns > 0. then Telemetry.observe r "serve_admission_wait_ns" wait_ns
   end
-
-let tele_repair ~ns =
-  let r = Telemetry.get () in
-  if Telemetry.enabled r then begin
-    Telemetry.inc r "serve_cache_repaired_total";
-    Telemetry.observe r "serve_repair_ns" ns
-  end
-
-let tele_repair_fallback ~reason =
-  let r = Telemetry.get () in
-  if Telemetry.enabled r then
-    Telemetry.inc r ~labels:[ ("reason", reason) ] "serve_repair_fallback_total"
 
 (* gauges of the admission queue and result cache; [t.lock] held *)
 let tele_gauges t =
@@ -378,67 +331,49 @@ let fresh t ~v0 deps =
   let find tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
   List.for_all (fun d -> max (find t.versions d) (find t.registered (Dep.rel d)) <= v0) deps
 
-(* With [t.lock] held: drop the cached results (and plans, if [plans]),
-   in-flight promises and repair handles that read a dependency [hit]
-   selects. A hit handle survives if [absorb] takes the change on as
-   pending work. Dropping a promise only stops new waiters from joining
-   an evaluation over the old contents; its owner still fulfills it for
-   the waiters that attached before. *)
-let invalidate t ~hit ~plans ~absorb =
-  (* drop each binding that reads a hit dependency and that [drop] lets go *)
-  let sweep tbl deps drop =
+(* With [t.lock] held: drop the cached results (and plans, if [plans])
+   and in-flight promises that read a dependency [hit] selects. Dropping
+   a promise only stops new waiters from joining an evaluation over the
+   old contents; its owner still fulfills it for the waiters that
+   attached before. *)
+let invalidate t ~hit ~plans =
+  (* drop each binding that reads a hit dependency, after [on_drop] *)
+  let sweep tbl deps on_drop =
     Hashtbl.filter_map_inplace
-      (fun _ e -> if List.exists hit (deps e) && drop e then None else Some e)
+      (fun _ e ->
+        if List.exists hit (deps e) then begin
+          on_drop e;
+          None
+        end
+        else Some e)
       tbl
   in
-  let counted _ =
-    t.c_invalidated <- t.c_invalidated + 1;
-    true
-  in
+  let counted _ = t.c_invalidated <- t.c_invalidated + 1 in
   sweep t.result_cache
     (fun e -> e.c_deps)
     (fun e ->
       t.cache_bytes <- t.cache_bytes - e.c_bytes;
       counted e);
   if plans then sweep t.plan_cache (fun e -> e.pl_deps) counted;
-  sweep t.q_promises (fun p -> p.p_deps) (fun _ -> true);
-  sweep t.f_promises (fun p -> p.p_deps) (fun _ -> true);
-  sweep t.repair (fun h -> h.r_deps) (fun h -> not (absorb h))
+  sweep t.q_promises (fun p -> p.p_deps) ignore;
+  sweep t.f_promises (fun p -> p.p_deps) ignore
 
-(* A full replacement hits every dependency on [name] and severs the
-   delta chain: a handle's catalog has no net delta to the new contents,
-   so its handles are dropped. *)
+(* A full replacement hits every dependency on [name]. *)
 let register t name rel =
   Mutex.lock t.lock;
   t.version <- t.version + 1;
   Hashtbl.replace t.registered name t.version;
   t.tbl <- (name, rel) :: List.remove_assoc name t.tbl;
-  invalidate t ~hit:(fun d -> Dep.rel d = name) ~plans:true ~absorb:(fun _ -> false);
+  invalidate t ~hit:(fun d -> Dep.rel d = name) ~plans:true;
   Mutex.unlock t.lock
-
-(* Fold an arriving (inserts, deletes) batch for [name] into the net
-   pending pair, preserving arrival order (see [rhandle]). *)
-let merge_pending ~name ~ins ~del (pi, pd) =
-  let fold pending ~minus ~plus =
-    let rest = List.remove_assoc name pending in
-    let r =
-      match List.assoc_opt name pending with
-      | Some p -> Rel.union (Rel.diff p minus) plus
-      | None -> plus
-    in
-    if Rel.is_empty r then rest else (name, r) :: rest
-  in
-  (fold pi ~minus:del ~plus:ins, fold pd ~minus:ins ~plus:del)
 
 (* Register an edge-batch update to [name]. Only the net change counts:
    inserts not already resident and resident deletes. It hits
    [Dep.Rel name] and, for every column [c] of every changed tuple,
    [Dep.Key (name, c, tuple.(c))]. The cached results that read a hit
-   dependency are dropped (they must never be served stale) — but their
-   live repair handles absorb the delta as pending work instead of being
-   forgotten, so the next miss on such a fixpoint pays only the
-   differential resume. Plan-cache entries survive: a rewritten term
-   stays semantically valid under any catalog contents. *)
+   dependency are dropped (they must never be served stale); the next
+   read of one recomputes it. Plan-cache entries survive: a rewritten
+   term stays semantically valid under any catalog contents. *)
 let update ?inserts ?deletes t name =
   Mutex.lock t.lock;
   match List.assoc_opt name t.tbl with
@@ -483,11 +418,7 @@ let update ?inserts ?deletes t name =
       touch del;
       Hashtbl.replace hit (Dep.Rel name) ();
       Hashtbl.iter (fun d () -> Hashtbl.replace t.versions d t.version) hit;
-      invalidate t ~hit:(Hashtbl.mem hit) ~plans:false ~absorb:(fun h ->
-          let pi, pd = merge_pending ~name ~ins ~del (h.r_ins, h.r_del) in
-          h.r_ins <- pi;
-          h.r_del <- pd;
-          true)
+      invalidate t ~hit:(Hashtbl.mem hit) ~plans:false
     end;
     Mutex.unlock t.lock
 
@@ -654,7 +585,6 @@ let optimize_term t tbl term =
 type eval_stats = {
   mutable e_iters : int;
   mutable e_fix_hits : int;
-  mutable e_repaired : int;  (* fixpoints answered by incremental repair *)
   mutable e_plans : string list;  (* fixpoint plans chosen, reverse order *)
   mutable e_stages : int;  (* cluster stages this evaluation ran *)
   mutable e_strag_sum : float;  (* sum of per-stage straggler ratios *)
@@ -665,175 +595,40 @@ let eval_stats_make () =
   {
     e_iters = 0;
     e_fix_hits = 0;
-    e_repaired = 0;
     e_plans = [];
     e_stages = 0;
     e_strag_sum = 0.;
     e_strag_n = 0;
   }
 
-(* One cluster segment. Admission bounds how many evaluators exist; this
-   lock makes stage interleaving impossible even with max_inflight > 1
-   (the Cluster.Concurrent_dispatch guard would reject it loudly).
-   Holding the cluster lock also makes the per-segment deltas of the
-   shared cluster metrics (stages, straggler ratios) attributable to
-   this evaluation. *)
-let on_cluster t ~st span f =
+(* Execute [term] as one cluster segment. Admission bounds how many
+   evaluators exist; the cluster lock makes stage interleaving impossible
+   even with max_inflight > 1 (the Cluster.Concurrent_dispatch guard
+   would reject it loudly). Holding it also makes the per-segment deltas
+   of the shared cluster metrics (stages, straggler ratios) attributable
+   to this evaluation. *)
+let exec_on_cluster t ~tbl ~st term =
   Mutex.lock t.cluster_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.cluster_lock) @@ fun () ->
   let m = Cluster.metrics t.cluster in
   let stages0 = m.Metrics.stages in
   let strag_sum0 = Hist.total m.Metrics.straggler in
   let strag_n0 = Hist.count m.Metrics.straggler in
-  let res = Trace.span (Trace.get ()) ~cat:"serve" span f in
+  let rel =
+    Trace.span (Trace.get ()) ~cat:"serve" "serve.eval" @@ fun () ->
+    let ctx = Exec.session t.exec_config tbl in
+    let rel = Exec.run ctx term in
+    List.iter
+      (fun (fr : Exec.fix_report) ->
+        st.e_iters <- st.e_iters + fr.iterations;
+        st.e_plans <- Exec.plan_name fr.Exec.plan :: st.e_plans)
+      (Exec.report ctx).Exec.fixpoints;
+    rel
+  in
   st.e_stages <- st.e_stages + (m.Metrics.stages - stages0);
   st.e_strag_sum <- st.e_strag_sum +. (Hist.total m.Metrics.straggler -. strag_sum0);
   st.e_strag_n <- st.e_strag_n + (Hist.count m.Metrics.straggler - strag_n0);
-  res
-
-let record_fixpoints st reports =
-  List.iter
-    (fun (fr : Exec.fix_report) ->
-      st.e_iters <- st.e_iters + fr.iterations;
-      st.e_plans <- Exec.plan_name fr.Exec.plan :: st.e_plans)
-    reports
-
-let exec_on_cluster t ~tbl ~st term =
-  on_cluster t ~st "serve.eval" @@ fun () ->
-  let ctx = Exec.session t.exec_config tbl in
-  let rel = Exec.run ctx term in
-  record_fixpoints st (Exec.report ctx).Exec.fixpoints;
   rel
-
-(* ------------------------------------------------------------------ *)
-(* Incremental repair of cached fixpoints                              *)
-(* ------------------------------------------------------------------ *)
-
-(* with [t.lock] held: evict the least-recently-used repair handle *)
-let evict_repair_lru t =
-  Option.iter
-    (fun (k, _) -> Hashtbl.remove t.repair k)
-    (lru_victim t.repair (fun h -> h.r_last_use))
-
-(* Try to answer a missed fixpoint from its live repair handle by
-   replaying the pending delta through [Exec.Incr.update]. [Some rel]
-   reflects the handle's take-time catalog, which the freshness guard
-   pins to the query's snapshot [v0] on every tuple the fixpoint reads.
-   Falls back ([None], handle
-   dropped) when the pending delta outgrew [repair_frac] of the base
-   relations, when the differential calculus refuses the update, or
-   when the resume dies mid-flight (the accumulator is then corrupt).
-   Never called with a lock held. *)
-let try_repair t ~v0 ~st key =
-  if t.max_repair_handles = 0 then None
-  else begin
-    Mutex.lock t.lock;
-    match Hashtbl.find_opt t.repair key with
-    | None ->
-      Mutex.unlock t.lock;
-      None
-    | Some h ->
-      if not (fresh t ~v0 h.r_deps) then begin
-        (* a dep moved past this query's snapshot: the handle (which
-           repairs to the latest catalog) would answer a different
-           question; leave it for later queries and evaluate against
-           the snapshot *)
-        Mutex.unlock t.lock;
-        None
-      end
-      else begin
-        let card l = List.fold_left (fun a (_, r) -> a + Rel.cardinal r) 0 l in
-        let base =
-          List.fold_left
-            (fun a d ->
-              a + match List.assoc_opt d t.tbl with Some r -> Rel.cardinal r | None -> 0)
-            0
-            (List.sort_uniq compare (List.map Dep.rel h.r_deps))
-        in
-        if float_of_int (card h.r_ins + card h.r_del) > t.repair_frac *. float_of_int (max 1 base)
-        then begin
-          Hashtbl.remove t.repair key;
-          t.c_repair_fallbacks <- t.c_repair_fallbacks + 1;
-          Mutex.unlock t.lock;
-          tele_repair_fallback ~reason:"oversized";
-          None
-        end
-        else begin
-          let ins = h.r_ins and del = h.r_del in
-          h.r_ins <- [];
-          h.r_del <- [];
-          t.clock <- t.clock + 1;
-          h.r_last_use <- t.clock;
-          Mutex.unlock t.lock;
-          let t0 = now_ns () in
-          let res =
-            on_cluster t ~st "serve.repair" @@ fun () ->
-            match Exec.Incr.update ~inserts:ins ~deletes:del h.r_handle with
-            | `Repaired (rel, iters) ->
-              st.e_iters <- st.e_iters + iters;
-              st.e_plans <- (Exec.plan_name (Exec.Incr.plan h.r_handle) ^ "(incr)") :: st.e_plans;
-              `Repaired rel
-            | `Unsupported _ -> `Fallback "unsupported"
-            | exception _ -> `Fallback "error"
-          in
-          match res with
-          | `Repaired rel ->
-            st.e_repaired <- st.e_repaired + 1;
-            tele_repair ~ns:(now_ns () -. t0);
-            Some rel
-          | `Fallback reason ->
-            Mutex.lock t.lock;
-            unpublish t.repair key h;
-            t.c_repair_fallbacks <- t.c_repair_fallbacks + 1;
-            Mutex.unlock t.lock;
-            tele_repair_fallback ~reason;
-            None
-        end
-      end
-  end
-
-(* Evaluate a fixpoint from scratch while retaining its converged
-   accumulator as a repair handle; [None] when the incremental layer
-   cannot host this term (it then runs through the plain executor). *)
-let establish_on_cluster t ~tbl ~st fix_term =
-  on_cluster t ~st "serve.eval" @@ fun () ->
-  match Exec.Incr.establish t.exec_config ~tables:tbl fix_term with
-  | h ->
-    record_fixpoints st (Exec.Incr.establish_report h);
-    Some (h, Exec.Incr.result h)
-  | exception Exec.Incr.Unsupported _ -> None
-
-(* Evaluate a missed closed fixpoint: repair from a live handle when one
-   is current, otherwise evaluate from scratch — keeping the converged
-   accumulator as a fresh handle when repair is enabled. Returns the
-   result and whether it came from a repair. *)
-let eval_fix t ~tbl ~v0 ~st ~key ~deps fix_term =
-  match try_repair t ~v0 ~st key with
-  | Some rel -> (rel, true)
-  | None ->
-    if t.max_repair_handles = 0 then (exec_on_cluster t ~tbl ~st fix_term, false)
-    else begin
-      match establish_on_cluster t ~tbl ~st fix_term with
-      | None -> (exec_on_cluster t ~tbl ~st fix_term, false)
-      | Some (h, rel) ->
-        Mutex.lock t.lock;
-        (* install unless an update hit its dependencies mid-evaluation
-           (the handle reflects a stale snapshot and that delta was never
-           parked) or a more current handle survived under this key *)
-        if
-          fresh t ~v0 deps
-          && not (Hashtbl.mem t.repair key)
-        then begin
-          t.clock <- t.clock + 1;
-          Hashtbl.replace t.repair key
-            { r_handle = h; r_deps = deps; r_ins = []; r_del = []; r_last_use = t.clock };
-          while Hashtbl.length t.repair > t.max_repair_handles do
-            evict_repair_lru t
-          done
-        end;
-        Mutex.unlock t.lock;
-        (rel, false)
-    end
 
 (* Resolve one maximal closed Fix subterm through cache and promise
    table; evaluate it at most once process-wide per (normal key,
@@ -866,15 +661,14 @@ let resolve_fix t ~tbl ~v0 ~st fix_term =
         unpublish t.f_promises key p;
         Mutex.unlock t.lock
       in
-      match eval_fix t ~tbl ~v0 ~st ~key ~deps fix_term with
-      | rel, repaired ->
+      match exec_on_cluster t ~tbl ~st fix_term with
+      | rel ->
         Mutex.lock t.lock;
-        if repaired then t.c_repaired <- t.c_repaired + 1
-        else t.c_fix_evals <- t.c_fix_evals + 1;
+        t.c_fix_evals <- t.c_fix_evals + 1;
         cache_store t ~key ~deps ~v0 rel;
         tele_gauges t;
         Mutex.unlock t.lock;
-        tele_cache ~cache:"fix" (if repaired then "repaired" else "eval");
+        tele_cache ~cache:"fix" "eval";
         forget ();
         promise_fulfill p (`Done rel);
         rel
@@ -947,7 +741,7 @@ type response = {
   result_hit : bool;
   shared : bool;
   fix_hits : int;
-  repaired : bool;  (* at least one fixpoint was incrementally repaired *)
+  repaired : bool;  (* no longer produced; see serve.mli *)
   iterations : int;
   wait_ns : float;
   exec_ns : float;
@@ -1137,9 +931,8 @@ let query ?(optimize = true) t (sn : Session.t) term =
         record_slow_locked t ~qid ~session:sn.Session.name ~key ~st ~wait_ns ~total_ns
           ~plan_hit ~result_hit:false ~shared:false ~sampled:capturing;
         Mutex.unlock t.lock;
-        tele_done
-          ~outcome:(if st.e_repaired > 0 then "repaired" else "evaluated")
-          ~session_name:sn.Session.name ~wait_ns ~latency_ns:total_ns;
+        tele_done ~outcome:"evaluated" ~session_name:sn.Session.name ~wait_ns
+          ~latency_ns:total_ns;
         {
           rel;
           session = sn.Session.id;
@@ -1149,7 +942,7 @@ let query ?(optimize = true) t (sn : Session.t) term =
           result_hit = false;
           shared = false;
           fix_hits = st.e_fix_hits;
-          repaired = st.e_repaired > 0;
+          repaired = false;
           iterations = st.e_iters;
           wait_ns;
           exec_ns = total_ns -. wait_ns;
@@ -1193,9 +986,8 @@ type stats = {
   fix_evals : int;
   fix_hits : int;
   fix_shared : int;
-  repaired : int;
-  repair_fallbacks : int;
-  repair_handles : int;
+  repaired : int;  (* no longer produced; see serve.mli *)
+  repair_fallbacks : int;  (* no longer produced; see serve.mli *)
   invalidated : int;
   evictions : int;
   result_entries : int;
@@ -1223,9 +1015,8 @@ let stats t =
       fix_evals = t.c_fix_evals;
       fix_hits = t.c_fix_hits;
       fix_shared = t.c_fix_shared;
-      repaired = t.c_repaired;
-      repair_fallbacks = t.c_repair_fallbacks;
-      repair_handles = Hashtbl.length t.repair;
+      repaired = 0;
+      repair_fallbacks = 0;
       invalidated = t.c_invalidated;
       evictions = t.c_evictions;
       result_entries = Hashtbl.length t.result_cache;

@@ -51,23 +51,9 @@
     does not read leaves it current), so the cache never serves a stale
     mix.
 
-    {b Incremental repair} (the fifth layer, on top of the result
-    cache): when a fixpoint is evaluated, the server keeps its
-    converged distributed accumulator live as a {e repair handle}
-    ({!Physical.Exec.Incr}). An edge-batch {!update} still drops the
-    result-cache entries it hits — stale bytes are never served — but
-    instead of discarding the work it parks the delta on the handles it
-    hits.
-    The next miss on such a fixpoint replays only the delta: insertions
-    seed the semi-naive loop with the differential of the body at the
-    converged accumulator, deletions run DRed (over-delete through the
-    old rules, then re-derive), and the resumed result is bit-identical
-    to recomputing from scratch on the updated catalog. Oversized
-    deltas ([repair_max_delta_frac]), update shapes the differential
-    calculus refuses (changed relation under an antijoin right side or
-    a nested fixpoint), and mid-repair failures all fall back to a full
-    evaluation; {!register} (a full replacement) severs the delta chain
-    and drops the handles. *)
+    Updates: an edge batch ({!update}) invalidates, it maintains
+    nothing. The entries it hits are dropped and the next read of one
+    evaluates it from scratch, as the paper evaluates every query. *)
 
 module Session : sig
   type t
@@ -105,8 +91,6 @@ val create :
   ?sample_every:int ->
   ?slow_threshold_ms:float ->
   ?slow_log_capacity:int ->
-  ?max_repair_handles:int ->
-  ?repair_max_delta_frac:float ->
   ?config:Physical.Exec.config ->
   cluster:Distsim.Cluster.t ->
   unit ->
@@ -133,17 +117,9 @@ val create :
       log ({!slow_log}).
     - [slow_log_capacity] (default 64): slow-log entries kept, newest
       first.
-    - [max_repair_handles] (default 32): live fixpoint accumulators kept
-      for incremental repair, LRU; 0 disables the incremental layer
-      entirely (every miss recomputes — the recompute baseline).
-    - [repair_max_delta_frac] (default 0.5): a handle whose accumulated
-      pending delta exceeds this fraction of its base relations' total
-      size is dropped and the fixpoint recomputed (the differential
-      resume would do comparable work anyway).
     - [config]: execution knobs (forced fixpoint plan, thresholds...);
       its [cluster] field is overridden by [cluster].
-    @raise Invalid_argument if [max_inflight < 1],
-      [max_repair_handles < 0] or [repair_max_delta_frac < 0]. *)
+    @raise Invalid_argument if [max_inflight < 1]. *)
 
 val cluster : t -> Distsim.Cluster.t
 
@@ -164,9 +140,9 @@ val close_session : t -> Session.t -> unit
 val register : t -> string -> Relation.Rel.t -> unit
 (** [register t name rel] binds (or replaces) a database relation and
     bumps the graph version. It hits every dependency on [name], keys
-    included: plan- and result-cache entries that read [name], in-flight
-    promises over it, and its repair handles are invalidated; entries on
-    other relations survive. *)
+    included: plan- and result-cache entries that read [name] and
+    in-flight promises over it are invalidated; entries on other
+    relations survive. *)
 
 val update : ?inserts:Relation.Rel.t -> ?deletes:Relation.Rel.t -> t -> string -> unit
 (** [update t name ~inserts ~deletes] applies an edge batch to the
@@ -176,10 +152,8 @@ val update : ?inserts:Relation.Rel.t -> ?deletes:Relation.Rel.t -> t -> string -
     deleted tuples that are. It hits [Dep.Rel name] and, for every
     column [c] of every changed tuple, [Dep.Key (name, c, tuple.(c))];
     a batch that changes nothing hits nothing. Result-cache entries that
-    read a hit dependency are dropped — but their live repair handles
-    absorb the delta, so the next miss on an affected fixpoint pays only
-    an incremental resume instead of a recomputation (see the module
-    overview). Entries and handles whose keys the batch missed survive
+    read a hit dependency are dropped, and the next read of one
+    recomputes it; entries whose keys the batch missed survive
     untouched. Plan-cache entries survive: a rewritten plan stays valid
     under any catalog contents. Batches apply deletes before inserts; a
     tuple named by both ends up present.
@@ -211,8 +185,8 @@ type response = {
       (** fixpoint subterms of this evaluation served from the result
           cache or from another query's in-flight fixpoint *)
   repaired : bool;
-      (** at least one fixpoint subterm was answered by incrementally
-          repairing a live accumulator instead of recomputing *)
+      (** no longer produced (always [false]); kept for the benchmark's
+          reader until a benchmark change drops it *)
   iterations : int;
       (** fixpoint iterations this response actually ran on the cluster;
           0 whenever the work was reused *)
@@ -253,11 +227,12 @@ type stats = {
   fix_evals : int;  (** fixpoint subterms recomputed from scratch *)
   fix_hits : int;  (** fixpoint subterms served from the result cache *)
   fix_shared : int;  (** fixpoint subterms joined in flight *)
-  repaired : int;  (** fixpoint subterms answered by incremental repair *)
+  repaired : int;
+      (** no longer produced (always 0); kept for the benchmark's reader
+          until a benchmark change drops it *)
   repair_fallbacks : int;
-      (** repair attempts abandoned (oversized pending delta,
-          unsupported update shape, or a mid-repair failure) *)
-  repair_handles : int;  (** live repair handles currently held *)
+      (** no longer produced (always 0); kept for the benchmark's reader
+          until a benchmark change drops it *)
   invalidated : int;  (** cache entries dropped by {!register}/{!update} *)
   evictions : int;  (** result-cache entries dropped by the LRU budget *)
   result_entries : int;

@@ -120,19 +120,6 @@ let test_set_diff_local () =
   let b = Dds.of_rel ~by:[ "src" ] c sub in
   check_rel "co-partitioned diff" (Rel.diff edges sub) (Dds.collect (Dds.set_diff_local a b))
 
-let test_set_inter_local () =
-  let c = Cluster.make ~workers:4 () in
-  let a = Dds.of_rel ~by:[ "src" ] c edges in
-  let sub = rel [ "src"; "trg" ] [ [ 1; 2 ]; [ 2; 3 ]; [ 5; 5 ] ] in
-  let b = Dds.of_rel ~by:[ "src" ] c sub in
-  let i = Dds.set_inter_local a b in
-  (* intersection = a \ (a \ b) *)
-  check_rel "co-partitioned intersection" (Rel.diff edges (Rel.diff edges sub)) (Dds.collect i);
-  check_bool "keeps left partitioning" true (Dds.partitioning i = Dds.Hashed [ "src" ]);
-  (* empty right side clips everything *)
-  let e = Dds.of_rel ~by:[ "src" ] c (rel [ "src"; "trg" ] []) in
-  check_rel "empty right" (rel [ "src"; "trg" ] []) (Dds.collect (Dds.set_inter_local a e))
-
 let test_rename () =
   let c = Cluster.make ~workers:2 () in
   let d = Dds.of_rel ~by:[ "src" ] c edges in
@@ -593,42 +580,8 @@ let test_pooled_shuffle_eligibility () =
   Cluster.shutdown cp
 
 (* -------------------------------------------------------------- *)
-(* Fused delta maintenance and the iteration-shuffle seen filter   *)
+(* The iteration-shuffle seen filter                              *)
 (* -------------------------------------------------------------- *)
-
-let test_diff_union_in_place () =
-  let c = Cluster.make ~workers:4 () in
-  let produced_rel = rel [ "src"; "trg" ] [ [ 1; 2 ]; [ 5; 5 ]; [ 9; 9 ]; [ 7; 1 ] ] in
-  let produced = Dds.of_rel ~by:[ "src" ] c produced_rel in
-  (* reference: separate diff and union *)
-  let acc_u = Dds.of_rel ~by:[ "src" ] c edges in
-  let fresh_ref = Dds.set_diff_local produced acc_u in
-  let union_ref = Dds.set_union_local acc_u fresh_ref in
-  (* fused *)
-  let acc = Dds.of_rel ~by:[ "src" ] c edges in
-  let acc', fresh = Dds.diff_union_in_place ~acc ~produced in
-  check_rel "fresh = produced \\ acc" (Dds.collect fresh_ref) (Dds.collect fresh);
-  check_rel "acc' = acc ∪ produced" (Dds.collect union_ref) (Dds.collect acc');
-  check_bool "accumulator mutated in place" true (Dds.partition acc 0 == Dds.partition acc' 0);
-  check_int "acc saw the union" (Dds.cardinal union_ref) (Dds.cardinal acc);
-  (* produced is never mutated *)
-  check_rel "produced untouched" produced_rel (Dds.collect produced);
-  (* a branch that is just the recursive variable hands the accumulator
-     back as [produced]: nothing can be fresh, and the set must not be
-     absorbed into itself *)
-  let self = Dds.of_rel ~by:[ "src" ] c edges in
-  let self', fresh0 = Dds.diff_union_in_place ~acc:self ~produced:self in
-  check_int "self-absorb yields empty fresh" 0 (Dds.cardinal fresh0);
-  check_rel "self-absorb keeps contents" edges (Dds.collect self')
-
-let test_copy_parts_private () =
-  let c = Cluster.make ~workers:3 () in
-  let d = Dds.of_rel ~by:[ "src" ] c edges in
-  let p = Dds.copy_parts d in
-  check_bool "partitions reallocated" false (Dds.partition p 0 == Dds.partition d 0);
-  ignore (Dds.diff_union_in_place ~acc:p ~produced:(Dds.of_rel ~by:[ "src" ] c (rel [ "src"; "trg" ] [ [ 100; 100 ] ])));
-  check_int "original unchanged" (Rel.cardinal edges) (Dds.cardinal d);
-  check_int "copy absorbed" (Rel.cardinal edges + 1) (Dds.cardinal p)
 
 (* The seen filter drops re-routed tuples map-side: same drop counts and
    partitions on the sequential and pooled exchange paths. *)
@@ -717,13 +670,10 @@ let () =
         [
           Alcotest.test_case "filter" `Quick test_filter_narrow;
           Alcotest.test_case "set_diff_local" `Quick test_set_diff_local;
-          Alcotest.test_case "set_inter_local" `Quick test_set_inter_local;
           Alcotest.test_case "rename" `Quick test_rename;
         ] );
       ( "fused delta",
         [
-          Alcotest.test_case "diff_union_in_place" `Quick test_diff_union_in_place;
-          Alcotest.test_case "copy_parts is private" `Quick test_copy_parts_private;
           Alcotest.test_case "seen filter drop counter" `Quick test_seen_filter_drops;
         ] );
       ( "wide",

@@ -295,28 +295,6 @@ let test_report_json_keys () =
   (* print_analysis must not raise *)
   R.print_analysis a
 
-(* --- streaming scenario: repair vs recompute ------------------------- *)
-
-let test_stream_mix_smoke () =
-  let g = Graphgen.Generators.erdos_renyi ~seed:11 ~nodes:60 ~p:0.04 () in
-  let config =
-    { Harness.Stream_mix.default_config with rounds = 4; batch = 3; queries_per_round = 1 }
-  in
-  let r = Harness.Stream_mix.run config ~graph:g in
-  check_int "no parity failures" 0 r.Harness.Stream_mix.parity_failures;
-  check_int "all queries answered" (4 * 3 * 2) r.Harness.Stream_mix.completed;
-  check_bool "repairs happened" true (r.Harness.Stream_mix.repaired > 0);
-  check_bool "baseline never repairs" true
-    (r.Harness.Stream_mix.baseline_stats.Serve.repaired = 0);
-  (* the report is valid JSON with the gating keys *)
-  let json = Harness.Stream_mix.report_json r in
-  List.iter
-    (fun key -> check_bool ("report has " ^ key) true (contains json ("\"" ^ key ^ "\"")))
-    [
-      "kind"; "rounds"; "parity_failures"; "repaired"; "repair_fallbacks"; "repair_ms";
-      "recompute_ms"; "speedup"; "repair_server"; "baseline_server";
-    ]
-
 let () =
   Alcotest.run "harness"
     [
@@ -344,8 +322,6 @@ let () =
           Alcotest.test_case "failure" `Quick test_failure_reporting;
           Alcotest.test_case "matrix/table" `Quick test_runner_matrix_and_table;
         ] );
-      ( "stream",
-        [ Alcotest.test_case "stream mix smoke" `Quick test_stream_mix_smoke ] );
       ( "analyze",
         [
           Alcotest.test_case "explain" `Quick test_explain_text;

@@ -348,69 +348,6 @@ let check_same_key msg a b =
 let check_diff_key msg a b =
   check_bool msg false (Normal.key a = Normal.key b)
 
-(* ---- Deriv: differential summands for incremental maintenance ---- *)
-
-(* the semantic contract: t(old) ∪ ⋃∂ = t(new) and ⋃∂ ⊆ t(new), with
-   summands evaluated over the NEW catalog *)
-let check_deriv_law msg term ~d_e =
-  let old_e = Rel.diff fig2_edges d_e in
-  let env_new = Eval.env [ ("E", fig2_edges); ("S", fig2_start) ] in
-  let env_old = Eval.env [ ("E", old_e); ("S", fig2_start) ] in
-  let t_old = Eval.eval env_old term and t_new = Eval.eval env_new term in
-  let sums = Deriv.delta ~changed:[ ("E", d_e) ] term in
-  let du =
-    List.fold_left (fun acc s -> Rel.union acc (Eval.eval env_new s)) t_old sums
-  in
-  check_rel (msg ^ ": complete") t_new du;
-  List.iter
-    (fun s ->
-      check_bool (msg ^ ": sound")
-        true
-        (Rel.is_empty (Rel.diff (Eval.eval env_new s) t_new)))
-    sums
-
-let test_deriv_semantics () =
-  let d_e = rel [ "src"; "trg" ] [ [ 3; 6 ]; [ 5; 6 ] ] in
-  let two_path =
-    Term.Antiproject
-      ( [ "c" ],
-        Term.Join (Term.rename1 "trg" "c" (Term.Rel "E"), Term.rename1 "src" "c" (Term.Rel "E"))
-      )
-  in
-  (* E occurs twice in the join: one summand per occurrence *)
-  check_int "join: one summand per occurrence" 2
-    (List.length (Deriv.delta ~changed:[ ("E", d_e) ] two_path));
-  check_deriv_law "join" two_path ~d_e;
-  check_deriv_law "union" (Term.Union (Term.Rel "S", Term.Rel "E")) ~d_e;
-  check_deriv_law "select" (Term.Select (Pred.Gt_const ("src", 2), Term.Rel "E")) ~d_e;
-  (* changed relation on the antijoin LEFT is fine *)
-  check_deriv_law "antijoin left" (Term.Antijoin (Term.Rel "E", Term.Rel "S")) ~d_e;
-  (* no occurrence of the changed relation: nothing can appear *)
-  check_int "unchanged term has no summands" 0
-    (List.length (Deriv.delta ~changed:[ ("Z", d_e) ] two_path));
-  (* recursive variables differentiate to nothing *)
-  check_int "Var differentiates to nothing" 0
-    (List.length (Deriv.delta ~changed:[ ("Z", d_e) ] (Term.Var "X")))
-
-let test_deriv_unsupported () =
-  let d_e = rel [ "src"; "trg" ] [ [ 3; 6 ] ] in
-  (* changed relation under the antijoin right side: insertions retract *)
-  let neg = Term.Antijoin (Term.Rel "S", Term.Rel "E") in
-  (match Deriv.supported ~changed:[ "E" ] neg with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "antijoin-right occurrence accepted");
-  (match Deriv.delta ~changed:[ ("E", d_e) ] neg with
-  | _ -> Alcotest.fail "delta did not raise"
-  | exception Deriv.Unsupported _ -> ());
-  (* changed relation inside a nested Fix body *)
-  (match Deriv.supported ~changed:[ "E" ] example2_term with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "nested-fix occurrence accepted");
-  (* while the same shapes over unchanged relations are supported *)
-  (match Deriv.supported ~changed:[ "S" ] neg with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "antijoin-left rejected: %s" msg)
-
 let test_normal_alpha () =
   (* alpha-renamed recursion variables share a key *)
   let body x = Term.Union (Term.Rel "E", Term.Join (Term.Var x, Term.Rel "E")) in
@@ -515,11 +452,6 @@ let () =
         [
           Alcotest.test_case "shortest paths" `Quick test_shortest_paths;
           prop_shortest_paths_oracle;
-        ] );
-      ( "deriv",
-        [
-          Alcotest.test_case "deriv semantics" `Quick test_deriv_semantics;
-          Alcotest.test_case "deriv unsupported" `Quick test_deriv_unsupported;
         ] );
       ( "normal",
         [

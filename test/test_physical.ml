@@ -866,192 +866,6 @@ let test_factorized_candidates () =
     check_int "branch candidates" 5360 (Option.value ~default:(-1) branch.Exec.Analyze.candidates)
   | l -> Alcotest.failf "expected seed and branch children, got %d" (List.length l)
 
-(* --- incremental fixpoint maintenance -------------------------------- *)
-
-module Incr = Exec.Incr
-
-let incr_config ~force_plan ~workers =
-  let cluster = Cluster.make ~workers () in
-  { (Exec.default_config cluster) with force_plan = Some force_plan }
-
-let eval_on tables term = Mura.Eval.eval (Mura.Eval.env tables) term
-
-let updated tables ~inserts ~deletes =
-  List.map
-    (fun (name, r) ->
-      let r = match List.assoc_opt name deletes with Some d -> Rel.diff r d | None -> r in
-      (name, match List.assoc_opt name inserts with Some d -> Rel.union r d | None -> r))
-    tables
-
-(* Per update step: repaired result size, resumed iterations and the
-   cluster's cumulative communication counters (establishment
-   included), keyed like [pins]. Recorded as for [pins]; the antijoin
-   and constant-part cases were recorded once repair ran on the compiled
-   pipelines. *)
-let incr_pins =
-  [
-    ("insert/P_gld/w1", [ (76, 3, (16, 162, 5184, 1, 2, 4)); (110, 5, (31, 319, 10208, 2, 4, 8)) ]);
-    ( "insert/P_gld/w4",
-      [ (76, 3, (16, 341, 10912, 1, 6, 0));
-        (110, 5, (31, 591, 18912, 2, 12, 0)) ] );
-    ( "insert/P_plw^s/w1",
-      [ (76, 3, (5, 119, 3808, 3, 86, 0));
-        (110, 5, (8, 231, 7392, 5, 133, 0)) ] );
-    ( "insert/P_plw^s/w4",
-      [ (76, 3, (5, 143, 4576, 3, 258, 0));
-        (110, 5, (8, 256, 8192, 5, 399, 0)) ] );
-    ( "delete/P_gld/w1",
-      [ (36, 8, (47, 56, 1792, 3, 20, 16));
-        (41, 4, (60, 109, 3488, 4, 22, 16)) ] );
-    ( "delete/P_gld/w4",
-      [ (36, 8, (47, 298, 9536, 3, 60, 3));
-        (41, 4, (60, 366, 11712, 4, 66, 3)) ] );
-    ("delete/P_plw^s/w1", [ (36, 8, (7, 56, 1792, 5, 38, 0)); (41, 4, (10, 99, 3168, 7, 50, 0)) ]);
-    ( "delete/P_plw^s/w4",
-      [ (36, 8, (7, 70, 2240, 5, 114, 0));
-        (41, 4, (10, 114, 3648, 7, 150, 0)) ] );
-    ("antijoin/P_gld/w1", [ (45, 7, (51, 73, 2304, 2, 4, 1)); (32, 1, (64, 119, 3760, 8, 34, 1)) ]);
-    ("const_part/P_gld/w1", [ (12, 3, (27, 34, 1088, 0, 0, 2)); (3, 0, (38, 39, 1248, 2, 20, 2)) ]);
-    ( "antijoin/P_gld/w4",
-      [ (45, 7, (51, 226, 7168, 2, 12, 0));
-        (32, 1, (64, 320, 10144, 8, 102, 0)) ] );
-    ("const_part/P_gld/w4", [ (12, 3, (27, 71, 2272, 0, 0, 0)); (3, 0, (38, 87, 2784, 2, 60, 0)) ]);
-    ( "antijoin/P_plw^s/w1",
-      [ (45, 7, (5, 57, 1824, 6, 30, 0));
-        (32, 1, (10, 101, 3232, 14, 73, 0)) ] );
-    ("const_part/P_plw^s/w1", [ (12, 3, (5, 14, 448, 2, 20, 0)); (3, 0, (10, 19, 608, 4, 40, 0)) ]);
-    ( "antijoin/P_plw^s/w4",
-      [ (45, 7, (5, 65, 2080, 6, 90, 0));
-        (32, 1, (10, 117, 3744, 14, 219, 0)) ] );
-    ( "const_part/P_plw^s/w4",
-      [ (12, 3, (5, 16, 512, 2, 60, 0));
-        (3, 0, (10, 23, 736, 4, 120, 0)) ] );
-  ]
-
-(* Establish [term] on [base], apply each (inserts, deletes) step, and
-   check every repaired result against [Mura.Eval] on the updated
-   catalog and the step's pin. *)
-let incr_pinned name term ~base steps =
-  List.iter
-    (fun plan ->
-      List.iter
-        (fun workers ->
-          let key = Printf.sprintf "%s/%s/w%d" name (Exec.plan_name plan) workers in
-          let config = incr_config ~force_plan:plan ~workers in
-          let h = Incr.establish config ~tables:base term in
-          let pinned =
-            match List.assoc_opt key incr_pins with
-            | Some p -> p
-            | None -> Alcotest.failf "no pin for %s" key
-          in
-          let _ =
-            List.fold_left2
-              (fun tables (inserts, deletes) (n, iters, pinned_counters) ->
-                let tables = updated tables ~inserts ~deletes in
-                match Incr.update ~inserts ~deletes h with
-                | `Repaired (r, i) ->
-                  check_rel (key ^ ": repair = Mura.Eval") (eval_on tables term) r;
-                  check_int (key ^ ": result size") n (Rel.cardinal r);
-                  check_int (key ^ ": resumed iterations") iters i;
-                  check_bool (key ^ ": communication counters") true
-                    (counters (Cluster.metrics config.Exec.cluster) = pinned_counters);
-                  tables
-                | `Unsupported msg -> Alcotest.failf "%s: unsupported: %s" key msg)
-              base steps pinned
-          in
-          check_int (key ^ ": resumes counted") (List.length steps) (Incr.resumes h))
-        [ 1; 4 ])
-    [ Exec.P_gld; Exec.P_plw_s ]
-
-(* establish, apply a batch, and the repaired result equals a
-   from-scratch evaluation on the updated catalog — including a second
-   repair on top of the first *)
-let test_incr_insert_parity () =
-  let e rows = [ ("E", rel [ "src"; "trg" ] rows) ] in
-  incr_pinned "insert" closure_term
-    ~base:[ ("E", er_graph ~n:30 ~m:45 ~seed:11) ]
-    [ (e [ [ 0; 17 ]; [ 17; 23 ]; [ 5; 0 ] ], []); (e [ [ 23; 29 ]; [ 29; 5 ] ], []) ]
-
-let test_incr_delete_parity () =
-  let deletes = [ ("E", rel [ "src"; "trg" ] [ [ 3; 4 ]; [ 12; 10 ] ]) ] in
-  (* the second step re-deletes the same edges (an effective pure insert
-     riding through the combined path) *)
-  incr_pinned "delete" closure_term ~base:[ ("E", edges) ]
-    [ ([], deletes); ([ ("E", rel [ "src"; "trg" ] [ [ 4; 20 ]; [ 20; 3 ] ]) ], deletes) ]
-
-(* inserts and deletes through the compiled P_gld antijoin branch, and
-   updates that only touch the constant part (every differential summand
-   is var-free) *)
-let test_incr_compiled_shapes () =
-  incr_pinned "antijoin" antijoin_fix
-    ~base:[ ("E", edges); ("B", blocked) ]
-    [
-      ([ ("E", rel [ "src"; "trg" ] [ [ 6; 20 ]; [ 20; 4 ] ]) ], []);
-      ([], [ ("E", rel [ "src"; "trg" ] [ [ 2; 3 ] ]) ]);
-    ];
-  let s rows = [ ("S", rel [ "src"; "trg" ] rows) ] in
-  incr_pinned "const_part"
-    (Mura.Patterns.closure_from (Term.Rel "S") (Term.Rel "E"))
-    ~base:(("E", edges) :: s [ [ 1; 2 ] ])
-    [ (s [ [ 10; 11 ] ], []); ([], s [ [ 1; 2 ] ]) ]
-
-let test_incr_noop_update () =
-  let config = incr_config ~force_plan:Exec.P_plw_s ~workers:2 in
-  let h = Incr.establish config ~tables:[ ("E", edges) ] closure_term in
-  let before = Incr.result h in
-  (* inserting already-present tuples and deleting absent ones is a no-op *)
-  match
-    Incr.update
-      ~inserts:[ ("E", rel [ "src"; "trg" ] [ [ 1; 2 ] ]) ]
-      ~deletes:[ ("E", rel [ "src"; "trg" ] [ [ 77; 78 ] ]) ]
-      h
-  with
-  | `Repaired (r, iters) ->
-    check_rel "result unchanged" before r;
-    check_int "no resumed iterations" 0 iters;
-    check_int "not counted as a resume" 0 (Incr.resumes h)
-  | `Unsupported msg -> Alcotest.failf "unsupported: %s" msg
-
-let test_incr_unsupported () =
-  (* changed relation under an antijoin right side: insertion can retract
-     derived tuples, so the update must refuse and leave the handle
-     untouched *)
-  let blocked = rel [ "src" ] [ [ 10 ] ] in
-  let term =
-    Term.Fix ("X", Term.Union (Term.Rel "E", Term.Antijoin (Term.Var "X", Term.Rel "D")))
-  in
-  let config = incr_config ~force_plan:Exec.P_gld ~workers:2 in
-  let h = Incr.establish config ~tables:[ ("E", edges); ("D", blocked) ] term in
-  let before = Incr.result h in
-  (match Incr.update ~inserts:[ ("D", rel [ "src" ] [ [ 3 ] ]) ] h with
-  | `Unsupported _ -> ()
-  | `Repaired _ -> Alcotest.fail "antijoin-right update must be unsupported");
-  check_rel "handle untouched" before (Incr.result h);
-  (match Incr.update ~inserts:[ ("F", rel [ "src"; "trg" ] [ [ 1; 2 ] ]) ] h with
-  | `Unsupported _ -> ()
-  | `Repaired _ -> Alcotest.fail "unregistered relation must be unsupported");
-  (match Incr.update ~inserts:[ ("E", rel [ "a"; "b" ] [ [ 1; 2 ] ]) ] h with
-  | `Unsupported _ -> ()
-  | `Repaired _ -> Alcotest.fail "schema mismatch must be unsupported");
-  (* inserts touching only the antijoin-left relation still repair *)
-  match Incr.update ~inserts:[ ("E", rel [ "src"; "trg" ] [ [ 6; 10 ] ]) ] h with
-  | `Repaired (r, _) ->
-    let tables =
-      [ ("E", Rel.union edges (rel [ "src"; "trg" ] [ [ 6; 10 ] ])); ("D", blocked) ]
-    in
-    check_rel "antijoin-left insert repairs" (eval_on tables term) r
-  | `Unsupported msg -> Alcotest.failf "unsupported: %s" msg
-
-let test_incr_establish_shapes () =
-  let config = incr_config ~force_plan:Exec.P_gld ~workers:2 in
-  (match Incr.establish config ~tables:[ ("E", edges) ] (Term.Rel "E") with
-  | exception Incr.Unsupported _ -> ()
-  | _ -> Alcotest.fail "non-fixpoint establish must raise");
-  let pg = incr_config ~force_plan:Exec.P_plw_pg ~workers:2 in
-  match Incr.establish pg ~tables:[ ("E", edges) ] closure_term with
-  | exception Incr.Unsupported _ -> ()
-  | _ -> Alcotest.fail "P_plw^pg establish must raise"
-
 let () =
   Alcotest.run "physical"
     [
@@ -1118,15 +932,6 @@ let () =
         [
           Alcotest.test_case "parity and pinned counters" `Quick test_factorized_parity;
           Alcotest.test_case "pinned candidates" `Quick test_factorized_candidates;
-        ] );
-      ( "incremental",
-        [
-          Alcotest.test_case "insert-and-resume parity" `Quick test_incr_insert_parity;
-          Alcotest.test_case "DRed delete parity" `Quick test_incr_delete_parity;
-          Alcotest.test_case "compiled branch shapes repair" `Quick test_incr_compiled_shapes;
-          Alcotest.test_case "no-op update" `Quick test_incr_noop_update;
-          Alcotest.test_case "unsupported updates refuse" `Quick test_incr_unsupported;
-          Alcotest.test_case "establish shape checks" `Quick test_incr_establish_shapes;
         ] );
       ("properties", [ prop_all_plans_agree; prop_reach_all_plans; prop_random_terms_all_plans ]);
     ]

@@ -153,50 +153,6 @@ let test_tset_copy_with_capacity () =
       check_int "source untouched" (Tset.cardinal s + 1) (Tset.cardinal fast))
     [ (0, 0); (0, 100); (5, 5); (5, 1_000); (57, 10_000); (1_000, 1_000_000) ]
 
-let test_tset_absorb_fresh () =
-  let dst = Tset.of_list [ [| 1 |]; [| 2 |]; [| 3 |] ] in
-  let src = Tset.of_list [ [| 2 |]; [| 3 |]; [| 4 |]; [| 5 |] ] in
-  let fresh = Tset.absorb_fresh dst src in
-  check_bool "fresh = src \\ dst" true (Tset.equal fresh (Tset.of_list [ [| 4 |]; [| 5 |] ]));
-  check_int "dst absorbed union" 5 (Tset.cardinal dst);
-  for i = 1 to 5 do
-    check_bool "dst member" true (Tset.mem dst [| i |])
-  done;
-  (* absorbing again: nothing fresh *)
-  check_int "idempotent" 0 (Tset.cardinal (Tset.absorb_fresh dst src));
-  (* src is never mutated *)
-  check_int "src untouched" 4 (Tset.cardinal src)
-
-let test_tset_absorb_fresh_unit () =
-  (* zero-arity tuple travels through the has_unit flag, not the table *)
-  let dst = Tset.create () in
-  let src = Tset.of_list [ [||]; [| 7 |] ] in
-  let fresh = Tset.absorb_fresh dst src in
-  check_bool "unit is fresh" true (Tset.mem fresh [||]);
-  check_bool "unit absorbed" true (Tset.mem dst [||]);
-  check_int "fresh count" 2 (Tset.cardinal fresh);
-  let fresh2 = Tset.absorb_fresh dst (Tset.of_list [ [||] ]) in
-  check_bool "unit no longer fresh" true (Tset.is_empty fresh2)
-
-let test_tset_absorb_fresh_resize () =
-  (* small dst, large src: the up-front reserve must cover the whole
-     absorb so membership survives the growth *)
-  let dst = Tset.create ~capacity:2 () in
-  ignore (Tset.add dst [| -1; -1 |]);
-  let src = Tset.of_list (List.init 5_000 (fun i -> [| i; i + 1 |])) in
-  let fresh = Tset.absorb_fresh dst src in
-  check_int "all fresh" 5_000 (Tset.cardinal fresh);
-  check_int "dst = old + fresh" 5_001 (Tset.cardinal dst);
-  for i = 0 to 4_999 do
-    if not (Tset.mem dst [| i; i + 1 |]) then Alcotest.failf "lost tuple %d" i
-  done;
-  (* overlapping second wave: only the new half is fresh *)
-  let src2 = Tset.of_list (List.init 6_000 (fun i -> [| i; i + 1 |])) in
-  let fresh2 = Tset.absorb_fresh dst src2 in
-  check_int "second wave fresh" 1_000 (Tset.cardinal fresh2);
-  check_int "dst grew by fresh" 6_001 (Tset.cardinal dst);
-  check_bool "old survivor" true (Tset.mem dst [| -1; -1 |])
-
 let test_tset_iter_slice () =
   let sets =
     [
@@ -581,9 +537,6 @@ let () =
           Alcotest.test_case "hash_positions" `Quick test_tuple_hash_positions;
           Alcotest.test_case "add_hashed" `Quick test_tset_add_hashed;
           Alcotest.test_case "copy_with_capacity" `Quick test_tset_copy_with_capacity;
-          Alcotest.test_case "absorb_fresh" `Quick test_tset_absorb_fresh;
-          Alcotest.test_case "absorb_fresh unit tuple" `Quick test_tset_absorb_fresh_unit;
-          Alcotest.test_case "absorb_fresh resize" `Quick test_tset_absorb_fresh_resize;
           Alcotest.test_case "iter_slice" `Quick test_tset_iter_slice;
           prop_tset_mem_after_add;
         ] );

@@ -34,8 +34,8 @@ let edges =
 let edges2 = rel [ "src"; "trg" ] [ [ 1; 2 ]; [ 2; 3 ]; [ 7; 8 ] ]
 let eval_on graph term = Mura.Eval.eval (Mura.Eval.env [ ("E", graph) ]) term
 
-let make_serve ?max_inflight ?plan_cache_capacity ?result_cache_bytes ?max_repair_handles
-    ?repair_max_delta_frac ?force_plan ?(workers = 2) ?(parallel = false) ?(graph = edges) () =
+let make_serve ?max_inflight ?plan_cache_capacity ?result_cache_bytes ?force_plan ?(workers = 2)
+    ?(parallel = false) ?(graph = edges) () =
   let cluster = Cluster.make ~parallel ~workers () in
   let config =
     match force_plan with
@@ -43,8 +43,7 @@ let make_serve ?max_inflight ?plan_cache_capacity ?result_cache_bytes ?max_repai
     | Some _ -> Some { (Exec.default_config cluster) with Exec.force_plan }
   in
   let t =
-    Serve.create ?max_inflight ?plan_cache_capacity ?result_cache_bytes ?max_repair_handles
-      ?repair_max_delta_frac ?config ~cluster ()
+    Serve.create ?max_inflight ?plan_cache_capacity ?result_cache_bytes ?config ~cluster ()
   in
   Serve.register t "E" graph;
   t
@@ -309,10 +308,9 @@ let test_session_lifecycle () =
   | _ -> Alcotest.fail "shut-down server accepted a query"
   | exception Invalid_argument _ -> ()
 
-(* ---- incremental repair: updates promote cached fixpoints to
-   repairable; the next miss pays only the delta resume ---- *)
+(* ---- updates: an edge batch invalidates, the next read recomputes ---- *)
 
-let test_update_repairs () =
+let test_update_recomputes () =
   let t = make_serve () in
   let sn = Serve.open_session t in
   let q () = Patterns.closure (Term.Rel "E") in
@@ -323,18 +321,15 @@ let test_update_repairs () =
   check_rel "table updated" updated (Option.get (Serve.relation t "E"));
   let r = Serve.query t sn (q ()) in
   check_bool "post-update miss" false r.Serve.result_hit;
-  check_bool "repaired, not recomputed" true r.Serve.repaired;
-  check_rel "repaired result correct" (eval_on updated (q ())) r.Serve.rel;
-  let s = Serve.stats t in
-  check_int "one repair" 1 s.Serve.repaired;
-  check_int "only the establishment evaluated" 1 s.Serve.fix_evals;
-  check_int "no fallback" 0 s.Serve.repair_fallbacks;
+  check_bool "recomputed" true (r.Serve.iterations > 0);
+  check_rel "recomputed result correct" (eval_on updated (q ())) r.Serve.rel;
+  check_int "evaluated before and after the update" 2 (Serve.stats t).Serve.fix_evals;
   let r2 = Serve.query t sn (q ()) in
-  check_bool "repaired result is cached" true r2.Serve.result_hit;
+  check_bool "recomputed result is cached" true r2.Serve.result_hit;
   Serve.shutdown t
 
-(* rapid successive batches with and without interleaved queries: pending
-   deltas merge into a net delta; each repair builds on the previous one *)
+(* rapid successive batches with and without interleaved queries: every
+   read after a batch sees all the batches before it *)
 let test_rapid_update_batches () =
   let t = make_serve () in
   let sn = Serve.open_session t in
@@ -346,32 +341,28 @@ let test_rapid_update_batches () =
     (match deletes with Some d -> current := Rel.diff !current d | None -> ());
     match inserts with Some i -> current := Rel.union !current i | None -> ()
   in
-  (* two batches, no query in between: deltas merge *)
+  (* two batches, no query in between *)
   apply ~inserts:(rel [ "src"; "trg" ] [ [ 6; 20 ] ]) ();
   apply
     ~inserts:(rel [ "src"; "trg" ] [ [ 20; 21 ] ])
     ~deletes:(rel [ "src"; "trg" ] [ [ 1; 2 ] ])
     ();
   let r = Serve.query t sn (q ()) in
-  check_bool "merged batches repaired" true r.Serve.repaired;
-  check_rel "merged-delta result correct" (eval_on !current (q ())) r.Serve.rel;
+  check_bool "merged batches miss" false r.Serve.result_hit;
+  check_rel "merged-batch result correct" (eval_on !current (q ())) r.Serve.rel;
   (* an edge inserted then deleted before any query nets out *)
   apply ~inserts:(rel [ "src"; "trg" ] [ [ 40; 41 ] ]) ();
   apply ~deletes:(rel [ "src"; "trg" ] [ [ 40; 41 ] ]) ();
   let r2 = Serve.query t sn (q ()) in
-  check_bool "repair of repair" true r2.Serve.repaired;
   check_rel "cancelling batches correct" (eval_on !current (q ())) r2.Serve.rel;
-  (* sustained stream: every round repairs, never re-establishes *)
+  (* sustained stream: every round recomputes *)
   for k = 0 to 4 do
     apply ~inserts:(rel [ "src"; "trg" ] [ [ 21 + k; 22 + k ] ]) ();
     let rk = Serve.query t sn (q ()) in
-    check_bool "stream round repaired" true rk.Serve.repaired;
+    check_bool "stream round misses" false rk.Serve.result_hit;
     check_rel "stream round correct" (eval_on !current (q ())) rk.Serve.rel
   done;
-  let s = Serve.stats t in
-  check_int "established exactly once" 1 s.Serve.fix_evals;
-  check_int "seven repairs" 7 s.Serve.repaired;
-  check_int "no fallbacks" 0 s.Serve.repair_fallbacks;
+  check_int "one evaluation per read" 8 (Serve.stats t).Serve.fix_evals;
   Serve.shutdown t
 
 (* updates racing in-flight queries: every response is a consistent
@@ -401,59 +392,22 @@ let test_update_mid_evaluation () =
   check_int "none failed" 0 (Serve.stats t).Serve.failed;
   Serve.shutdown t
 
-(* a delta above the repair threshold falls back to recomputation —
-   transparently, with the fallback counted *)
-let test_oversized_delta_fallback () =
-  let t = make_serve ~repair_max_delta_frac:0.01 () in
-  let sn = Serve.open_session t in
-  let q () = Patterns.closure (Term.Rel "E") in
-  ignore (Serve.query t sn (q ()));
-  let ins = rel [ "src"; "trg" ] [ [ 6; 20 ]; [ 20; 21 ] ] in
-  Serve.update ~inserts:ins t "E";
-  let r = Serve.query t sn (q ()) in
-  check_bool "not repaired" false r.Serve.repaired;
-  check_rel "fallback result correct" (eval_on (Rel.union edges ins) (q ())) r.Serve.rel;
-  let s = Serve.stats t in
-  check_int "fallback counted" 1 s.Serve.repair_fallbacks;
-  check_int "no repair claimed" 0 s.Serve.repaired;
-  check_int "recomputed instead" 2 s.Serve.fix_evals;
-  Serve.shutdown t
-
-(* full registration severs the delta chain: handles are dropped, the
-   next evaluation re-establishes *)
-let test_register_drops_handles () =
+(* full registration replaces the contents: the next read recomputes on
+   the new graph, and later batches apply to it *)
+let test_register_then_update () =
   let t = make_serve () in
   let sn = Serve.open_session t in
   let q () = Patterns.closure (Term.Rel "E") in
   ignore (Serve.query t sn (q ()));
-  check_int "handle parked" 1 (Serve.stats t).Serve.repair_handles;
   Serve.register t "E" edges2;
-  check_int "register drops handles" 0 (Serve.stats t).Serve.repair_handles;
   let r = Serve.query t sn (q ()) in
-  check_bool "recomputed after register" false r.Serve.repaired;
+  check_bool "recomputed after register" false r.Serve.result_hit;
   check_rel "fresh graph result" (eval_on edges2 (q ())) r.Serve.rel;
-  (* and the re-established handle repairs again *)
   let ins = rel [ "src"; "trg" ] [ [ 3; 9 ] ] in
   Serve.update ~inserts:ins t "E";
   let r2 = Serve.query t sn (q ()) in
-  check_bool "repairs on the new graph" true r2.Serve.repaired;
-  check_rel "repaired on new graph" (eval_on (Rel.union edges2 ins) (q ())) r2.Serve.rel;
-  Serve.shutdown t
-
-(* [max_repair_handles = 0] disables the machinery entirely *)
-let test_repair_disabled () =
-  let t = make_serve ~max_repair_handles:0 () in
-  let sn = Serve.open_session t in
-  let q () = Patterns.closure (Term.Rel "E") in
-  ignore (Serve.query t sn (q ()));
-  let ins = rel [ "src"; "trg" ] [ [ 6; 20 ] ] in
-  Serve.update ~inserts:ins t "E";
-  let r = Serve.query t sn (q ()) in
-  check_bool "never repaired" false r.Serve.repaired;
-  check_rel "still correct" (eval_on (Rel.union edges ins) (q ())) r.Serve.rel;
-  let s = Serve.stats t in
-  check_int "no handles" 0 s.Serve.repair_handles;
-  check_int "recomputed" 2 s.Serve.fix_evals;
+  check_rel "update on the new graph" (eval_on (Rel.union edges2 ins) (q ())) r2.Serve.rel;
+  check_int "one evaluation per read" 3 (Serve.stats t).Serve.fix_evals;
   Serve.shutdown t
 
 (* ---- predicate-granular invalidation: a batch drops only the entries
@@ -551,12 +505,11 @@ let test_noop_tuples_invalidate_nothing () =
   check_bool "catalog unchanged" true (Rel.equal lgraph (Option.get (Serve.relation t "E")));
   check_bool "a+ still hits" true (Serve.query t sn (aplus ())).Serve.result_hit;
   check_bool "unfiltered still hits" true (Serve.query t sn (unfiltered ())).Serve.result_hit;
-  (* the repair handles parked nothing: the next a batch repairs from
-     exactly its own delta *)
+  (* the next a batch still invalidates, and the read sees exactly it *)
   let g = apply lgraph ~inserts:(labelled [ (4, la, 8) ]) t in
   let r = Serve.query t sn (aplus ()) in
-  check_bool "repaired" true r.Serve.repaired;
-  check_rel "repaired result correct" (eval_on g (aplus ())) r.Serve.rel;
+  check_bool "an a batch misses" false r.Serve.result_hit;
+  check_rel "recomputed result correct" (eval_on g (aplus ())) r.Serve.rel;
   Serve.shutdown t
 
 let test_register_drops_key_entries () =
@@ -572,7 +525,6 @@ let test_register_drops_key_entries () =
   let s = Serve.stats t in
   check_int "no result entry left" 0 s.Serve.result_entries;
   check_int "no plan left" 0 s.Serve.plan_entries;
-  check_int "no handle left" 0 s.Serve.repair_handles;
   List.iter
     (fun q ->
       let r = Serve.query t sn (q ()) in
@@ -747,12 +699,10 @@ let () =
         ] );
       ( "repair",
         [
-          Alcotest.test_case "update then repaired query" `Quick test_update_repairs;
+          Alcotest.test_case "update then repaired query" `Quick test_update_recomputes;
           Alcotest.test_case "rapid successive batches" `Quick test_rapid_update_batches;
           Alcotest.test_case "update mid-evaluation" `Quick test_update_mid_evaluation;
-          Alcotest.test_case "oversized delta falls back" `Quick test_oversized_delta_fallback;
-          Alcotest.test_case "register drops handles" `Quick test_register_drops_handles;
-          Alcotest.test_case "repair disabled" `Quick test_repair_disabled;
+          Alcotest.test_case "register drops handles" `Quick test_register_then_update;
           Alcotest.test_case "update validation" `Quick test_update_validation;
         ] );
       ( "sessions",
