@@ -5,8 +5,13 @@
    concurrent sessions. Edge updates are applied interactively in
    murashell.
 
+   --gen yago:N:SEED and uniprot:N:SEED rebuild a seeded graph: perfbench
+   seed s generates yago_cold's graph from seed s (scale 1000) and
+   uniprot_cold's two from seeds 2s and 2s+1 (scale 1500).
+
    Examples:
      murarun --gen yago:2000 --query "?x <- ?x isLocatedIn+ Japan"
+     murarun --gen uniprot:1500:2 --query "?x, ?y <- ?x interacts/(occurs/-occurs)+ ?y" --analyze
      murarun --graph edges.txt --query "?x, ?y <- ?x a+/b ?y" --system bigdatalog
      murarun --gen er:10000:0.001 --labels a,b --query "?x, ?y <- ?x a+/b+ ?y" --all
      murarun --gen yago:2000 --query "?x, ?y <- ?x isLocatedIn+ ?y" --serve 4 *)
@@ -19,13 +24,18 @@ let load_graph gen graph_file labels =
   let base =
     match (gen, graph_file) with
     | Some spec, _ -> (
+      (* an optional generator seed after the scale *)
+      let seed s = Option.map int_of_string (List.nth_opt s 0) in
       match String.split_on_char ':' spec with
-      | [ "yago"; scale ] -> Graphgen.Yago_like.generate ~scale:(int_of_string scale) ()
-      | [ "uniprot"; scale ] -> Graphgen.Uniprot_like.generate ~scale:(int_of_string scale) ()
+      | "yago" :: scale :: ([] | [ _ ] as s) ->
+        Graphgen.Yago_like.generate ?seed:(seed s) ~scale:(int_of_string scale) ()
+      | "uniprot" :: scale :: ([] | [ _ ] as s) ->
+        Graphgen.Uniprot_like.generate ?seed:(seed s) ~scale:(int_of_string scale) ()
       | [ "er"; nodes; p ] ->
         Graphgen.Generators.erdos_renyi ~nodes:(int_of_string nodes) ~p:(float_of_string p) ()
       | [ "tree"; nodes ] -> Graphgen.Generators.random_tree ~nodes:(int_of_string nodes) ()
-      | _ -> failwith "unknown generator spec (yago:N | uniprot:N | er:N:P | tree:N)")
+      | _ ->
+        failwith "unknown generator spec (yago:N[:SEED] | uniprot:N[:SEED] | er:N:P | tree:N)")
     | None, Some file ->
       if Filename.check_suffix file ".nt" then Relation.Rel_io.load_labelled_edges file
       else (
@@ -180,7 +190,7 @@ let run gen graph_file labels query system all_systems workers timeout show expl
 let () =
   let gen =
     Arg.(value & opt (some string) None & info [ "gen" ] ~docv:"SPEC"
-           ~doc:"Generate a graph: yago:N, uniprot:N, er:N:P or tree:N.")
+           ~doc:"Generate a graph: yago:N[:SEED], uniprot:N[:SEED], er:N:P or tree:N (SEED: the generator seed, default the generator's own).")
   in
   let graph_file =
     Arg.(value & opt (some file) None & info [ "graph" ] ~docv:"FILE"

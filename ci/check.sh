@@ -67,6 +67,22 @@ printf '%s\n' "$out" | grep -q "plan=P_gld iters=" ||
 printf '%s\n' "$out" | grep -q "rows=.* calls=" ||
   { echo "--system gld --analyze output has no recursive-branch rows= line" >&2; exit 1; }
 
+# factor-probe smoke: the co-actor closure's P_plw^s branch must lower
+# its actedIn/-actedIn factor join as two factor probes, and both
+# --explain and the --analyze tree (with its candidate rows) must say so
+echo "== murarun factor-probe smoke =="
+q="?a, ?b <- ?a (actedIn/-actedIn)+ ?b"
+out=$(dune exec bin/murarun.exe -- --gen yago:1000:1 --query "$q" --explain)
+printf '%s\n' "$out" | grep -q "Join (factor probes:" ||
+  { echo "--explain does not show the factor-probe lowering" >&2; exit 1; }
+out=$(dune exec bin/murarun.exe -- --gen yago:1000:1 --query "$q" --analyze)
+for needle in "Join (factor probes:" "candidates="; do
+  case "$out" in
+    *"$needle"*) ;;
+    *) echo "factor-probe --analyze output missing '$needle'" >&2; exit 1 ;;
+  esac
+done
+
 # every-plan parity gate: quick-scale run of the plan-regret table; every
 # plan the rewriter explores for Q1-Q49 runs on the four-worker cluster
 # and must return the relation Mura.Eval gives for the chosen plan (the

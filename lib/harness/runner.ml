@@ -342,6 +342,7 @@ let rec node_json (n : Exec.Analyze.node) =
     ([ ("path", str n.path); ("label", str n.label) ]
     @ (match n.rows with Some r -> [ ("rows", string_of_int r) ] | None -> [])
     @ (match n.candidates with Some c -> [ ("candidates", string_of_int c) ] | None -> [])
+    @ (match n.lowering with Some l -> [ ("lowering", str l) ] | None -> [])
     @ [ ("ns", num n.ns); ("calls", string_of_int n.calls) ]
     @ (match n.plan with Some p -> [ ("plan", str p) ] | None -> [])
     @ (if n.iterations > 0 then

@@ -510,36 +510,44 @@ let explain ctx term =
     | _, Sql _ -> line indent "local plan: SQL"
     | _, Volcano reason -> line indent "local plan: volcano (%s)" reason
   in
-  let rec go indent (t : Term.t) =
+  (* factor-join path -> the lowering a P_plw^s branch gives it (the
+     factors are evaluated on the driver, so the choice is the
+     executor's) *)
+  let lowerings = Hashtbl.create 4 in
+  let rec go indent path (t : Term.t) =
+    let kid i u = go (indent + 1) (child path i) u in
     match t with
     | Term.Rel n -> line indent "TableScan %s" n
     | Term.Cst r -> line indent "LocalRelation (%d tuples)" Rel.(cardinal r)
     | Term.Var x -> line indent "RecursiveRef %s" x
     | Term.Select (p, u) ->
       line indent "Filter [%s]" (Relation.Pred.to_string p);
-      go (indent + 1) u
+      kid 0 u
     | Term.Project (c, u) ->
       line indent "Project [%s] + Distinct" (String.concat "," c);
-      go (indent + 1) u
+      kid 0 u
     | Term.Antiproject (c, u) ->
       line indent "DropColumns [%s] + Distinct" (String.concat "," c);
-      go (indent + 1) u
+      kid 0 u
     | Term.Rename (m, u) ->
       line indent "Rename [%s]" (String.concat "," (List.map (fun (o, n) -> o ^ "->" ^ n) m));
-      go (indent + 1) u
+      kid 0 u
     | Term.Join (a, b) ->
-      line indent "Join (broadcast if a side <= %d tuples, else shuffle)"
-        ctx.config.broadcast_threshold;
-      go (indent + 1) a;
-      go (indent + 1) b
+      (match Hashtbl.find_opt lowerings path with
+      | Some note -> line indent "Join (%s)" note
+      | None ->
+        line indent "Join (broadcast if a side <= %d tuples, else shuffle)"
+          ctx.config.broadcast_threshold);
+      kid 0 a;
+      kid 1 b
     | Term.Antijoin (a, b) ->
       line indent "AntiJoin (broadcast/shuffle by size)";
-      go (indent + 1) a;
-      go (indent + 1) b
+      kid 0 a;
+      kid 1 b
     | Term.Union (a, b) ->
       line indent "Union + Distinct";
-      go (indent + 1) a;
-      go (indent + 1) b
+      kid 0 a;
+      kid 1 b
     | Term.Fix (x, body) ->
       let stable =
         try Mura.Stabilizer.stable_columns tenv ~var:x body
@@ -560,14 +568,26 @@ let explain ctx term =
         (String.concat "," stable) partition_note;
       (match Fcond.split ~var:x body with
       | consts, recs ->
+        let n_consts = List.length consts in
         line (indent + 1) "constant part:";
-        List.iter (go (indent + 2)) consts;
+        List.iteri (fun i c -> go (indent + 2) (child path i) c) consts;
         line (indent + 1) "variable part (%s):"
           (match plan with
           | P_gld -> "re-evaluated with shuffles each iteration"
           | P_plw_s -> "broadcast relations, narrow iterations"
           | P_plw_pg -> "shipped to per-worker local databases");
-        List.iter (go (indent + 2)) recs;
+        if plan = P_plw_s then
+          List.iteri
+            (fun i r ->
+              try
+                List.iter
+                  (fun (p, note) -> Hashtbl.replace lowerings p note)
+                  (Pipeline.factor_notes ~tenv ~eval:(Mura.Eval.eval (driver_env ctx)) ~var:x
+                     ~x_schema:(Mura.Typing.infer tenv (Term.union_all consts))
+                     ~path:(child path (n_consts + i)) r)
+              with Mura.Typing.Type_error _ | Schema.Schema_error _ | Mura.Eval.Eval_error _ -> ())
+            recs;
+        List.iteri (fun i r -> go (indent + 2) (child path (n_consts + i)) r) recs;
         if plan = P_plw_pg then
           (try local_plan_line (indent + 1) x body consts recs
            with Mura.Typing.Type_error _ | Schema.Schema_error _ | Fcond.Not_fcond _ -> ())
@@ -579,7 +599,7 @@ let explain ctx term =
        "two-phase pooled shuffle (map/merge on worker pool), adaptive per-stage mode"
      else "sequential driver-side")
     (Cluster.workers ctx.config.cluster);
-  go 0 term;
+  go 0 "0" term;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -592,6 +612,7 @@ module Analyze = struct
     label : string;
     rows : int option;
     candidates : int option;
+    lowering : string option;
     ns : float;
     calls : int;
     plan : string option;
@@ -612,7 +633,8 @@ module Analyze = struct
       | exception Fcond.Not_fcond _ -> [])
 
   (* Fold the trace's ["op"] spans by node path: calls, inclusive time,
-     and rows and candidates summed over the spans that carry them. *)
+     rows and candidates summed over the spans that carry them, and the
+     lowering a span names. *)
   let tree ctx (events : Trace.event list) term =
     let acc = Hashtbl.create 64 in
     let sum key (e : Trace.event) prev =
@@ -624,19 +646,23 @@ module Analyze = struct
       (fun (e : Trace.event) ->
         match (e.kind, e.cat, List.assoc_opt "path" e.attrs) with
         | Trace.Span, "op", Some (Trace.Str p) ->
-          let rows, candidates, ns, calls =
-            Option.value ~default:(None, None, 0., 0) (Hashtbl.find_opt acc p)
+          let rows, candidates, lowering, ns, calls =
+            Option.value ~default:(None, None, None, 0., 0) (Hashtbl.find_opt acc p)
+          in
+          let lowering =
+            match List.assoc_opt "lowering" e.attrs with Some (Trace.Str l) -> Some l | _ -> lowering
           in
           Hashtbl.replace acc p
             ( sum "rows" e rows,
               sum "candidates" e candidates,
+              lowering,
               ns +. (e.wall_dur_us *. 1e3),
               calls + 1 )
         | _ -> ())
       events;
     let rec go path (t : Term.t) =
-      let rows, candidates, ns, calls =
-        Option.value ~default:(None, None, 0., 0) (Hashtbl.find_opt acc path)
+      let rows, candidates, lowering, ns, calls =
+        Option.value ~default:(None, None, None, 0., 0) (Hashtbl.find_opt acc path)
       in
       let plan, iterations, deltas =
         match t with
@@ -651,6 +677,7 @@ module Analyze = struct
         label = Pipeline.op_label t;
         rows;
         candidates;
+        lowering;
         ns;
         calls;
         plan;
@@ -673,6 +700,7 @@ module Analyze = struct
     let rec go indent n =
       Buffer.add_string buf (String.make (2 * indent) ' ');
       Buffer.add_string buf n.label;
+      Option.iter (Printf.bprintf buf " (%s)") n.lowering;
       (match n.rows with
       | None when n.calls = 0 ->
         (* evaluated inside an enclosing node (a fused branch chain or a

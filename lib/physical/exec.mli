@@ -13,6 +13,14 @@
       (by the stable columns when they exist), the relations of the
       variable part are broadcast once, and each iteration uses only
       narrow partition-wise operations — zero shuffles inside the loop.
+      A branch join whose constant side is, under [ρ]/[π̃] layers, a
+      join of two fix-free factors broadcasts the factors and probes
+      them in turn when their join expands ([Σ_{l∈L} |R_key(l)| > |L| +
+      |R|]): first the factor sharing a column with the recursive side,
+      then the other, dropping the inner join columns after. A join
+      that does not expand, or whose factors share no column with the
+      recursive side, is composed from the factors and probed whole
+      (see {!Pipeline.compile}).
     - {b P_plw_pg}: same distribution scheme, but each worker runs its
       complete local fixpoint inside a single mapPartitions call on its
       local database instance (the PostgreSQL stand-in).
@@ -84,11 +92,14 @@ val exec_dds : ctx -> Mura.Term.t -> Distsim.Dds.t
 
 val explain : ctx -> Mura.Term.t -> string
 (** Describe the physical plan that {!exec_dds} would choose, without
-    executing: operator tree with join strategies and, per fixpoint, the
-    selected plan, the stable columns, the repartitioning and (for
-    P_plw^pg) the per-worker local plan. Fixpoint plan selection mirrors
-    execution exactly; join strategy choices are stated as rules (sizes
-    are only known at run time). *)
+    executing it: operator tree with join strategies and, per fixpoint,
+    the selected plan, the stable columns, the repartitioning, (for
+    P_plw^pg) the per-worker local plan and (for P_plw^s) the lowering
+    of each factor join in a recursive branch. Fixpoint plan selection
+    mirrors execution exactly; so does the factor-join lowering, for
+    which the two fix-free factors are evaluated on the driver. Other
+    join strategy choices are stated as rules (sizes are only known at
+    run time). *)
 
 val run : ctx -> Mura.Term.t -> Relation.Rel.t
 (** [exec_dds] followed by a collect to the driver. *)
@@ -112,6 +123,10 @@ module Analyze : sig
         (** rows the node's fused chains emitted into their dedup
             builders before dedup, summed like [rows]; [None] where no
             chain materialized through a builder *)
+    lowering : string option;
+        (** how the node was lowered, where the executor chose between
+            lowerings: a P_plw^s factor join's "factor probes: …" or
+            "composed probe: …" *)
     ns : float;  (** cumulative time, inclusive of children *)
     calls : int;  (** evaluations (iteration count for recursive branches) *)
     plan : string option;  (** fixpoint plan name, [Fix] nodes only *)

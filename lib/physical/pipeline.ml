@@ -13,9 +13,10 @@
    Metering contract, checked against pinned counters and [Mura.Eval]
    by the physical test suite:
    - broadcast joins and antijoins evaluate their constant side once,
-     at compile time, and meter one broadcast of it; in shuffle mode a
-     join with no shared column does the same with the collected
-     constant side;
+     at compile time, and meter one broadcast of it (a join lowered to
+     factor probes meters one broadcast of each factor instead); in
+     shuffle mode a join with no shared column does the same with the
+     collected constant side;
    - shuffle joins and antijoins distribute the constant side at
      compile time and co-partition it by the join columns on the first
      application only ([Dds.repartition]'s no-op rule applies); the
@@ -67,6 +68,11 @@ let op_span ~path label f =
 let set_rows n =
   let tr = Trace.get () in
   if Trace.enabled tr then Trace.set_attr tr "rows" (Trace.Int n)
+
+(* How a node was lowered, where EXPLAIN ANALYZE should name it. *)
+let set_lowering note =
+  let tr = Trace.get () in
+  if Trace.enabled tr then Trace.set_attr tr "lowering" (Trace.Str note)
 
 (* Rows a span's fused chains emitted into their dedup builders. *)
 let set_candidates n =
@@ -179,6 +185,183 @@ let copartitioned ~workers ~shared ~payload_pos const_dds =
   in
   (prepare, index)
 
+(* ------------------------------------------------------------------ *)
+(* Factor probes (P_plw^s)                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A constant join side that is, under ρ/π̃ layers, a join of two
+   fix-free factors L ⋈ R. A P_plw^s branch may broadcast L and R and
+   probe them in turn, instead of broadcasting their composition: a
+   hub group of the composition (every co-actor of an actor) is then
+   expanded once per distinct (live columns, factor group) pair rather
+   than once per delta row. *)
+type layer = Rename_layer of (string * string) list | Drop_layer of string list
+
+type factor_site = {
+  layers : layer list;  (* outermost first *)
+  join_path : string;
+  left : Term.t * string;  (* factor term and its path *)
+  right : Term.t * string;
+}
+
+let rec factor_site ~path (t : Term.t) =
+  let under layer u =
+    Option.map (fun s -> { s with layers = layer :: s.layers }) (factor_site ~path:(child path 0) u)
+  in
+  match t with
+  | Term.Rename (m, u) -> under (Rename_layer m) u
+  | Term.Antiproject (drop, u) -> under (Drop_layer drop) u
+  | Term.Join (a, b) when Term.fix_count a = 0 && Term.fix_count b = 0 ->
+    Some { layers = []; join_path = path; left = (a, child path 0); right = (b, child path 1) }
+  | _ -> None
+
+(* The layers applied to the factor join, as the tree walk applies them. *)
+let apply_layers layers joined =
+  List.fold_right
+    (fun layer rel ->
+      match layer with Rename_layer m -> Rel.rename m rel | Drop_layer d -> Rel.antiproject d rel)
+    layers joined
+
+(* [(column of L ⋈ R, its name after the layers)] for the columns the
+   layers keep, in the composition's column order. *)
+let layer_columns layers js =
+  List.fold_right
+    (fun layer cols ->
+      let s = Schema.of_list (List.map snd cols) in
+      match layer with
+      | Drop_layer d ->
+        let kept = Schema.minus s d in
+        List.filter (fun (_, c) -> Schema.mem kept c) cols
+      | Rename_layer m -> List.map2 (fun (o, _) c -> (o, c)) cols (Schema.cols (Schema.rename m s)))
+    layers
+    (List.map (fun c -> (c, c)) (Schema.cols js))
+
+(* One factor of a decomposed site: its relation, its schema under the
+   working names, and which side of the join it is. *)
+type factor = { rel : Rel.t; schema : Schema.t; side : string }
+
+type probes = {
+  join_sum : int;
+  factor_rows : int;
+  first : factor;
+  second : factor;
+  second_index : Join_index.t;
+      (* [second] keyed by the columns it shares with the delta side and
+         [first], payload the rest *)
+  composed : Schema.t;  (* schema of the composition *)
+  inner : string list;  (* join columns the layers drop *)
+}
+
+type factor_choice =
+  | Unshared  (* no factor shares a column with the recursive side *)
+  | Composed of { join_sum : int; factor_rows : int }
+  | Probes of probes
+
+(* Choose the lowering of [site] for a recursive side of schema [delta].
+   Working names: a kept column takes its name after the layers, a
+   dropped inner column a fresh name no other column has (so a delta
+   column of the same name is not captured). The first probe is the
+   factor sharing a column with the delta side (the left one when both
+   do): a factor probed first without one would be a cartesian product.
+   The probes run only when the join expands, [Σ_{l∈first} |second_key(l)|
+   > |L| + |R|], the group sizes read from the second factor's index;
+   otherwise the composition is no larger than its factors and is probed
+   as one relation. *)
+let choose_factors ~delta site l r =
+  let js = Schema.append_distinct (Rel.schema l) (Rel.schema r) in
+  let kept = layer_columns site.layers js in
+  let inner = List.filter (fun c -> not (List.mem_assoc c kept)) (Schema.cols js) in
+  let fresh =
+    let used = ref (Schema.cols delta @ List.map snd kept) in
+    List.map
+      (fun c ->
+        let rec pick i =
+          let n = Printf.sprintf "%s'%d" c i in
+          if List.mem n !used then pick (i + 1) else n
+        in
+        let n = pick 0 in
+        used := n :: !used;
+        (c, n))
+      inner
+  in
+  let working rel side =
+    let name c = match List.assoc_opt c kept with Some n -> n | None -> List.assoc c fresh in
+    { rel; schema = Schema.of_list (List.map name (Schema.cols (Rel.schema rel))); side }
+  in
+  let fl = working l "left" and fr = working r "right" in
+  let shares f = Schema.common delta f.schema <> [] in
+  if not (shares fl || shares fr) then Unshared
+  else
+    let first, second = if shares fl then (fl, fr) else (fr, fl) in
+    let s1 = Schema.append_distinct delta first.schema in
+    let key2 = Schema.common s1 second.schema in
+    let _, payload2 = extra_of s1 second.schema in
+    let second_index =
+      Join_index.of_tset ~key_pos:(Schema.positions second.schema key2) ~payload_pos:payload2
+        (Rel.tuples second.rel)
+    in
+    let join_sum =
+      let sum idx key_pos =
+        Rel.fold
+          (fun t acc ->
+            let g = Join_index.find idx t key_pos in
+            if g < 0 then acc else acc + Join_index.stop idx g - Join_index.start idx g)
+          first.rel 0
+      in
+      if List.for_all (Schema.mem first.schema) key2 then
+        sum second_index (Schema.positions first.schema key2)
+      else
+        (* the second probe's key also reads delta columns: size the
+           join on the factors' own shared columns *)
+        let key = Schema.common first.schema second.schema in
+        sum
+          (Join_index.of_tset ~key_pos:(Schema.positions second.schema key) ~payload_pos:[||]
+             (Rel.tuples second.rel))
+          (Schema.positions first.schema key)
+    in
+    let factor_rows = Rel.cardinal l + Rel.cardinal r in
+    if join_sum > factor_rows then
+      let composed = Schema.of_list (List.map snd kept) in
+      Probes { join_sum; factor_rows; first; second; second_index; composed; inner }
+    else Composed { join_sum; factor_rows }
+
+(* The lowering as EXPLAIN and EXPLAIN ANALYZE name it. *)
+let factor_note = function
+  | Unshared -> "composed probe: no factor shares a column with the recursive side"
+  | Composed { join_sum; factor_rows } ->
+    Printf.sprintf "composed probe: join sum %d <= factor rows %d" join_sum factor_rows
+  | Probes { join_sum; factor_rows; first; second; inner; _ } ->
+    Printf.sprintf "factor probes: %s then %s factor, drop [%s]; join sum %d > factor rows %d"
+      first.side second.side (String.concat "," inner) join_sum factor_rows
+
+(* EXPLAIN's view of the same choice: walk a recursive branch of
+   [var] as [lower_branch] does, typing each join's recursive side with
+   [var] bound to [x_schema] and evaluating the factors with [eval]. *)
+let factor_notes ~tenv ~eval ~var ~x_schema ~path branch =
+  let rec go path (t : Term.t) =
+    match t with
+    | Term.Select (_, u) | Term.Project (_, u) | Term.Antiproject (_, u) | Term.Rename (_, u)
+    | Term.Antijoin (u, _) ->
+      go (child path 0) u
+    | Term.Join (a, b) ->
+      let (recursive, rpath), (const, cpath) =
+        if Term.has_free_var var a then ((a, child path 0), (b, child path 1))
+        else ((b, child path 1), (a, child path 0))
+      in
+      let note =
+        match factor_site ~path:cpath const with
+        | None -> []
+        | Some site ->
+          let delta = Mura.Typing.infer ~vars:[ (var, x_schema) ] tenv recursive in
+          let l = eval (fst site.left) in
+          let r = eval (fst site.right) in
+          [ (site.join_path, factor_note (choose_factors ~delta site l r)) ]
+      in
+      note @ go rpath recursive
+    | Term.Var _ | Term.Rel _ | Term.Cst _ | Term.Union _ | Term.Fix _ -> []
+  in
+  go path branch
+
 (* Lower one recursive branch. Constant sides are evaluated in term
    order, recursive side first, so errors surface as they would in a
    tree walk: a foreign variable or a nested fixpoint is an
@@ -189,18 +372,20 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
   let workers = Cluster.workers cluster in
   let prepares = ref [] in
   let row rop out_schema ptrans = A_rop { rop = Some rop; out_schema; ptrans } in
-  (* broadcast probe over a driver-side constant relation, charged once;
-     the immutable index is shared by every worker domain (with no
-     shared column it is the broadcast cartesian) *)
-  let bcast_join sr rel =
-    Dds.broadcast cluster rel;
-    let rs = Rel.schema rel in
+  (* probe over a driver-side relation whose columns are named [rs] (its
+     schema, or a factor's working names); the immutable index is shared
+     by every worker domain (with no shared column it is the broadcast
+     cartesian) *)
+  let bcast_probe ?index sr rs rel =
     let shared = Schema.common sr rs in
     let out = Schema.append_distinct sr rs in
     let _, extra_pos = extra_of sr rs in
     let idx =
-      Join_index.of_tset ~key_pos:(Schema.positions rs shared) ~payload_pos:extra_pos
-        (Rel.tuples rel)
+      match index with
+      | Some idx -> idx
+      | None ->
+        Join_index.of_tset ~key_pos:(Schema.positions rs shared) ~payload_pos:extra_pos
+          (Rel.tuples rel)
     in
     let probe =
       R_probe
@@ -211,6 +396,11 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
         }
     in
     (row probe out Fun.id, out)
+  in
+  (* broadcast probe over a constant relation, charged once *)
+  let bcast_join sr rel =
+    Dds.broadcast cluster rel;
+    bcast_probe sr (Rel.schema rel) rel
   in
   let rec go ~path (t : Term.t) : atom list * Schema.t =
     match t with
@@ -240,9 +430,51 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
       in
       let atoms, sr = go ~path:rpath recursive in
       match join_mode with
-      | `Broadcast ->
-        let atom, out = bcast_join sr (eval_const ~path:cpath const) in
-        (atoms @ [ atom ], out)
+      | `Broadcast -> (
+        let probe_whole rel =
+          let atom, out = bcast_join sr rel in
+          (atoms @ [ atom ], out)
+        in
+        match factor_site ~path:cpath const with
+        | None -> probe_whole (eval_const ~path:cpath const)
+        | Some site -> (
+          (* the factors are evaluated and the lowering chosen inside the
+             factor join's span; a composition is built from them *)
+          let lowered =
+            op_span ~path:site.join_path "Join" @@ fun () ->
+            let l = eval_const ~path:(snd site.left) (fst site.left) in
+            let r = eval_const ~path:(snd site.right) (fst site.right) in
+            let choice = choose_factors ~delta:sr site l r in
+            set_lowering (factor_note choice);
+            match choice with
+            | Probes p -> Either.Left p
+            | Unshared | Composed _ ->
+              let j = Rel.natural_join l r in
+              set_rows (Rel.cardinal j);
+              Either.Right j
+          in
+          match lowered with
+          | Either.Left { first; second; second_index; composed; _ } ->
+            Dds.broadcast cluster first.rel;
+            Dds.broadcast cluster second.rel;
+            let probe1, s1 = bcast_probe sr first.schema first.rel in
+            let probe2, s2 = bcast_probe ~index:second_index s1 second.schema second.rel in
+            let out = Schema.append_distinct sr composed in
+            ( atoms
+              @ [
+                  probe1;
+                  probe2;
+                  row (R_project (Schema.positions s2 (Schema.cols out))) out
+                    (project_partitioning (Schema.cols out));
+                ],
+              out )
+          | Either.Right j when site.layers = [] -> probe_whole j
+          | Either.Right j ->
+            probe_whole
+              ( op_span ~path:cpath (op_label const) @@ fun () ->
+                let rel = apply_layers site.layers j in
+                set_rows (Rel.cardinal rel);
+                rel )))
       | `Shuffle -> (
         let const_dds = exec_const ~path:cpath const in
         let cs = Dds.schema const_dds in

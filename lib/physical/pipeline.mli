@@ -67,9 +67,39 @@ val compile :
     for [`Shuffle] (P_gld). Broadcasts are charged here, once.
     [x_schema] is the layout of the datasets the branches are applied
     to; [branch_path i] names branch [i]'s node.
+
+    Factor probes ([`Broadcast] only): when a join's constant side is,
+    under [ρ]/[π̃] layers, a join [L ⋈ R] of two fix-free factors, the
+    factors are evaluated (each in its own span) and, if the join
+    expands — [Σ_{l∈L} |R_key(l)| > |L| + |R|], read from the second
+    factor's {!Relation.Join_index} — [L] and [R] are broadcast and
+    probed in turn: first the factor sharing a column with the
+    recursive side, then the other, then a projection drops the inner
+    join columns (renamed apart from the recursive side's). Otherwise,
+    or when neither factor shares a column with the recursive side, the
+    composition is built from the evaluated factors and probed as one
+    relation. The factor join's span carries the choice as its
+    [lowering] attribute.
     @raise Mura.Eval.Eval_error on a foreign recursive variable, a
     nested fixpoint or a non-positive antijoin; schema errors surface
     from the operator that needs the missing column. *)
+
+val factor_notes :
+  tenv:Mura.Typing.env ->
+  eval:(Term.t -> Rel.t) ->
+  var:string ->
+  x_schema:Schema.t ->
+  path:string ->
+  Term.t ->
+  (string * string) list
+(** [factor_notes ~tenv ~eval ~var ~x_schema ~path branch]: for each
+    factor join of the recursive branch [branch] (at [path]) of
+    [mu(var = ...)], its path and a note naming the lowering a
+    [`Broadcast] {!compile} gives it ("factor probes: …" or "composed
+    probe: …"). Recursive sides are typed with [var] of schema
+    [x_schema]; [eval] evaluates a factor.
+    @raise Mura.Typing.Type_error / Relation.Schema.Schema_error /
+    Mura.Eval.Eval_error on an ill-typed branch. *)
 
 val run :
   t ->

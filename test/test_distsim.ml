@@ -672,9 +672,9 @@ let () =
           Alcotest.test_case "set_diff_local" `Quick test_set_diff_local;
           Alcotest.test_case "rename" `Quick test_rename;
         ] );
-      ( "fused delta",
+      ( "seen filter",
         [
-          Alcotest.test_case "seen filter drop counter" `Quick test_seen_filter_drops;
+          Alcotest.test_case "drop counter" `Quick test_seen_filter_drops;
         ] );
       ( "wide",
         [

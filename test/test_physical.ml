@@ -380,7 +380,8 @@ let pins =
     ("zero_arity_fix/P_plw^s/w1", 1, [ (1, [0]) ], (3, 11, 336, 1, 10, 0));
     ("zero_arity_fix/P_plw^s/w4", 1, [ (1, [0]) ], (3, 14, 384, 1, 30, 0));
     (* the factorized-probe cases, recorded on the executor whose probes
-       expanded every match *)
+       expanded every match; the P_plw^s broadcast counts re-recorded
+       once a factor join that expands broadcasts its two factors *)
 ("factor_a_inv_a/P_gld/w1", 384, [  ], (4, 504, 16128, 1, 60, 0));
     ("factor_a_inv_a/P_gld/w4", 384, [  ], (4, 823, 26336, 1, 180, 0));
     ("factor_a_inv_a/P_plw^s/w1", 384, [  ], (4, 504, 16128, 1, 60, 0));
@@ -393,10 +394,10 @@ let pins =
       (46, 10252, 328064, 3, 840, 3505) );
     ( "factor_a_inv_a_closure_b_closure/P_plw^s/w1", 760,
       [ (7, [368; 312; 240; 168; 96; 32; 0]); (10, [21; 22; 22; 20; 18; 16; 11; 7; 2; 0]) ],
-      (8, 1061, 33952, 4, 625, 0) );
+      (8, 1061, 33952, 5, 361, 0) );
     ( "factor_a_inv_a_closure_b_closure/P_plw^s/w4", 760,
       [ (7, [368; 312; 240; 168; 96; 32; 0]); (10, [21; 22; 22; 20; 18; 16; 11; 7; 2; 0]) ],
-      (8, 1698, 54336, 4, 1875, 0) );
+      (8, 1698, 54336, 5, 1083, 0) );
     ( "factor_key_filter/P_gld/w1", 136,
       [ (8, [23; 24; 21; 17; 16; 10; 4; 0]) ],
       (23, 277, 8864, 1, 60, 163) );
@@ -405,16 +406,16 @@ let pins =
       (23, 1316, 42112, 1, 180, 133) );
     ( "factor_key_filter/P_plw^s/w1", 136,
       [ (8, [23; 24; 21; 17; 16; 10; 4; 0]) ],
-      (3, 157, 5024, 1, 384, 0) );
+      (3, 157, 5024, 2, 120, 0) );
     ( "factor_key_filter/P_plw^s/w4", 136,
       [ (8, [23; 24; 21; 17; 16; 10; 4; 0]) ],
-      (3, 177, 5664, 1, 1152, 0) );
+      (3, 177, 5664, 2, 360, 0) );
     ("factor_key_kept/P_gld/w1", 392, [ (3, [169; 202; 0]) ], (13, 533, 17056, 1, 60, 579));
     ("factor_key_kept/P_gld/w4", 392, [ (3, [169; 202; 0]) ], (13, 1787, 57184, 1, 180, 567));
-    ("factor_key_kept/P_plw^s/w1", 392, [ (3, [169; 202; 0]) ], (3, 413, 13216, 1, 384, 0));
+    ("factor_key_kept/P_plw^s/w1", 392, [ (3, [169; 202; 0]) ], (3, 413, 13216, 2, 120, 0));
     ( "factor_key_kept/P_plw^s/w4", 392,
       [ (5, [192; 867; 400; 64; 0]) ],
-      (3, 1570, 50240, 1, 1152, 0) );
+      (3, 1570, 50240, 2, 360, 0) );
     ( "factor_antijoin_after/P_gld/w1", 1508,
       [ (7, [340; 290; 222; 152; 88; 32; 0]) ],
       (30, 1691, 54088, 2, 120, 1612) );
@@ -423,10 +424,38 @@ let pins =
       (30, 12105, 387312, 2, 360, 1612) );
     ( "factor_antijoin_after/P_plw^s/w1", 1508,
       [ (7, [340; 290; 222; 152; 88; 32; 0]) ],
-      (5, 1628, 52096, 3, 447, 0) );
+      (5, 1628, 52096, 4, 183, 0) );
     ( "factor_antijoin_after/P_plw^s/w4", 1508,
       [ (7, [340; 290; 222; 152; 88; 32; 0]) ],
-      (5, 2245, 71840, 3, 1341, 0) )
+      (5, 2245, 71840, 4, 549, 0) );
+    (* the factor-join lowering cases, recorded on the executor that
+       probed every factor join's composition; the P_plw^s broadcast
+       counts of hub, right_first and capture re-recorded once their
+       factors were broadcast instead (selective keeps its composition) *)
+    ("lower_hub/P_gld/w1", 900, [ (3, [320; 320; 0]) ], (13, 1020, 32640, 2, 80, 920));
+    ("lower_hub/P_gld/w4", 900, [ (3, [320; 320; 0]) ], (13, 4605, 147360, 2, 240, 1480));
+    ("lower_hub/P_plw^s/w1", 900, [ (3, [320; 320; 0]) ], (5, 980, 31360, 3, 120, 0));
+    ("lower_hub/P_plw^s/w4", 900, [ (3, [320; 320; 0]) ], (5, 1396, 44672, 3, 360, 0));
+    ( "lower_selective/P_gld/w1", 67,
+      [ (11, [10; 9; 8; 7; 6; 5; 4; 3; 2; 1; 0]) ],
+      (30, 116, 3712, 2, 24, 0) );
+    ( "lower_selective/P_gld/w4", 67,
+      [ (11, [10; 9; 8; 7; 6; 5; 4; 3; 2; 1; 0]) ],
+      (30, 232, 7424, 2, 72, 0) );
+    ( "lower_selective/P_plw^s/w1", 67,
+      [ (11, [10; 9; 8; 7; 6; 5; 4; 3; 2; 1; 0]) ],
+      (6, 104, 3328, 2, 24, 0) );
+    ( "lower_selective/P_plw^s/w4", 67,
+      [ (11, [10; 9; 8; 7; 6; 5; 4; 3; 2; 1; 0]) ],
+      (6, 122, 3904, 2, 72, 0) );
+    ("lower_right_first/P_gld/w1", 33, [ (3, [24; 4; 0]) ], (14, 88, 2816, 1, 15, 36));
+    ("lower_right_first/P_gld/w4", 33, [ (3, [24; 4; 0]) ], (14, 338, 10816, 1, 45, 24));
+    ("lower_right_first/P_plw^s/w1", 33, [ (3, [24; 4; 0]) ], (3, 38, 1216, 2, 35, 0));
+    ("lower_right_first/P_plw^s/w4", 33, [ (3, [24; 4; 0]) ], (3, 41, 1312, 2, 105, 0));
+    ("lower_capture/P_gld/w1", 900, [ (3, [320; 320; 0]) ], (13, 1020, 32640, 2, 80, 920));
+    ("lower_capture/P_gld/w4", 900, [ (3, [320; 320; 0]) ], (13, 4605, 147360, 2, 240, 1480));
+    ("lower_capture/P_plw^s/w1", 900, [ (3, [320; 320; 0]) ], (5, 980, 31360, 3, 120, 0));
+    ("lower_capture/P_plw^s/w4", 900, [ (3, [320; 320; 0]) ], (5, 1396, 44672, 3, 360, 0));
   ]
 
 let run_pinned ?force_plan ?(threshold = -1) ?parallel ~workers name term tables =
@@ -851,9 +880,10 @@ let test_factorized_parity () =
     factor_cases
 
 (* The (a/-a)+ branch's candidates (rows its chain emits into the dedup
-   builder, summed over iterations): pinned, with the count of the chain
-   that expanded every match beside it. A change that undoes the
-   factorization brings the pin back up to that count. *)
+   builder, summed over iterations): pinned, with the counts of the
+   chain that expanded every match and of the chain that probed the
+   composed a/-a beside it. A change that undoes the factorization or
+   the factor probes brings the pin back up to one of them. *)
 let test_factorized_candidates () =
   let term = Mura.Patterns.closure a_inv_a in
   let ctx, r, tree = analyzed ~force_plan:Exec.P_plw_s ~tables:factor_tables term in
@@ -862,9 +892,84 @@ let test_factorized_candidates () =
   | [ _seed; branch ] ->
     check_int "branch applied once per iteration"
       (List.hd (Exec.report ctx).fixpoints).iterations branch.Exec.Analyze.calls;
-    (* 15360 when every match expands *)
-    check_int "branch candidates" 5360 (Option.value ~default:(-1) branch.Exec.Analyze.candidates)
+    (* 15360 when every match expands, 5360 probing the composed a/-a *)
+    check_int "branch candidates" 4268 (Option.value ~default:(-1) branch.Exec.Analyze.candidates)
   | l -> Alcotest.failf "expected seed and branch children, got %d" (List.length l)
+
+(* --- factor probes ------------------------------------------------------- *)
+
+(* H: 30 nodes over five keywords 100-104, nodes 0-9 also on a hub
+   keyword 99. F, G: functions, so F/G never expands. S, B, C: B is
+   many-to-one onto 0-2, C fans each of 0-2 out to five nodes. *)
+let hub_graph =
+  rel [ "src"; "trg" ]
+    (List.init 30 (fun i -> [ i; 100 + (i mod 5) ]) @ List.init 10 (fun i -> [ i; 99 ]))
+
+let lowering_tables =
+  [
+    ("H", hub_graph);
+    ("F", rel [ "src"; "trg" ] (List.init 12 (fun i -> [ i; i + 1 ])));
+    ("G", rel [ "src"; "trg" ] (List.init 13 (fun i -> [ i; 2 * i mod 13 ])));
+    ("S", rel [ "src"; "trg" ] (List.init 5 (fun i -> [ i; i + 1 ])));
+    ("B", rel [ "src"; "trg" ] (List.init 20 (fun k -> [ k; k mod 3 ])));
+    ("C", rel [ "src"; "trg" ] (List.concat (List.init 3 (fun m -> List.init 5 (fun j -> [ m; ((7 * m) + (3 * j)) mod 20 ])))));
+  ]
+
+let h_inv_h = Mura.Patterns.compose (Term.Rel "H") (inv (Term.Rel "H"))
+
+(* Each case with the lowering its P_plw^s factor join must name. *)
+let lowering_cases =
+  [
+    (* co-keyword pairs through a hub keyword: the join expands *)
+    ("hub", Mura.Patterns.closure h_inv_h, "factor probes: left then right factor");
+    (* F/G is no larger than F: the composition is probed *)
+    ( "selective",
+      Mura.Patterns.closure (Mura.Patterns.compose (Term.Rel "F") (Term.Rel "G")),
+      "composed probe: join sum" );
+    (* X.trg = B.src, B.trg = C.src: the delta side shares _k with the
+       right factor only, which must be probed first *)
+    ( "right_first",
+      Term.Fix
+        ( "X",
+          Term.Union
+            ( Term.Rel "S",
+              Term.Antiproject
+                ( [ "_k" ],
+                  Term.Join
+                    ( Term.Rename ([ ("trg", "_k") ], Term.Var "X"),
+                      Term.Antiproject
+                        ( [ "_m" ],
+                          Term.Join
+                            ( Term.Rename ([ ("src", "_m") ], Term.Rel "C"),
+                              Term.Rename ([ ("src", "_k"); ("trg", "_m") ], Term.Rel "B") ) ) ) ) ) ),
+      "factor probes: right then left factor" );
+    (* the delta side's join column _m is also the name of the inner
+       column the factor join drops *)
+    ( "capture",
+      Term.Fix ("X", Term.Union (compose (Term.Rel "H") (inv (Term.Rel "H")), compose (Term.Var "X") (compose (Term.Rel "H") (inv (Term.Rel "H"))))),
+      "factor probes: left then right factor" );
+  ]
+
+let rec find_lowering (n : Exec.Analyze.node) =
+  match n.lowering with
+  | Some l -> Some l
+  | None -> List.find_map find_lowering n.children
+
+(* Each case agrees with Mura.Eval and its pins on P_gld and P_plw^s with
+   1 and 4 workers and on 4 worker domains, and EXPLAIN and EXPLAIN
+   ANALYZE name the lowering of its factor join. *)
+let test_factor_lowering () =
+  List.iter
+    (fun (name, term, note) ->
+      let key = "lower_" ^ name in
+      pin_matrix key term lowering_tables;
+      run_pinned ~force_plan:Exec.P_plw_s ~parallel:true ~workers:4 key term lowering_tables;
+      let explained = Exec.explain (session_on ~force_plan:Exec.P_plw_s lowering_tables) term in
+      check_bool (name ^ ": EXPLAIN names the lowering") true (contains_sub explained note);
+      let _, _, tree = analyzed ~force_plan:Exec.P_plw_s ~tables:lowering_tables term in
+      check_bool (name ^ ": EXPLAIN ANALYZE names the lowering") true
+        (match find_lowering tree with Some l -> contains_sub l note | None -> false))
+    lowering_cases
 
 let () =
   Alcotest.run "physical"
@@ -932,6 +1037,7 @@ let () =
         [
           Alcotest.test_case "parity and pinned counters" `Quick test_factorized_parity;
           Alcotest.test_case "pinned candidates" `Quick test_factorized_candidates;
+          Alcotest.test_case "factor-join lowering" `Quick test_factor_lowering;
         ] );
       ("properties", [ prop_all_plans_agree; prop_reach_all_plans; prop_random_terms_all_plans ]);
     ]

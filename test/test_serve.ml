@@ -697,12 +697,12 @@ let () =
           Alcotest.test_case "shared fixpoint batching" `Quick test_shared_fixpoint_batching;
           Alcotest.test_case "no concurrent dispatch" `Quick test_no_concurrent_dispatch_through_serve;
         ] );
-      ( "repair",
+      ( "updates",
         [
-          Alcotest.test_case "update then repaired query" `Quick test_update_recomputes;
+          Alcotest.test_case "update then recomputed query" `Quick test_update_recomputes;
           Alcotest.test_case "rapid successive batches" `Quick test_rapid_update_batches;
           Alcotest.test_case "update mid-evaluation" `Quick test_update_mid_evaluation;
-          Alcotest.test_case "register drops handles" `Quick test_register_then_update;
+          Alcotest.test_case "register then update" `Quick test_register_then_update;
           Alcotest.test_case "update validation" `Quick test_update_validation;
         ] );
       ( "sessions",
