@@ -99,7 +99,6 @@ let run gen graph_file labels query system all_systems workers timeout show expl
       let config =
         {
           Harness.Serve_mix.workers;
-          parallel = false;
           sessions = serve_sessions;
           repeat = serve_repeat;
           max_inflight;

@@ -67,6 +67,19 @@ printf '%s\n' "$out" | grep -q "plan=P_gld iters=" ||
 printf '%s\n' "$out" | grep -q "rows=.* calls=" ||
   { echo "--system gld --analyze output has no recursive-branch rows= line" >&2; exit 1; }
 
+# forced-P_gld EXPLAIN smoke: a fixpoint's variable part must name what
+# its branch lowering does (the closure's branch join is a co-partitioned
+# probe on the shared column), never the shell's broadcast-or-shuffle
+# size rule
+echo "== murarun --system gld --explain smoke =="
+out=$(dune exec bin/murarun.exe -- --gen er:2000:0.002 --labels a \
+        --query "?x, ?y <- ?x a+ ?y" --system gld --explain)
+printf '%s\n' "$out" | grep -q "Join (co-partitioned probe on \[" ||
+  { echo "--system gld --explain has no co-partitioned branch-join line" >&2; exit 1; }
+if printf '%s\n' "$out" | sed -n '/variable part/,$p' | grep -q "broadcast if a side"; then
+  echo "--system gld --explain prints the size rule inside a variable part" >&2; exit 1
+fi
+
 # factor-probe smoke: the co-actor closure's P_plw^s branch must lower
 # its actedIn/-actedIn factor join as two factor probes, and both
 # --explain and the --analyze tree (with its candidate rows) must say so

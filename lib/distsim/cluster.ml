@@ -99,8 +99,6 @@ end
 
 type t = {
   workers : int;
-  parallel : bool;
-  host_cores : int;
   metrics : Metrics.t;
   mutable pool : Pool.t option;
   dispatching : bool Atomic.t;
@@ -127,8 +125,6 @@ let make ?(parallel = false) ~workers () =
   let c =
     {
       workers;
-      parallel;
-      host_cores = Domain.recommended_domain_count ();
       metrics = Metrics.create ();
       pool;
       dispatching = Atomic.make false;
@@ -144,32 +140,6 @@ let make ?(parallel = false) ~workers () =
   c
 
 let workers c = c.workers
-let parallel c = c.parallel
-
-(* The two-phase shuffle only pays off when stages actually fan out:
-   sequential clusters and single-worker clusters keep the driver-side
-   exchange. *)
-let pooled_shuffle c = c.parallel && c.workers > 1
-let host_cores c = c.host_cores
-
-(* Per-exchange mode selection. Pooling an exchange pays a fixed dispatch
-   cost per phase (two [run_stage]s plus bucket assembly), which loses to
-   the driver-side loop below a volume threshold, especially when the
-   host has no spare cores for the pool domains. Each exchange therefore
-   picks its mode from the measured record volume. Both paths are
-   bit-identical in results and counters, so the choice is purely a
-   latency decision. *)
-let adaptive_pooled_cutoff = 2048
-
-let shuffle_mode c ~records =
-  if not (pooled_shuffle c) then `Seq
-  else begin
-    let cutoff =
-      if c.host_cores > c.workers then adaptive_pooled_cutoff else 4 * adaptive_pooled_cutoff
-    in
-    if records >= cutoff then `Pooled else `Seq
-  end
-
 let metrics c = c.metrics
 let pool_size c = match c.pool with None -> 0 | Some p -> Pool.size p
 

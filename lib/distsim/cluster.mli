@@ -5,6 +5,9 @@
     sequentially (deterministic, default); in both modes the per-worker
     compute time is measured and the stage time is the maximum across
     workers, which is what a synchronous Spark stage would cost.
+    Exchanges (the wide operations of [Dds]) run on the driver in both
+    modes, so a parallel cluster charges the same stages, supersteps and
+    communication as a sequential one: the pool runs stage compute only.
 
     In parallel mode the cluster owns a {e persistent} worker-domain
     pool: [workers - 1] domains are spawned once at {!make} (the driver
@@ -20,34 +23,9 @@
 type t
 
 val make : ?parallel:bool -> workers:int -> unit -> t
-(** On parallel multi-worker clusters [Dds] may run its exchanges as
-    two-phase map/merge stages on the worker pool instead of sequentially
-    on the driver; each exchange picks its mode from its measured record
-    volume and the host's core count (see {!shuffle_mode}). Results and
-    communication counters are identical either way.
-    @raise Invalid_argument if [workers < 1]. *)
+(** @raise Invalid_argument if [workers < 1]. *)
 
 val workers : t -> int
-val parallel : t -> bool
-
-val pooled_shuffle : t -> bool
-(** Whether exchanges {e may} run as pooled two-phase shuffles: parallel
-    mode and more than one worker. The per-exchange decision is
-    {!shuffle_mode}. *)
-
-val host_cores : t -> int
-(** [Domain.recommended_domain_count] sampled at {!make}: the physical
-    parallelism actually available to the pool, as opposed to the
-    simulated [workers] count. *)
-
-val shuffle_mode : t -> records:int -> [ `Pooled | `Seq ]
-(** Mode for one exchange moving [records] tuples: [`Seq] when the
-    cluster cannot pool ({!pooled_shuffle} false), otherwise pooled only
-    above a volume cutoff
-    that rises when the host has no spare cores ({!host_cores} <=
-    [workers]). Both modes produce bit-identical partitions and
-    communication counters; the exchange records the chosen mode as an
-    [exchange_mode] span attribute. *)
 
 val metrics : t -> Metrics.t
 (** The cluster-lifetime metric accumulator (reset between experiments

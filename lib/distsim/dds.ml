@@ -70,8 +70,7 @@ let record_skew ?cluster tr parts =
    before it enters the shuffle — safe inside a semi-naive loop because
    anything routed earlier was unioned into the accumulator then, so the
    diff would discard it anyway; fresh sets (and thus the fixpoint) are
-   unchanged while shuffle records/bytes shrink. Each worker touches only
-   its own row of the matrix, so the pooled map phase needs no locking. *)
+   unchanged while shuffle records/bytes shrink. *)
 type seen_filter = { seen_routed : Tset.t array array; mutable seen_dropped : int }
 
 let seen_filter cluster =
@@ -81,12 +80,11 @@ let seen_filter cluster =
 
 let seen_dropped f = f.seen_dropped
 
-(* Sequential exchange, the [parallel:false] fallback: route every
-   partition on the driver. Returns fresh partitions, the number of
-   tuples that changed worker, and the number dropped by the seen filter.
-   Partitions are presized to the mean post-exchange size (skewed
-   partitions still resize). *)
-let exchange_seq ?seen parts ~positions ~workers =
+(* The exchange: route every partition on the driver. Returns fresh
+   partitions, the number of tuples that changed worker, and the number
+   dropped by the seen filter. Partitions are presized to the mean
+   post-exchange size (skewed partitions still resize). *)
+let exchange ?seen parts ~positions ~workers =
   let total = Array.fold_left (fun acc p -> acc + Tset.cardinal p) 0 parts in
   let fresh = Array.init workers (fun _ -> Tset.create ~capacity:((total / workers) + 1) ()) in
   let moved = ref 0 and dropped = ref 0 in
@@ -110,219 +108,25 @@ let exchange_seq ?seen parts ~positions ~workers =
     parts;
   (fresh, !moved, !dropped)
 
-(* Map-side output of the two-phase shuffle: one growable vector of
-   tuples per destination, each tuple paired with its full hash —
-   computed once while routing and reused by the merge-side set insert
-   ([Tset.add_hashed]), so no tuple is ever hashed twice. *)
-module Bucket = struct
-  type t = { mutable tuples : Tuple.t array; mutable hashes : int array; mutable len : int }
-
-  let create ~capacity () =
-    let cap = max capacity 8 in
-    { tuples = Array.make cap [||]; hashes = Array.make cap 0; len = 0 }
-
-  let push b tu h =
-    if b.len = Array.length b.tuples then begin
-      let cap = 2 * Array.length b.tuples in
-      let tuples = Array.make cap [||] and hashes = Array.make cap 0 in
-      Array.blit b.tuples 0 tuples 0 b.len;
-      Array.blit b.hashes 0 hashes 0 b.len;
-      b.tuples <- tuples;
-      b.hashes <- hashes
-    end;
-    Array.unsafe_set b.tuples b.len tu;
-    Array.unsafe_set b.hashes b.len h;
-    b.len <- b.len + 1
-end
-
-let clock_ns () = Unix.gettimeofday () *. 1e9
-
-(* Phase 2 (reduce side): destination [t] merges its incoming buckets in
-   source order — the same insertion sequence the sequential exchange
-   produces — into a set presized to the exact incoming volume. *)
-let merge_buckets ~workers routed t =
-  let incoming = ref 0 in
-  for src = 0 to workers - 1 do
-    incoming := !incoming + routed.(src).(t).Bucket.len
-  done;
-  let out = Tset.create ~capacity:!incoming () in
-  for src = 0 to workers - 1 do
-    let b = routed.(src).(t) in
-    for i = 0 to b.Bucket.len - 1 do
-      ignore (Tset.add_hashed out (Array.unsafe_get b.Bucket.tuples i) (Array.unsafe_get b.Bucket.hashes i))
-    done
-  done;
-  out
-
-(* Per-phase skew attribute on the open phase span: max/mean of the
-   per-worker record counts the phase produced or consumed. *)
-let phase_skew tr counts =
-  if Trace.enabled tr then begin
-    let total = Array.fold_left ( + ) 0 counts in
-    let mx = Array.fold_left max 0 counts in
-    let mean = float_of_int total /. float_of_int (max 1 (Array.length counts)) in
-    Trace.set_attr tr "records" (Trace.Int total);
-    Trace.set_attr tr "max_worker_records" (Trace.Int mx);
-    Trace.set_attr tr "skew" (Trace.Float (if mean > 0. then float_of_int mx /. mean else 1.))
-  end
-
-(* Two-phase pooled exchange. Phase 1 (map side): every worker routes its
-   own partition into [workers] destination buckets on the pool, hashing
-   the key columns in place and counting locally-moved records. Phase 2
-   (reduce side): every destination merges its incoming buckets, reusing
-   the map-side hashes. Moved counts, charged records and the resulting
-   partitions are bit-identical to [exchange_seq]. *)
-let exchange_pooled ?seen cluster parts ~positions ~workers =
-  let tr = Trace.get () in
-  let t0 = clock_ns () in
-  let routed, moved, dropped =
-    Trace.span tr ~cat:"dds" "dds.exchange.map" @@ fun () ->
-    let r =
-      Cluster.run_stage cluster (fun w ->
-          let p = parts.(w) in
-          let buckets =
-            Array.init workers (fun _ -> Bucket.create ~capacity:((Tset.cardinal p / workers) + 1) ())
-          in
-          let keep =
-            match seen with
-            | None -> fun _ _ _ -> true
-            | Some f -> fun t tu h -> Tset.add_hashed f.seen_routed.(w).(t) tu h
-          in
-          let moved = ref 0 and dropped = ref 0 in
-          Tset.iter
-            (fun tu ->
-              let h = if Array.length tu = 0 then 0 else Tuple.hash tu in
-              let t = target_of ~positions ~workers tu in
-              if keep t tu h then begin
-                if t <> w then incr moved;
-                Bucket.push buckets.(t) tu h
-              end
-              else incr dropped)
-            p;
-          (buckets, !moved, !dropped))
-    in
-    let moved = Array.fold_left (fun acc (_, m, _) -> acc + m) 0 r in
-    let dropped = Array.fold_left (fun acc (_, _, d) -> acc + d) 0 r in
-    phase_skew tr (Array.map (fun p -> Tset.cardinal p) parts);
-    if Trace.enabled tr then Trace.set_attr tr "moved" (Trace.Int moved);
-    (Array.map (fun (b, _, _) -> b) r, moved, dropped)
-  in
-  let t1 = clock_ns () in
-  let fresh =
-    Trace.span tr ~cat:"dds" "dds.exchange.merge" @@ fun () ->
-    let fresh = Cluster.run_stage cluster (fun t -> merge_buckets ~workers routed t) in
-    phase_skew tr (Array.map Tset.cardinal fresh);
-    fresh
-  in
-  Metrics.record_exchange_phases (Cluster.metrics cluster) ~map_ns:(t1 -. t0)
-    ~merge_ns:(clock_ns () -. t1);
-  (fresh, moved, dropped)
-
-(* Per-exchange mode decision ([Cluster.shuffle_mode]), recorded on the
-   enclosing operator span so traces show which path each exchange took. *)
-let choose_pooled cluster ~records =
-  let mode = Cluster.shuffle_mode cluster ~records in
-  let tr = Trace.get () in
-  if Trace.enabled tr then
-    Trace.set_attr tr "exchange_mode"
-      (Trace.Str (match mode with `Pooled -> "pooled" | `Seq -> "seq"));
-  mode = `Pooled
-
-let exchange ?seen cluster parts ~positions ~workers =
-  let records = Array.fold_left (fun acc p -> acc + Tset.cardinal p) 0 parts in
-  if choose_pooled cluster ~records then exchange_pooled ?seen cluster parts ~positions ~workers
-  else exchange_seq ?seen parts ~positions ~workers
-
-(* Parallel routing of a driver-side relation: every worker scans its
-   slice of the input set ([Tset.iter_slice] — the slices concatenate to
-   the sequential iteration order), routes into per-destination buckets,
-   and the merge phase assembles the partitions. Round-robin placement
-   depends on the global iteration index, so it is reconstructed from a
-   cheap parallel counting pass + prefix sums; the resulting partitions
-   are bit-identical to the sequential path's. *)
-let route_rel_pooled cluster ~workers ~by rel =
-  let tr = Trace.get () in
-  let ts = Rel.tuples rel in
-  let t0 = clock_ns () in
-  let routed =
-    Trace.span tr ~cat:"dds" "dds.exchange.map" @@ fun () ->
-    let route fill =
-      Cluster.run_stage cluster (fun w ->
-          let buckets =
-            Array.init workers (fun _ ->
-                Bucket.create ~capacity:((Rel.cardinal rel / (workers * workers)) + 1) ())
-          in
-          fill w buckets;
-          buckets)
-    in
-    let r =
-      match by with
-      | Some cols ->
-        let positions = Schema.positions (Rel.schema rel) cols in
-        route (fun w buckets ->
-            Tset.iter_slice
-              (fun tu -> Bucket.push buckets.(target_of ~positions ~workers tu) tu (Tuple.hash tu))
-              ts ~slice:w ~slices:workers)
-      | None ->
-        (* counting pass -> prefix sums -> global index of each slice *)
-        let counts =
-          Cluster.run_stage cluster (fun w ->
-              let n = ref 0 in
-              Tset.iter_slice (fun _ -> incr n) ts ~slice:w ~slices:workers;
-              !n)
-        in
-        let offsets = Array.make workers 0 in
-        for w = 1 to workers - 1 do
-          offsets.(w) <- offsets.(w - 1) + counts.(w - 1)
-        done;
-        route (fun w buckets ->
-            let i = ref offsets.(w) in
-            Tset.iter_slice
-              (fun tu ->
-                Bucket.push buckets.(!i mod workers) tu (Tuple.hash tu);
-                incr i)
-              ts ~slice:w ~slices:workers)
-    in
-    phase_skew tr (Array.map (fun buckets -> Array.fold_left (fun a b -> a + b.Bucket.len) 0 buckets) r);
-    r
-  in
-  let t1 = clock_ns () in
-  let parts =
-    Trace.span tr ~cat:"dds" "dds.exchange.merge" @@ fun () ->
-    let parts = Cluster.run_stage cluster (fun t -> merge_buckets ~workers routed t) in
-    phase_skew tr (Array.map Tset.cardinal parts);
-    parts
-  in
-  Metrics.record_exchange_phases (Cluster.metrics cluster) ~map_ns:(t1 -. t0)
-    ~merge_ns:(clock_ns () -. t1);
-  parts
-
 let of_rel ?by cluster rel =
   let tr = Trace.get () in
   Trace.span tr ~cat:"dds" "dds.of_rel" @@ fun () ->
   let workers = Cluster.workers cluster in
   let schema = Rel.schema rel in
   let parts =
-    if choose_pooled cluster ~records:(Rel.cardinal rel) then
-      route_rel_pooled cluster ~workers ~by rel
-    else begin
-      let parts =
-        Array.init workers (fun _ -> Tset.create ~capacity:((Rel.cardinal rel / workers) + 1) ())
-      in
-      (match by with
-      | Some cols ->
-        let positions = Schema.positions schema cols in
-        Rel.iter (fun tu -> ignore (Tset.add parts.(target_of ~positions ~workers tu) tu)) rel
-      | None ->
-        let w = ref 0 in
-        Rel.iter
-          (fun tu ->
-            ignore (Tset.add parts.(!w) tu);
-            w := (!w + 1) mod workers)
-          rel);
-      parts
-    end
+    Array.init workers (fun _ -> Tset.create ~capacity:((Rel.cardinal rel / workers) + 1) ())
   in
+  (match by with
+  | Some cols ->
+    let positions = Schema.positions schema cols in
+    Rel.iter (fun tu -> ignore (Tset.add parts.(target_of ~positions ~workers tu) tu)) rel
+  | None ->
+    let w = ref 0 in
+    Rel.iter
+      (fun tu ->
+        ignore (Tset.add parts.(!w) tu);
+        w := (!w + 1) mod workers)
+      rel);
   let records = Rel.cardinal rel in
   meter_shuffle cluster ~op:"of_rel" ~records
     ~bytes:(records * Metrics.tuple_bytes (Schema.arity schema));
@@ -345,46 +149,8 @@ let empty cluster schema =
 let collect d =
   let tr = Trace.get () in
   Trace.span tr ~cat:"dds" "dds.collect" @@ fun () ->
-  let out =
-    if choose_pooled d.cluster ~records:(cardinal d) then begin
-      (* map side: every worker snapshots + hashes its own partition in
-         parallel; the driver-side merge then only probes. *)
-      let t0 = clock_ns () in
-      let staged =
-        Trace.span tr ~cat:"dds" "dds.exchange.map" @@ fun () ->
-        let staged =
-          Cluster.run_stage d.cluster (fun w ->
-              let p = d.parts.(w) in
-              let b = Bucket.create ~capacity:(Tset.cardinal p) () in
-              Tset.iter (fun tu -> Bucket.push b tu (Tuple.hash tu)) p;
-              b)
-        in
-        phase_skew tr (Array.map (fun b -> b.Bucket.len) staged);
-        staged
-      in
-      let t1 = clock_ns () in
-      let out =
-        Trace.span tr ~cat:"dds" "dds.exchange.merge" @@ fun () ->
-        let total = Array.fold_left (fun acc b -> acc + b.Bucket.len) 0 staged in
-        let out = Tset.create ~capacity:total () in
-        Array.iter
-          (fun b ->
-            for i = 0 to b.Bucket.len - 1 do
-              ignore (Tset.add_hashed out b.Bucket.tuples.(i) b.Bucket.hashes.(i))
-            done)
-          staged;
-        out
-      in
-      Metrics.record_exchange_phases (Cluster.metrics d.cluster) ~map_ns:(t1 -. t0)
-        ~merge_ns:(clock_ns () -. t1);
-      out
-    end
-    else begin
-      let out = Tset.create ~capacity:(cardinal d) () in
-      Array.iter (fun p -> ignore (Tset.add_all out p)) d.parts;
-      out
-    end
-  in
+  let out = Tset.create ~capacity:(cardinal d) () in
+  Array.iter (fun p -> ignore (Tset.add_all out p)) d.parts;
   let records = Tset.cardinal out in
   meter_shuffle d.cluster ~op:"collect" ~records
     ~bytes:(records * Metrics.tuple_bytes (Schema.arity d.schema));
@@ -503,7 +269,7 @@ let repartition ?seen ~by d =
     Trace.span tr ~cat:"dds" "dds.repartition" @@ fun () ->
     let workers = Cluster.workers d.cluster in
     let positions = Schema.positions d.schema by in
-    let parts, moved, dropped = exchange ?seen d.cluster d.parts ~positions ~workers in
+    let parts, moved, dropped = exchange ?seen d.parts ~positions ~workers in
     (match seen with
     | None -> ()
     | Some f ->
@@ -638,9 +404,8 @@ let route_batch_one ?seen ~positions ~workers ~identity w (b : Batch.t) =
   (buckets, !moved, !dropped)
 
 (* Reduce side for destination [t]: merge incoming buckets in source
-   order through a presized dedup builder, reusing the map-side hashes —
-   the batch analogue of [merge_buckets], producing a duplicate-free
-   partition without growing any table. *)
+   order through a presized dedup builder, reusing the map-side hashes,
+   producing a duplicate-free partition without growing any table. *)
 let merge_batch_buckets ~workers ~arity routed t =
   let incoming = ref 0 in
   for src = 0 to workers - 1 do
@@ -667,53 +432,26 @@ let is_identity_routing positions arity =
   Array.iteri (fun i p -> if p <> i then ok := false) positions;
   !ok
 
-(* Exchange of per-worker column batches; the compiled twin of
-   [exchange], with identical moved/dropped accounting. Output partitions
-   are duplicate-free batches ordered by source worker then row — the
-   same multiset a Tset exchange would produce. *)
-let exchange_batches ?seen cluster batches ~positions ~workers =
+(* Exchange of per-worker column batches on the driver; the compiled
+   twin of [exchange], with identical moved/dropped accounting. Returns
+   the fresh per-destination batches, the moved count and the seen-filter
+   drop count. Output partitions are duplicate-free batches ordered by
+   source worker then row — the same multiset a Tset exchange would
+   produce. *)
+let exchange_batches ?seen batches ~positions ~workers =
   let arity = Batch.arity batches.(0) in
   let identity = is_identity_routing positions arity in
-  let records = Array.fold_left (fun acc b -> acc + Batch.length b) 0 batches in
-  let tr = Trace.get () in
-  if choose_pooled cluster ~records then begin
-    let t0 = clock_ns () in
-    let routed, moved, dropped =
-      Trace.span tr ~cat:"dds" "dds.exchange.map" @@ fun () ->
-      let r =
-        Cluster.run_stage cluster (fun w ->
-            route_batch_one ?seen ~positions ~workers ~identity w batches.(w))
-      in
-      let moved = Array.fold_left (fun acc (_, m, _) -> acc + m) 0 r in
-      let dropped = Array.fold_left (fun acc (_, _, d) -> acc + d) 0 r in
-      phase_skew tr (Array.map Batch.length batches);
-      if Trace.enabled tr then Trace.set_attr tr "moved" (Trace.Int moved);
-      (Array.map (fun (b, _, _) -> b) r, moved, dropped)
-    in
-    let t1 = clock_ns () in
-    let fresh =
-      Trace.span tr ~cat:"dds" "dds.exchange.merge" @@ fun () ->
-      let fresh = Cluster.run_stage cluster (merge_batch_buckets ~workers ~arity routed) in
-      phase_skew tr (Array.map Batch.length fresh);
-      fresh
-    in
-    Metrics.record_exchange_phases (Cluster.metrics cluster) ~map_ns:(t1 -. t0)
-      ~merge_ns:(clock_ns () -. t1);
-    (fresh, moved, dropped)
-  end
-  else begin
-    let routed = Array.make workers [||] in
-    let moved = ref 0 and dropped = ref 0 in
-    Array.iteri
-      (fun w b ->
-        let buckets, m, d = route_batch_one ?seen ~positions ~workers ~identity w b in
-        routed.(w) <- buckets;
-        moved := !moved + m;
-        dropped := !dropped + d)
-      batches;
-    let fresh = Array.init workers (merge_batch_buckets ~workers ~arity routed) in
-    (fresh, !moved, !dropped)
-  end
+  let routed = Array.make workers [||] in
+  let moved = ref 0 and dropped = ref 0 in
+  Array.iteri
+    (fun w b ->
+      let buckets, m, d = route_batch_one ?seen ~positions ~workers ~identity w b in
+      routed.(w) <- buckets;
+      moved := !moved + m;
+      dropped := !dropped + d)
+    batches;
+  let fresh = Array.init workers (merge_batch_buckets ~workers ~arity routed) in
+  (fresh, !moved, !dropped)
 
 (* Charged batch repartition: the compiled twin of [repartition] once the
    caller has decided the exchange is not a no-op (same [same_hashing]
@@ -725,7 +463,7 @@ let repartition_batches ?seen cluster batches ~schema ~by =
   Trace.span tr ~cat:"dds" "dds.repartition" @@ fun () ->
   let workers = Cluster.workers cluster in
   let positions = Schema.positions schema by in
-  let fresh, moved, dropped = exchange_batches ?seen cluster batches ~positions ~workers in
+  let fresh, moved, dropped = exchange_batches ?seen batches ~positions ~workers in
   (match seen with
   | None -> ()
   | Some f ->

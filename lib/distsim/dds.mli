@@ -11,17 +11,10 @@
     distinct, shuffle join, collect) are charged on the owning cluster's
     {!Metrics.t}.
 
-    On a parallel cluster with {!Cluster.pooled_shuffle} enabled, wide
-    operations run as a {e two-phase shuffle} on the persistent worker
-    pool — a map phase (each worker routes its own partition into
-    per-destination buckets, hashing key columns in place and counting
-    moved records locally) and a merge phase (each destination merges
-    its incoming buckets into a presized set, reusing the map-side
-    hashes) — each phase with its own trace span ([dds.exchange.map] /
-    [dds.exchange.merge]) carrying per-phase skew attributes. Result
-    partitions and the charged records/bytes/moved counts are
-    bit-identical to the sequential driver-side exchange, which remains
-    the fallback for small exchanges (see {!Cluster.shuffle_mode}). *)
+    Every exchange runs on the driver, whether or not the cluster owns
+    a worker pool ({!Cluster.run_stage} runs stage compute), so a
+    parallel cluster charges the same stages, supersteps and
+    communication as a sequential one. *)
 
 type partitioning =
   | Arbitrary  (** no placement guarantee *)
@@ -54,17 +47,12 @@ val partition_sizes : t -> int array
 
 val of_rel : ?by:string list -> Cluster.t -> Relation.Rel.t -> t
 (** Ship a driver-side relation to the workers: hash-partitioned [~by]
-    the given columns, or spread round-robin. Charged as one shuffle.
-    Pooled clusters route the input in parallel (each worker scans a
-    slice of the relation); round-robin placement is reconstructed from
-    a counting pass so partitions match the sequential path exactly. *)
+    the given columns, or spread round-robin. Charged as one shuffle. *)
 
 val empty : Cluster.t -> Relation.Schema.t -> t
 
 val collect : t -> Relation.Rel.t
-(** Gather all partitions to the driver (charged as one shuffle). On
-    pooled clusters the per-partition snapshot + hashing runs on the
-    workers; only the final merge is driver-side. *)
+(** Gather all partitions to the driver (charged as one shuffle). *)
 
 (** {1 Narrow operations} *)
 
@@ -169,21 +157,12 @@ val of_partitions :
     nothing charged; the array must have one partition per worker.
     @raise Invalid_argument on a partition-count mismatch. *)
 
-val exchange_batches :
-  ?seen:seen_filter -> Cluster.t -> Relation.Batch.t array ->
-  positions:int array -> workers:int -> Relation.Batch.t array * int * int
-(** [exchange_batches cluster batches ~positions ~workers] routes every
-    row by the hash of the columns at [positions]; returns the fresh
-    per-destination batches, the moved count (kept rows whose destination
-    differs from their source) and the seen-filter drop count. Pooled or
-    sequential per {!Cluster.shuffle_mode}; both produce bit-identical
-    output. Meters nothing — callers meter, mirroring {!repartition}. *)
-
 val repartition_batches :
   ?seen:seen_filter -> Cluster.t -> Relation.Batch.t array ->
   schema:Relation.Schema.t -> by:string list -> Relation.Batch.t array
-(** Charged batch repartition: {!exchange_batches} plus the exact
-    metering of a non-no-op {!repartition} (shuffle records/bytes, dedup
-    drops, per-worker partition-size samples, span attributes). The
-    caller is responsible for the [same_hashing] no-op rule — call this
-    only when the exchange is real. *)
+(** Charged batch repartition: routes every row by the hash of its
+    [by] columns and meters exactly as a non-no-op {!repartition} does
+    (shuffle records/bytes of the rows that change worker, dedup drops,
+    per-worker partition-size samples, span attributes). The caller is
+    responsible for the [same_hashing] no-op rule — call this only when
+    the exchange is real. *)

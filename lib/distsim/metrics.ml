@@ -18,8 +18,6 @@ type t = {
   straggler : Hist.t;
   mutable per_worker_ns : float array;
   mutable per_worker_records : float array;
-  mutable exchange_map_ns : float;
-  mutable exchange_merge_ns : float;
   mutable dedup_dropped_records : int;
 }
 
@@ -38,8 +36,6 @@ let create () =
     straggler = Hist.create ();
     per_worker_ns = [||];
     per_worker_records = [||];
-    exchange_map_ns = 0.;
-    exchange_merge_ns = 0.;
     dedup_dropped_records = 0;
   }
 
@@ -57,8 +53,6 @@ let reset m =
   Hist.reset m.straggler;
   m.per_worker_ns <- [||];
   m.per_worker_records <- [||];
-  m.exchange_map_ns <- 0.;
-  m.exchange_merge_ns <- 0.;
   m.dedup_dropped_records <- 0
 
 let ensure_workers arr w =
@@ -88,8 +82,6 @@ let add acc m =
   Hist.merge acc.straggler m.straggler;
   acc.per_worker_ns <- merge_per_worker acc.per_worker_ns m.per_worker_ns;
   acc.per_worker_records <- merge_per_worker acc.per_worker_records m.per_worker_records;
-  acc.exchange_map_ns <- acc.exchange_map_ns +. m.exchange_map_ns;
-  acc.exchange_merge_ns <- acc.exchange_merge_ns +. m.exchange_merge_ns;
   acc.dedup_dropped_records <- acc.dedup_dropped_records + m.dedup_dropped_records
 
 (* 8 bytes per field plus a fixed header, roughly Spark's unsafe row. *)
@@ -157,10 +149,6 @@ let record_superstep m =
 let record_dedup_dropped m ~records =
   m.dedup_dropped_records <- m.dedup_dropped_records + records;
   Telemetry.add (Telemetry.get ()) "dds_dedup_dropped_records_total" (float_of_int records)
-
-let record_exchange_phases m ~map_ns ~merge_ns =
-  m.exchange_map_ns <- m.exchange_map_ns +. map_ns;
-  m.exchange_merge_ns <- m.exchange_merge_ns +. merge_ns
 
 let straggler_ratio m = Hist.max_value m.straggler
 

@@ -36,11 +36,6 @@ type t = {
       (** cumulative compute ns per worker index (grows on demand) *)
   mutable per_worker_records : float array;
       (** cumulative output records per worker index *)
-  mutable exchange_map_ns : float;
-      (** wall time spent in the map (routing) phase of pooled two-phase
-          shuffles; 0 on the sequential exchange path *)
-  mutable exchange_merge_ns : float;
-      (** wall time spent in the merge phase of pooled two-phase shuffles *)
   mutable dedup_dropped_records : int;
       (** tuples dropped map-side by the iteration-shuffle seen filter
           (re-derivations that were already routed in an earlier fixpoint
@@ -75,11 +70,6 @@ val record_dedup_dropped : t -> records:int -> unit
 (** Count tuples suppressed by the exchange seen filter. Dropped tuples do
     not appear in [shuffled_records] / [shuffled_bytes]; this counter is
     how much the filter saved. *)
-
-val record_exchange_phases : t -> map_ns:float -> merge_ns:float -> unit
-(** Accumulate the wall time of one pooled two-phase shuffle, split by
-    phase. Wall-clock (not deterministic), so excluded from the
-    counter-parity contract between the shuffle paths. *)
 
 val straggler_ratio : t -> float
 (** Worst per-stage max/median worker-time ratio seen so far (1.0 is

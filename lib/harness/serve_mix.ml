@@ -20,7 +20,6 @@ let default_mix () : mix =
 
 type config = {
   workers : int;
-  parallel : bool;
   sessions : int;
   repeat : int;
   max_inflight : int;
@@ -32,7 +31,6 @@ type config = {
 let default_config =
   {
     workers = 4;
-    parallel = false;
     sessions = 4;
     repeat = 4;
     max_inflight = 2;
@@ -60,7 +58,7 @@ type result = {
 }
 
 let run ?(mix = default_mix ()) config ~graph =
-  let cluster = Cluster.make ~parallel:config.parallel ~workers:config.workers () in
+  let cluster = Cluster.make ~workers:config.workers () in
   let sconfig =
     match config.force_plan with
     | None -> None

@@ -19,7 +19,6 @@ val default_mix : unit -> mix
 
 type config = {
   workers : int;
-  parallel : bool;  (** real domains for the cluster's worker pool *)
   sessions : int;  (** concurrent client domains *)
   repeat : int;  (** full-mix submissions per session *)
   max_inflight : int;  (** admission slots; >= 2 enables fixpoint sharing *)

@@ -510,9 +510,9 @@ let explain ctx term =
     | _, Sql _ -> line indent "local plan: SQL"
     | _, Volcano reason -> line indent "local plan: volcano (%s)" reason
   in
-  (* factor-join path -> the lowering a P_plw^s branch gives it (the
-     factors are evaluated on the driver, so the choice is the
-     executor's) *)
+  (* join/antijoin path -> the lowering a fixpoint's variable part gives
+     it (Pipeline.branch_notes; the factors of a P_plw^s factor join are
+     evaluated on the driver, so the choice is the executor's) *)
   let lowerings = Hashtbl.create 4 in
   let rec go indent path (t : Term.t) =
     let kid i u = go (indent + 1) (child path i) u in
@@ -541,7 +541,9 @@ let explain ctx term =
       kid 0 a;
       kid 1 b
     | Term.Antijoin (a, b) ->
-      line indent "AntiJoin (broadcast/shuffle by size)";
+      (match Hashtbl.find_opt lowerings path with
+      | Some note -> line indent "AntiJoin (%s)" note
+      | None -> line indent "AntiJoin (broadcast/shuffle by size)");
       kid 0 a;
       kid 1 b
     | Term.Union (a, b) ->
@@ -576,17 +578,22 @@ let explain ctx term =
           | P_gld -> "re-evaluated with shuffles each iteration"
           | P_plw_s -> "broadcast relations, narrow iterations"
           | P_plw_pg -> "shipped to per-worker local databases");
-        if plan = P_plw_s then
-          List.iteri
-            (fun i r ->
-              try
-                List.iter
-                  (fun (p, note) -> Hashtbl.replace lowerings p note)
-                  (Pipeline.factor_notes ~tenv ~eval:(Mura.Eval.eval (driver_env ctx)) ~var:x
-                     ~x_schema:(Mura.Typing.infer tenv (Term.union_all consts))
-                     ~path:(child path (n_consts + i)) r)
-              with Mura.Typing.Type_error _ | Schema.Schema_error _ | Mura.Eval.Eval_error _ -> ())
-            recs;
+        List.iteri
+          (fun i r ->
+            let path = child path (n_consts + i) in
+            let notes =
+              match plan with
+              | P_plw_pg -> List.map (fun p -> (p, "local database")) (Pipeline.join_paths ~path r)
+              | P_gld | P_plw_s -> (
+                try
+                  Pipeline.branch_notes ~tenv ~eval:(Mura.Eval.eval (driver_env ctx)) ~var:x
+                    ~x_schema:(Mura.Typing.infer tenv (Term.union_all consts))
+                    ~join_mode:(if plan = P_gld then `Shuffle else `Broadcast)
+                    ~path r
+                with Mura.Typing.Type_error _ | Schema.Schema_error _ | Mura.Eval.Eval_error _ -> [])
+            in
+            List.iter (fun (p, note) -> Hashtbl.replace lowerings p note) notes)
+          recs;
         List.iteri (fun i r -> go (indent + 2) (child path (n_consts + i)) r) recs;
         if plan = P_plw_pg then
           (try local_plan_line (indent + 1) x body consts recs
@@ -594,11 +601,6 @@ let explain ctx term =
       | exception Fcond.Not_fcond msg -> line (indent + 1) "! not F_cond: %s" msg)
   in
   line 0 "Execution: compiled columnar pipelines (fused batch operators)";
-  line 0 "Exchange: %s, %d workers"
-    (if Cluster.pooled_shuffle ctx.config.cluster then
-       "two-phase pooled shuffle (map/merge on worker pool), adaptive per-stage mode"
-     else "sequential driver-side")
-    (Cluster.workers ctx.config.cluster);
   go 0 "0" term;
   Buffer.contents buf
 

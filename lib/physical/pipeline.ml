@@ -334,30 +334,67 @@ let factor_note = function
     Printf.sprintf "factor probes: %s then %s factor, drop [%s]; join sum %d > factor rows %d"
       first.side second.side (String.concat "," inner) join_sum factor_rows
 
-(* EXPLAIN's view of the same choice: walk a recursive branch of
-   [var] as [lower_branch] does, typing each join's recursive side with
-   [var] bound to [x_schema] and evaluating the factors with [eval]. *)
-let factor_notes ~tenv ~eval ~var ~x_schema ~path branch =
+(* Paths of the joins and antijoins of a term, outside fixpoints. *)
+let join_paths ~path t =
+  let rec walk path (t : Term.t) =
+    match t with
+    | Term.Join (a, b) | Term.Antijoin (a, b) ->
+      (path :: walk (child path 0) a) @ walk (child path 1) b
+    | Term.Union (a, b) -> walk (child path 0) a @ walk (child path 1) b
+    | Term.Select (_, u) | Term.Project (_, u) | Term.Antiproject (_, u) | Term.Rename (_, u) ->
+      walk (child path 0) u
+    | Term.Var _ | Term.Rel _ | Term.Cst _ | Term.Fix _ -> []
+  in
+  walk path t
+
+(* EXPLAIN's view of a branch's lowering: walk a recursive branch of
+   [var] as [lower_branch] does, typing each operator's recursive side
+   with [var] bound to [x_schema], and name what each join and antijoin
+   on the way becomes. In [`Broadcast] mode the constant sides without a
+   fixpoint are evaluated on the driver, and factor joins get the note of
+   their lowering, whose factors are evaluated with [eval]. *)
+let branch_notes ~tenv ~eval ~var ~x_schema ~join_mode ~path branch =
+  let typed t = Mura.Typing.infer ~vars:[ (var, x_schema) ] tenv t in
+  let probe_note ~antijoin recursive const =
+    match join_mode with
+    | `Broadcast -> "broadcast probe"
+    | `Shuffle -> (
+      match Schema.common (typed recursive) (Mura.Typing.infer tenv const) with
+      | [] when antijoin -> "emptiness test: no shared column"
+      | [] -> "broadcast probe: no shared column"
+      | shared -> "co-partitioned probe on [" ^ String.concat "," shared ^ "]")
+  in
+  (* the constant side of a [`Broadcast] operator: evaluated on the
+     driver unless it holds a fixpoint (then it runs distributed, under
+     the shell's size rule) *)
+  let const_notes cpath const =
+    match join_mode with
+    | `Broadcast when Term.fix_count const = 0 ->
+      List.map (fun p -> (p, "evaluated on the driver")) (join_paths ~path:cpath const)
+    | `Broadcast | `Shuffle -> []
+  in
   let rec go path (t : Term.t) =
     match t with
-    | Term.Select (_, u) | Term.Project (_, u) | Term.Antiproject (_, u) | Term.Rename (_, u)
-    | Term.Antijoin (u, _) ->
+    | Term.Select (_, u) | Term.Project (_, u) | Term.Antiproject (_, u) | Term.Rename (_, u) ->
       go (child path 0) u
+    | Term.Antijoin (u, b) ->
+      ((path, probe_note ~antijoin:true u b) :: const_notes (child path 1) b)
+      @ go (child path 0) u
     | Term.Join (a, b) ->
       let (recursive, rpath), (const, cpath) =
         if Term.has_free_var var a then ((a, child path 0), (b, child path 1))
         else ((b, child path 1), (a, child path 0))
       in
-      let note =
-        match factor_site ~path:cpath const with
-        | None -> []
-        | Some site ->
-          let delta = Mura.Typing.infer ~vars:[ (var, x_schema) ] tenv recursive in
+      let factor =
+        match (join_mode, factor_site ~path:cpath const) with
+        | `Shuffle, _ | `Broadcast, None -> []
+        | `Broadcast, Some site ->
           let l = eval (fst site.left) in
           let r = eval (fst site.right) in
-          [ (site.join_path, factor_note (choose_factors ~delta site l r)) ]
+          [ (site.join_path, factor_note (choose_factors ~delta:(typed recursive) site l r)) ]
       in
-      note @ go rpath recursive
+      (((path, probe_note ~antijoin:false recursive const) :: const_notes cpath const) @ factor)
+      @ go rpath recursive
     | Term.Var _ | Term.Rel _ | Term.Cst _ | Term.Union _ | Term.Fix _ -> []
   in
   go path branch

@@ -84,20 +84,31 @@ val compile :
     nested fixpoint or a non-positive antijoin; schema errors surface
     from the operator that needs the missing column. *)
 
-val factor_notes :
+val join_paths : path:string -> Term.t -> string list
+(** Paths of the joins and antijoins of a term (at [path]), outside
+    fixpoints. *)
+
+val branch_notes :
   tenv:Mura.Typing.env ->
   eval:(Term.t -> Rel.t) ->
   var:string ->
   x_schema:Schema.t ->
+  join_mode:[ `Broadcast | `Shuffle ] ->
   path:string ->
   Term.t ->
   (string * string) list
-(** [factor_notes ~tenv ~eval ~var ~x_schema ~path branch]: for each
-    factor join of the recursive branch [branch] (at [path]) of
-    [mu(var = ...)], its path and a note naming the lowering a
-    [`Broadcast] {!compile} gives it ("factor probes: …" or "composed
-    probe: …"). Recursive sides are typed with [var] of schema
-    [x_schema]; [eval] evaluates a factor.
+(** [branch_notes ~tenv ~eval ~var ~x_schema ~join_mode ~path branch]:
+    the lowering {!compile} gives the joins and antijoins of the
+    recursive branch [branch] (at [path]) of [mu(var = ...)], as (path,
+    note) pairs in walk order. A branch operator is a "broadcast probe"
+    ([`Broadcast]); a "co-partitioned probe on [cols]" of its shared
+    columns ([`Shuffle]), or with no shared column a "broadcast probe"
+    (join) or an "emptiness test" (antijoin). In [`Broadcast] mode an
+    operator inside a fixpoint-free constant side is "evaluated on the
+    driver", and a factor join is named by its lowering ("factor probes:
+    …" or "composed probe: …"; a later pair for the same path wins).
+    Recursive sides are typed with [var] of schema [x_schema]; [eval]
+    evaluates a factor.
     @raise Mura.Typing.Type_error / Relation.Schema.Schema_error /
     Mura.Eval.Eval_error on an ill-typed branch. *)
 

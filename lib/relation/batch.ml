@@ -102,12 +102,6 @@ let iter f b =
     f (to_tuple b i)
   done
 
-(* Row range of the [slice]-th of [slices] chunks: same arithmetic as
-   [Tset.iter_slice], so chunks concatenate to the batch order. *)
-let slice_bounds len ~slice ~slices =
-  if slices < 1 || slice < 0 || slice >= slices then invalid_arg "Batch.slice_bounds";
-  (slice * len / slices, (slice + 1) * len / slices)
-
 (* Deduplicating builder: an open-addressing index over row ids with a
    reusable scratch row, so a fused pipeline pays zero allocation for a
    candidate row that turns out to be a duplicate. *)
@@ -181,10 +175,6 @@ module Builder = struct
       Array.unsafe_set t.slots i t.out.len;
       true
     end
-
-  let mem_scratch t h =
-    let i = find t h in
-    Array.unsafe_get t.slots i <> 0
 
   (* Forget every row, keeping the allocated capacity. *)
   let clear t =

@@ -43,11 +43,6 @@ val add_to_tset : t -> Tset.t -> unit
 
 val iter : (Tuple.t -> unit) -> t -> unit
 
-val slice_bounds : int -> slice:int -> slices:int -> int * int
-(** [slice_bounds len ~slice ~slices] is the [\[lo, hi)] row range of the
-    [slice]-th of [slices] chunks — same arithmetic as {!Tset.iter_slice},
-    so chunks concatenate to the batch order. *)
-
 val hash_row : int array -> int
 (** [Tuple.hash] of a raw row (e.g. a builder scratch). *)
 
@@ -66,8 +61,6 @@ module Builder : sig
   val add_scratch : t -> int -> bool
   (** [add_scratch t h] appends the scratch row if not already present;
       [h] must be [hash_row] of the scratch. Returns [true] iff appended. *)
-
-  val mem_scratch : t -> int -> bool
 
   val clear : t -> unit
   (** Forget every row (the builder then works as a fresh one), keeping

@@ -50,7 +50,7 @@ let resize_to s size =
 
 (* Growth events triggered by inserts (as opposed to explicit presizing via
    [reserve]/[copy_with_capacity], which never count). Presized hot paths —
-   batch->set conversion, the merge side of a pooled exchange — are expected
+   batch->set conversion, the exchange's presized destinations — are expected
    to keep this at zero; the micro benches assert it. Atomic because worker
    domains insert into disjoint sets concurrently. *)
 let rehash_grows = Atomic.make 0
@@ -69,8 +69,8 @@ let reserve s n =
   if size > s.mask + 1 then resize_to s size
 
 (* [h] must equal [Tuple.hash tu]: callers that already computed the
-   hash (e.g. the map side of a two-phase shuffle) pass it through so
-   the merge side never rehashes. *)
+   hash (e.g. an exchange, which hashes each tuple once for the seen
+   filter and the destination set) pass it through. *)
 let add_hashed s tu h =
   Deadline.tick ();
   if Array.length tu = 0 then
@@ -136,30 +136,9 @@ let add_cols s cols ~row ~hash =
     end
   end
 
-let mem_cols s cols ~row ~hash =
-  if Array.length cols = 0 then s.has_unit
-  else
-    let i = find_slot_cols s.slots s.mask cols row hash in
-    Array.length (Array.unsafe_get s.slots i) > 0
-
 let iter f s =
   if s.has_unit then f [||];
   Array.iter (fun tu -> if Array.length tu > 0 then f tu) s.slots
-
-(* Contiguous slice of the internal table: slice [k] of [n] scans slots
-   [k*size/n, (k+1)*size/n). The unit tuple belongs to slice 0, so the
-   concatenation of all slices in order visits exactly the tuples [iter]
-   visits, in the same sequence — the invariant the parallel routing of
-   [Dds.of_rel] relies on for bit-identical partitions. *)
-let iter_slice f s ~slice ~slices =
-  if slices < 1 || slice < 0 || slice >= slices then invalid_arg "Tset.iter_slice";
-  if slice = 0 && s.has_unit then f [||];
-  let size = s.mask + 1 in
-  let lo = slice * size / slices and hi = (slice + 1) * size / slices in
-  for i = lo to hi - 1 do
-    let tu = Array.unsafe_get s.slots i in
-    if Array.length tu > 0 then f tu
-  done
 
 let fold f s init =
   let acc = ref init in

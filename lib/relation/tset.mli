@@ -20,9 +20,8 @@ val add : t -> Tuple.t -> bool
 
 val add_hashed : t -> Tuple.t -> int -> bool
 (** [add_hashed s tu h] is [add s tu] for a caller that already holds
-    [h = Tuple.hash tu] (e.g. the merge side of a two-phase shuffle,
-    reusing hashes computed while routing). Passing any other value for
-    [h] corrupts the set. *)
+    [h = Tuple.hash tu] (e.g. an exchange, reusing the hash computed
+    while routing). Passing any other value for [h] corrupts the set. *)
 
 val mem : t -> Tuple.t -> bool
 
@@ -32,10 +31,6 @@ val add_cols : t -> int array array -> row:int -> hash:int -> bool
     [Tuple.t] only when the insert actually happens — the hot path of the
     compiled columnar executor, where most candidate rows are duplicates.
     [hash] must equal [Tuple.hash] of the materialised row. *)
-
-val mem_cols : t -> int array array -> row:int -> hash:int -> bool
-(** Column-wise {!mem}: membership for row [row] of a struct-of-arrays
-    block without materialising the tuple. *)
 
 val rehash_grow_count : unit -> int
 (** Process-wide count of hash-table growths triggered by inserts (explicit
@@ -47,13 +42,6 @@ val reset_rehash_grows : unit -> unit
 val cardinal : t -> int
 val is_empty : t -> bool
 val iter : (Tuple.t -> unit) -> t -> unit
-
-val iter_slice : (Tuple.t -> unit) -> t -> slice:int -> slices:int -> unit
-(** [iter_slice f s ~slice ~slices] visits the [slice]-th of [slices]
-    disjoint chunks of the set; the chunks in order visit exactly the
-    sequence [iter] visits. Lets parallel workers scan one shared set
-    without materialising sub-arrays.
-    @raise Invalid_argument unless [0 <= slice < slices]. *)
 
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val exists : (Tuple.t -> bool) -> t -> bool

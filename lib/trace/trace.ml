@@ -583,20 +583,6 @@ module Rollup = struct
     Hashtbl.fold (fun var n acc -> (var, n) :: acc) counts []
     |> List.sort compare
 
-  (* Wall-time breakdown of the two-phase shuffle: per phase span name
-     ("dds.exchange.map" / "dds.exchange.merge"), how many phases ran
-     and their cumulative wall time. *)
-  let exchange_phases evs =
-    let tbl = Hashtbl.create 4 in
-    List.iter
-      (fun e ->
-        if e.kind = Span && (e.name = "dds.exchange.map" || e.name = "dds.exchange.merge") then begin
-          let n, us = Option.value ~default:(0, 0.) (Hashtbl.find_opt tbl e.name) in
-          Hashtbl.replace tbl e.name (n + 1, us +. e.wall_dur_us)
-        end)
-      evs;
-    Hashtbl.fold (fun name (n, us) acc -> (name, n, us) :: acc) tbl [] |> List.sort compare
-
   (* Per-name summary of counter events: sample count, max and last
      value. The names are free-form ("pool.occupancy", ...), so the
      series table complements the per-scope charge in [accumulate]. *)

@@ -157,12 +157,6 @@ module Rollup : sig
   (** Shuffles occurring inside iteration spans, per fixpoint variable
       (0 for P_plw: its loop is shuffle-free). *)
 
-  val exchange_phases : event list -> (string * int * float) list
-  (** Two-phase-shuffle breakdown: for each phase span name
-      ([dds.exchange.map] / [dds.exchange.merge]), the number of phases
-      and their cumulative wall time in microseconds. Empty when every
-      exchange ran on the sequential driver-side path. *)
-
   val counter_series : event list -> (string * int * float * float) list
   (** Per counter name: sample count, max value and last value — the
       post-processed view of [counter] gauge series (pool occupancy,

@@ -250,39 +250,38 @@ let test_concurrent_dispatch_guard () =
 module Exec = Physical.Exec
 module Patterns = Mura.Patterns
 
-(* Smallest input volume every host pools at: the adaptive cutoff of
-   [Cluster.shuffle_mode] is 2048 records, four times that when the host
-   has no spare cores for the pool. Parity tests size their inputs above
-   it and assert the [`Pooled] mode, so they fail loudly if the cutoff
-   moves rather than silently comparing two sequential runs. *)
-let pooled_n = 10_000
-
-let check_pooled name c ~records =
-  check_bool (name ^ ": exchange runs pooled") true (Cluster.shuffle_mode c ~records = `Pooled)
+(* Input volume of the parity tests: large enough that every exchange
+   moves thousands of records, forces Tset resizes and fans its stages
+   out over the pool. *)
+let big_n = 10_000
 
 (* deterministic graph with cycles, diamonds and a tail: disjoint copies
-   of one 60-edge, 17-node component, enough of them to exceed
-   [pooled_n] edges so distributing the graph is a pooled exchange *)
+   of one 60-edge, 17-node component, enough of them to exceed [big_n]
+   edges *)
 let tier1_graph =
   let copy k =
     List.init 60 (fun i -> [| (17 * k) + (i mod 17); (17 * k) + (((i * 7) + 3 + (i / 17)) mod 17) |])
   in
-  Rel.of_tuples (sch [ "src"; "trg" ]) (List.concat (List.init ((pooled_n / 60) + 1) copy))
+  Rel.of_tuples (sch [ "src"; "trg" ]) (List.concat (List.init ((big_n / 60) + 1) copy))
+
+(* the five communication counters plus the charged stages and
+   supersteps *)
+let shuffle_counters m =
+  Metrics.
+    ( m.shuffles,
+      m.shuffled_records,
+      m.shuffled_bytes,
+      m.broadcasts,
+      m.broadcast_records,
+      m.stages,
+      m.supersteps )
 
 let run_physical ~parallel ?plan term =
   let c = Cluster.make ~parallel ~workers:4 () in
-  if parallel then check_pooled "tier-1 graph" c ~records:(Rel.cardinal tier1_graph);
   let config = { (Exec.default_config c) with Exec.force_plan = plan } in
   let ctx = Exec.session config [ ("E", tier1_graph) ] in
   let r = Exec.run ctx term in
-  let m = Cluster.metrics c in
-  let counters =
-    ( m.Metrics.shuffles,
-      m.Metrics.shuffled_records,
-      m.Metrics.shuffled_bytes,
-      m.Metrics.broadcasts,
-      m.Metrics.broadcast_records )
-  in
+  let counters = shuffle_counters (Cluster.metrics c) in
   let fixpoints =
     List.map
       (fun (fr : Exec.fix_report) -> (fr.iterations, fr.deltas))
@@ -301,20 +300,29 @@ let tier1_queries =
   ]
 
 (* the pool is a pure scheduling change: results, the five communication
-   counters and every fixpoint's iteration count and delta curve match a
-   sequential cluster *)
+   counters, the charged stages and supersteps, and every fixpoint's
+   iteration count and delta curve match a sequential cluster *)
 let test_pool_matches_sequential () =
-  List.iter
-    (fun (name, term, plans) ->
-      List.iter
-        (fun plan ->
-          let r_s, c_s, f_s = run_physical ~parallel:false ?plan term in
-          let r_p, c_p, f_p = run_physical ~parallel:true ?plan term in
-          if r_s <> r_p then Alcotest.failf "%s: parallel pool results diverged" name;
-          if c_s <> c_p then Alcotest.failf "%s: parallel pool counters diverged" name;
-          if f_s <> f_p then Alcotest.failf "%s: parallel pool iterations/deltas diverged" name)
-        plans)
-    tier1_queries
+  let stages (_, _, _, _, _, s, _) = s in
+  let divergences =
+    List.concat_map
+      (fun (name, term, plans) ->
+        List.filter_map
+          (fun plan ->
+            let name = name ^ match plan with None -> "" | Some p -> " under " ^ Exec.plan_name p in
+            let r_s, c_s, f_s = run_physical ~parallel:false ?plan term in
+            let r_p, c_p, f_p = run_physical ~parallel:true ?plan term in
+            if r_s <> r_p then Some (name ^ ": results diverged")
+            else if c_s <> c_p then
+              Some
+                (Printf.sprintf "%s: counters diverged (stages: %d sequential, %d parallel)" name
+                   (stages c_s) (stages c_p))
+            else if f_s <> f_p then Some (name ^ ": iterations/deltas diverged")
+            else None)
+          plans)
+      tier1_queries
+  in
+  if divergences <> [] then Alcotest.fail (String.concat "; " divergences)
 
 (* property: any pipeline of distributed ops agrees with the centralized
    kernel *)
@@ -480,30 +488,25 @@ let test_stage_feeds_histograms () =
   check_int "one per-worker slot per worker" 4 (Array.length m.Metrics.per_worker_ns)
 
 (* -------------------------------------------------------------- *)
-(* Two-phase pooled shuffle: parity with the sequential exchange   *)
+(* Exchange parity: parallel cluster vs sequential cluster         *)
 (* -------------------------------------------------------------- *)
 
 (* [src] unique; a [skew] fraction of tuples share one hot [trg] key, so
    repartitioning by [trg] is both heavily skewed and moves most rows —
-   large enough to force bucket growth and Tset resizes on both paths. *)
-let big_rel ?(n = pooled_n) ?(skew = 0.5) () =
+   large enough to force Tset resizes. *)
+let big_rel ?(n = big_n) ?(skew = 0.5) () =
   let hot = int_of_float (skew *. float_of_int n) in
   Rel.of_tuples
     (sch [ "src"; "trg" ])
     (List.init n (fun i -> [| i; (if i < hot then 7 else i * 3) |]))
 
-let shuffle_counters m =
-  Metrics.(m.shuffles, m.shuffled_records, m.shuffled_bytes, m.broadcasts, m.broadcast_records)
-
 (* Run [scenario] on a sequential and on a parallel cluster of the same
-   size; result partitions and communication counters must be
-   bit-identical (the contract the pooled exchange promises). [mode] is
-   the exchange mode the parallel cluster must pick for [records]. *)
-let check_shuffle_parity name ?(workers = 4) ~mode ~records scenario =
+   size; result partitions and counters must be identical: the pool
+   runs stage compute, and every exchange runs on the driver either
+   way. *)
+let check_shuffle_parity name ?(workers = 4) scenario =
   let run ~parallel =
     let c = Cluster.make ~parallel ~workers () in
-    if parallel then
-      check_bool (name ^ ": exchange mode") true (Cluster.shuffle_mode c ~records = mode);
     let d = scenario c in
     let parts = Array.init (Dds.num_partitions d) (fun i -> Tset.copy (Dds.partition d i)) in
     let cnt = shuffle_counters (Cluster.metrics c) in
@@ -522,21 +525,18 @@ let check_shuffle_parity name ?(workers = 4) ~mode ~records scenario =
 
 let test_shuffle_parity_repartition () =
   let r = big_rel () in
-  check_shuffle_parity "repartition" ~mode:`Pooled ~records:(Rel.cardinal r) (fun c ->
+  check_shuffle_parity "repartition" (fun c ->
       Dds.repartition ~by:[ "trg" ] (Dds.of_rel ~by:[ "src" ] c r))
 
 let test_shuffle_parity_of_rel () =
   let r = big_rel ~skew:0.9 () in
-  let records = Rel.cardinal r in
-  check_shuffle_parity "of_rel hashed" ~mode:`Pooled ~records (fun c ->
-      Dds.of_rel ~by:[ "trg" ] c r);
-  check_shuffle_parity "of_rel round-robin" ~mode:`Pooled ~records (fun c -> Dds.of_rel c r)
+  check_shuffle_parity "of_rel hashed" (fun c -> Dds.of_rel ~by:[ "trg" ] c r);
+  check_shuffle_parity "of_rel round-robin" (fun c -> Dds.of_rel c r)
 
 let test_shuffle_parity_collect () =
   let r = big_rel () in
   let run ~parallel =
     let c = Cluster.make ~parallel ~workers:4 () in
-    if parallel then check_pooled "collect" c ~records:(Rel.cardinal r);
     let out = Dds.collect (Dds.of_rel ~by:[ "src" ] c r) in
     let cnt = shuffle_counters (Cluster.metrics c) in
     Cluster.shutdown c;
@@ -550,46 +550,33 @@ let test_shuffle_parity_collect () =
 let test_shuffle_parity_joins () =
   let a = big_rel ~skew:0.3 () in
   let b =
-    Rel.of_tuples (sch [ "trg"; "dst" ]) (List.init pooled_n (fun i -> [| i * 2; i + 100_000 |]))
+    Rel.of_tuples (sch [ "trg"; "dst" ]) (List.init big_n (fun i -> [| i * 2; i + 100_000 |]))
   in
-  let records = min (Rel.cardinal a) (Rel.cardinal b) in
-  check_shuffle_parity "join_shuffle" ~mode:`Pooled ~records (fun c ->
+  check_shuffle_parity "join_shuffle" (fun c ->
       Dds.join_shuffle (Dds.of_rel ~by:[ "src" ] c a) (Dds.of_rel ~by:[ "dst" ] c b));
-  check_shuffle_parity "antijoin_shuffle" ~mode:`Pooled ~records (fun c ->
+  check_shuffle_parity "antijoin_shuffle" (fun c ->
       Dds.antijoin_shuffle (Dds.of_rel ~by:[ "src" ] c a) (Dds.of_rel ~by:[ "dst" ] c b))
 
-(* degenerate exchanges stay on the sequential path on a parallel
-   cluster and must still agree with a sequential one *)
+(* degenerate exchanges: one worker (no pool) and empty inputs *)
 let test_shuffle_parity_edges () =
   let r = big_rel ~n:60 () in
-  check_shuffle_parity "workers=1" ~workers:1 ~mode:`Seq ~records:(Rel.cardinal r) (fun c ->
+  check_shuffle_parity "workers=1" ~workers:1 (fun c ->
       Dds.repartition ~by:[ "trg" ] (Dds.of_rel ~by:[ "src" ] c r));
   let empty = Rel.of_tuples (sch [ "src"; "trg" ]) [] in
-  check_shuffle_parity "empty dataset" ~mode:`Seq ~records:0 (fun c ->
+  check_shuffle_parity "empty dataset" (fun c ->
       Dds.repartition ~by:[ "trg" ] (Dds.of_rel ~by:[ "src" ] c empty));
-  check_shuffle_parity "empty round-robin" ~mode:`Seq ~records:0 (fun c -> Dds.of_rel c empty)
-
-let test_pooled_shuffle_eligibility () =
-  check_bool "sequential cluster never pools" false
-    (Cluster.pooled_shuffle (Cluster.make ~workers:4 ()));
-  let c1 = Cluster.make ~parallel:true ~workers:1 () in
-  check_bool "single worker never pools" false (Cluster.pooled_shuffle c1);
-  Cluster.shutdown c1;
-  let cp = Cluster.make ~parallel:true ~workers:4 () in
-  check_bool "parallel multi-worker pools" true (Cluster.pooled_shuffle cp);
-  Cluster.shutdown cp
+  check_shuffle_parity "empty round-robin" (fun c -> Dds.of_rel c empty)
 
 (* -------------------------------------------------------------- *)
 (* The iteration-shuffle seen filter                              *)
 (* -------------------------------------------------------------- *)
 
-(* The seen filter drops re-routed tuples map-side: same drop counts and
-   partitions on the sequential and pooled exchange paths. *)
+(* The seen filter drops re-routed tuples map-side: same drop counts,
+   partitions and counters on a sequential and a parallel cluster. *)
 let test_seen_filter_drops () =
   let r = big_rel () in
   let run ~parallel =
     let c = Cluster.make ~parallel ~workers:4 () in
-    if parallel then check_pooled "seen filter" c ~records:(Rel.cardinal r);
     let m = Cluster.metrics c in
     let seen = Dds.seen_filter c in
     let d = Dds.of_rel ~by:[ "src" ] c r in
@@ -610,8 +597,8 @@ let test_seen_filter_drops () =
   in
   let seq_out, seq_cnt = run ~parallel:false in
   let pool_out, pool_cnt = run ~parallel:true in
-  check_rel "seq/pooled filtered partitions agree" seq_out pool_out;
-  check_bool "seq/pooled dedup counters identical" true (seq_cnt = pool_cnt)
+  check_rel "sequential/parallel filtered partitions agree" seq_out pool_out;
+  check_bool "sequential/parallel dedup counters identical" true (seq_cnt = pool_cnt)
 
 (* antijoin_shuffle must sample output-partition sizes like every other
    wide op: two repartitions (4 samples each on 4 workers) plus the
@@ -625,18 +612,6 @@ let test_antijoin_feeds_partition_hist () =
   ignore (Dds.antijoin_shuffle a b);
   check_int "repartitions + output skew sampled" (before + 12)
     (Metrics.Hist.count m.Metrics.partition_records)
-
-let test_shuffle_mode_selection () =
-  (* sequential clusters can never pool, whatever the volume *)
-  let seq = Cluster.make ~workers:4 () in
-  check_bool "sequential -> Seq" true (Cluster.shuffle_mode seq ~records:1_000_000 = `Seq);
-  (* the measured volume decides (the cutoff rises with scarce cores but
-     is always in (8, 1_000_000) for any host) *)
-  let ad = Cluster.make ~parallel:true ~workers:2 () in
-  check_bool "host cores sampled" true (Cluster.host_cores ad >= 1);
-  check_bool "tiny exchange -> Seq" true (Cluster.shuffle_mode ad ~records:8 = `Seq);
-  check_bool "bulk exchange -> Pooled" true (Cluster.shuffle_mode ad ~records:1_000_000 = `Pooled);
-  Cluster.shutdown ad
 
 let () =
   Alcotest.run "distsim"
@@ -687,6 +662,8 @@ let () =
           Alcotest.test_case "broadcast join" `Quick test_join_broadcast;
           Alcotest.test_case "shuffle join" `Quick test_join_shuffle;
           Alcotest.test_case "antijoins" `Quick test_antijoin_modes;
+          Alcotest.test_case "antijoin feeds partition hist" `Quick
+            test_antijoin_feeds_partition_hist;
         ] );
       ( "accounting",
         [
@@ -700,10 +677,6 @@ let () =
           Alcotest.test_case "collect" `Quick test_shuffle_parity_collect;
           Alcotest.test_case "joins" `Quick test_shuffle_parity_joins;
           Alcotest.test_case "workers=1 and empty" `Quick test_shuffle_parity_edges;
-          Alcotest.test_case "pooled_shuffle eligibility" `Quick test_pooled_shuffle_eligibility;
-          Alcotest.test_case "adaptive mode selection" `Quick test_shuffle_mode_selection;
-          Alcotest.test_case "antijoin feeds partition hist" `Quick
-            test_antijoin_feeds_partition_hist;
         ] );
       ( "properties",
         [

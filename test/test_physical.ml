@@ -762,7 +762,44 @@ let test_shell_explain () =
   check_bool "fixpoint plan listed" true (contains_sub text "Fixpoint ");
   let ctx3 = session ~force_plan:Exec.P_plw_pg () in
   let text3 = Exec.explain ctx3 closure_term in
-  check_bool "P_plw^pg local plan verdict" true (contains_sub text3 "local plan: SQL")
+  check_bool "P_plw^pg local plan verdict" true (contains_sub text3 "local plan: SQL");
+  check_bool "P_plw^pg branch join" true (contains_sub text3 "Join (local database)");
+  (* a variable part names the lowering of its branch operators, never
+     the shell's size rule *)
+  let explained plan t = Exec.explain (session ~force_plan:plan ()) t in
+  let has plan t needle = contains_sub (explained plan t) needle in
+  let size_rule = "broadcast if a side" in
+  check_bool "P_gld branch join" true
+    (has Exec.P_gld closure_term "Join (co-partitioned probe on [");
+  check_bool "P_plw^s branch join" true (has Exec.P_plw_s closure_term "Join (broadcast probe)");
+  List.iter
+    (fun plan ->
+      check_bool (Exec.plan_name plan ^ ": no size rule") false (has plan closure_term size_rule))
+    [ Exec.P_gld; Exec.P_plw_s; Exec.P_plw_pg ];
+  check_bool "P_gld branch join without a shared column" true
+    (has Exec.P_gld (List.hd zero_arity_fixpoints) "Join (broadcast probe: no shared column)");
+  let step =
+    Term.Antiproject
+      ( [ "_k" ],
+        Term.Join
+          (Term.Rename ([ ("trg", "_k") ], Term.Var "X"), Term.Rename ([ ("src", "_k") ], Term.Rel "E"))
+      )
+  in
+  let anti side = Term.Fix ("X", Term.Union (Term.Rel "E", Term.Antijoin (step, side))) in
+  let by_src = anti (Term.Project ([ "src" ], Term.Rel "E")) in
+  check_bool "P_gld branch antijoin" true
+    (has Exec.P_gld by_src "AntiJoin (co-partitioned probe on [src])");
+  check_bool "P_gld branch antijoin without a shared column" true
+    (has Exec.P_gld (anti (Term.Project ([], Term.Rel "E"))) "AntiJoin (emptiness test: no shared column)");
+  check_bool "P_plw^s branch antijoin" true (has Exec.P_plw_s by_src "AntiJoin (broadcast probe)");
+  (* a filtered composition is no factor join: P_plw^s evaluates it on
+     the driver and broadcasts the result *)
+  let filtered =
+    Mura.Patterns.closure
+      (Term.Select (Pred.Gt_const ("src", 0), Mura.Patterns.compose (Term.Rel "E") (Term.Rel "E")))
+  in
+  check_bool "P_plw^s constant-side join" true
+    (has Exec.P_plw_s filtered "Join (evaluated on the driver)")
 
 (* grouped reductions as fused batch folds agree with a naive driver fold *)
 let test_group_aggregates () =

@@ -153,34 +153,6 @@ let test_tset_copy_with_capacity () =
       check_int "source untouched" (Tset.cardinal s + 1) (Tset.cardinal fast))
     [ (0, 0); (0, 100); (5, 5); (5, 1_000); (57, 10_000); (1_000, 1_000_000) ]
 
-let test_tset_iter_slice () =
-  let sets =
-    [
-      Tset.create ();
-      Tset.of_list [ [| 1 |] ];
-      Tset.of_list (List.init 57 (fun i -> [| i; i + 1 |]));
-      Tset.of_list ([||] :: List.init 10 (fun i -> [| i |]));
-    ]
-  in
-  List.iter
-    (fun s ->
-      let whole = ref [] in
-      Tset.iter (fun tu -> whole := tu :: !whole) s;
-      List.iter
-        (fun slices ->
-          let sliced = ref [] in
-          for slice = 0 to slices - 1 do
-            Tset.iter_slice (fun tu -> sliced := tu :: !sliced) s ~slice ~slices
-          done;
-          check_bool
-            (Printf.sprintf "%d slices concatenate to iter order" slices)
-            true
-            (!sliced = !whole))
-        [ 1; 2; 3; 7; 64 ])
-    sets;
-  Alcotest.check_raises "bad slice" (Invalid_argument "Tset.iter_slice") (fun () ->
-      Tset.iter_slice ignore (Tset.create ()) ~slice:2 ~slices:2)
-
 (* ------------------------------------------------------------------ *)
 (* Schema                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -537,7 +509,6 @@ let () =
           Alcotest.test_case "hash_positions" `Quick test_tuple_hash_positions;
           Alcotest.test_case "add_hashed" `Quick test_tset_add_hashed;
           Alcotest.test_case "copy_with_capacity" `Quick test_tset_copy_with_capacity;
-          Alcotest.test_case "iter_slice" `Quick test_tset_iter_slice;
           prop_tset_mem_after_add;
         ] );
       ( "schema",

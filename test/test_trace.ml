@@ -297,50 +297,6 @@ let test_pool_occupancy_sampled () =
        (fun (e : Trace.event) -> e.Trace.kind = Trace.Counter && e.Trace.name = "pool.occupancy")
        (Trace.events tr))
 
-let test_exchange_phase_spans () =
-  let edges =
-    Relation.Rel.of_tuples
-      (Relation.Schema.of_list [ "src"; "trg" ])
-      (List.init 10_000 (fun i -> [| i; i mod 5 |]))
-  in
-  let tr, () =
-    traced (fun () ->
-        (* 10_000 tuples are above the adaptive volume cutoff on any host
-           (at most 4 x 2048), so both exchanges take the pooled
-           two-phase path this test asserts *)
-        let c = Distsim.Cluster.make ~parallel:true ~workers:4 () in
-        check_bool "exchange runs pooled" true
-          (Distsim.Cluster.shuffle_mode c ~records:(Relation.Rel.cardinal edges) = `Pooled);
-        ignore (Distsim.Dds.repartition ~by:[ "trg" ] (Distsim.Dds.of_rel ~by:[ "src" ] c edges));
-        Distsim.Cluster.shutdown c)
-  in
-  let evs = Trace.events tr in
-  let phase name =
-    List.filter (fun (e : Trace.event) -> e.Trace.kind = Trace.Span && e.Trace.name = name) evs
-  in
-  (* of_rel + repartition: two pooled exchanges, each with both phases *)
-  check_int "map spans" 2 (List.length (phase "dds.exchange.map"));
-  check_int "merge spans" 2 (List.length (phase "dds.exchange.merge"));
-  List.iter
-    (fun (e : Trace.event) ->
-      check_bool "map span carries skew attrs" true
-        (List.mem_assoc "skew" e.Trace.attrs && List.mem_assoc "records" e.Trace.attrs))
-    (phase "dds.exchange.map");
-  (* the repartition exchange (not of_rel, where everything ships) also
-     reports locally-moved records on its map span *)
-  check_bool "repartition map span carries moved" true
-    (List.exists (fun (e : Trace.event) -> List.mem_assoc "moved" e.Trace.attrs)
-       (phase "dds.exchange.map"));
-  List.iter
-    (fun (e : Trace.event) ->
-      check_bool "merge span carries skew attrs" true
-        (List.mem_assoc "skew" e.Trace.attrs && List.mem_assoc "max_worker_records" e.Trace.attrs))
-    (phase "dds.exchange.merge");
-  match Trace.Rollup.exchange_phases evs with
-  | [ ("dds.exchange.map", 2, map_us); ("dds.exchange.merge", 2, merge_us) ] ->
-    check_bool "phase wall times non-negative" true (map_us >= 0. && merge_us >= 0.)
-  | rows -> Alcotest.failf "unexpected exchange_phases rollup (%d rows)" (List.length rows)
-
 (* ------------------------------------------------------------------ *)
 (* Rollup: the paper's shuffle asymmetry, observed from the trace      *)
 (* ------------------------------------------------------------------ *)
@@ -547,7 +503,6 @@ let () =
           Alcotest.test_case "sim clock monotonic" `Quick test_sim_clock_monotonic;
           Alcotest.test_case "counter events" `Quick test_counter_events;
           Alcotest.test_case "pool occupancy sampled" `Quick test_pool_occupancy_sampled;
-          Alcotest.test_case "exchange phase spans" `Quick test_exchange_phase_spans;
         ] );
       ( "rollup",
         [
