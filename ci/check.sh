@@ -96,6 +96,21 @@ for needle in "Join (factor probes:" "candidates="; do
   esac
 done
 
+# P_plw^pg local-fixpoint smoke: a forced P_plw^pg fixpoint must name
+# the local fixpoint term each worker's database runs (there is no SQL
+# route), and an analyzed run must report the plan it ran
+echo "== murarun --system plw-pg smoke =="
+q="?x, ?y <- ?x isLocatedIn+ ?y"
+out=$(dune exec bin/murarun.exe -- --gen yago:1000:1 --query "$q" --system plw-pg --explain)
+printf '%s\n' "$out" | grep -q "local fixpoint on each worker's database: " ||
+  { echo "--system plw-pg --explain has no local-fixpoint line" >&2; exit 1; }
+if printf '%s\n' "$out" | grep -q "SQL"; then
+  echo "--system plw-pg --explain mentions SQL" >&2; exit 1
+fi
+out=$(dune exec bin/murarun.exe -- --gen yago:1000:1 --query "$q" --system plw-pg --analyze)
+printf '%s\n' "$out" | grep -q "plan=P_plw^pg" ||
+  { echo "--system plw-pg --analyze output has no plan=P_plw^pg line" >&2; exit 1; }
+
 # every-plan parity gate: quick-scale run of the plan-regret table; every
 # plan the rewriter explores for Q1-Q49 runs on the four-worker cluster
 # and must return the relation Mura.Eval gives for the chosen plan (the

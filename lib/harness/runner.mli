@@ -57,7 +57,7 @@ val explain :
 (** Optimize the UCRPQ and describe, without executing: the rewritten
     logical plan and the physical plan [Physical.Exec] would choose, or
     the one [force_plan] forces for every fixpoint, with the P_plw^pg
-    local plan when that is the plan (the [murarun --explain]
+    local fixpoint when that is the plan (the [murarun --explain]
     pipeline). *)
 
 type analysis = {

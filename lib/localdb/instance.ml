@@ -10,9 +10,7 @@ type t = { catalog : (string, Rel.t) Hashtbl.t }
 
 let create () = { catalog = Hashtbl.create 16 }
 let register db name rel = Hashtbl.replace db.catalog name rel
-let unregister db name = Hashtbl.remove db.catalog name
 let lookup db name = Hashtbl.find_opt db.catalog name
-let table_names db = Hashtbl.fold (fun n _ acc -> n :: acc) db.catalog []
 
 let err fmt = Format.kasprintf (fun s -> raise (Mura.Eval.Eval_error s)) fmt
 

@@ -1,12 +1,14 @@
 (** A local database instance: a catalog of named tables plus a mu-RA
-    query processor running on the volcano executor.
+    query processor running on the volcano executor — the one front end
+    of the local engine.
 
     Stands in for the per-worker PostgreSQL of the paper's P_plw^pg plan:
-    the worker registers its partition of the fixpoint's constant part as
-    a view, registers the broadcast relations as tables, and runs the
-    fixpoint query locally. Recursive terms are executed with a
-    work-table loop equivalent to PostgreSQL's [WITH RECURSIVE]
-    (semi-naive union). *)
+    the worker registers its partition of the fixpoint's constant part
+    and the broadcast relations as tables, and runs the local fixpoint
+    term on them. Centralized mu-RA runs whole optimized queries on the
+    same processor. Recursive terms are executed with a work-table loop
+    equivalent to PostgreSQL's [WITH RECURSIVE] (semi-naive union,
+    {!Plan.recursive_union}). *)
 
 type t
 
@@ -15,9 +17,7 @@ val create : unit -> t
 val register : t -> string -> Relation.Rel.t -> unit
 (** Create or replace a table/view. *)
 
-val unregister : t -> string -> unit
 val lookup : t -> string -> Relation.Rel.t option
-val table_names : t -> string list
 
 val query : t -> Mura.Term.t -> Relation.Rel.t
 (** Evaluate a mu-RA term against the catalog.

@@ -21,10 +21,6 @@ and join = {
 
 type cursor = unit -> Tuple.t option
 
-let rows = ref 0
-let rows_scanned () = !rows
-let reset_rows_scanned () = rows := 0
-
 module H = Hashtbl.Make (struct
   type t = Tuple.t
 
@@ -51,7 +47,6 @@ let rec open_cursor plan : cursor =
       | [] -> None
       | tu :: rest ->
         items := rest;
-        incr rows;
         Some tu)
   | Work_table cell ->
     let items = ref (Tset.to_list !cell) in
@@ -60,15 +55,12 @@ let rec open_cursor plan : cursor =
       | [] -> None
       | tu :: rest ->
         items := rest;
-        incr rows;
         Some tu)
   | Filter (p, child) ->
     let next = open_cursor child in
     let rec pull () =
       match next () with
-      | Some tu when p tu ->
-        incr rows;
-        Some tu
+      | Some tu when p tu -> Some tu
       | Some _ -> pull ()
       | None -> None
     in
@@ -77,9 +69,7 @@ let rec open_cursor plan : cursor =
     let next = open_cursor child in
     fun () ->
       (match next () with
-      | Some tu ->
-        incr rows;
-        Some (f tu)
+      | Some tu -> Some (f tu)
       | None -> None)
   | Hash_join { left; left_key; right; right_key; merge } ->
     (* build on the right, probe from the left *)
@@ -96,7 +86,6 @@ let rec open_cursor plan : cursor =
       match !pending with
       | rt :: rest ->
         pending := rest;
-        incr rows;
         Some (merge !current_left rt)
       | [] -> (
         match next_left () with
@@ -118,11 +107,7 @@ let rec open_cursor plan : cursor =
       match next_left () with
       | None -> None
       | Some lt ->
-        if H.mem table (Tuple.project left_key lt) then pull ()
-        else begin
-          incr rows;
-          Some lt
-        end
+        if H.mem table (Tuple.project left_key lt) then pull () else Some lt
     in
     pull
   | Append children ->
@@ -150,7 +135,6 @@ let rec open_cursor plan : cursor =
         if H.mem seen tu then pull ()
         else begin
           H.replace seen tu ();
-          incr rows;
           Some tu
         end
     in

@@ -1,4 +1,4 @@
-(** Volcano-style physical plans for the local engine.
+(** Row-at-a-time (volcano-style) physical plans for the local engine.
 
     This engine stands in for the per-worker PostgreSQL instances of the
     paper's P_plw^pg plan: a general-purpose, row-at-a-time interpreted
@@ -39,8 +39,8 @@ val run : t -> Relation.Tset.t
 (** Drain a cursor into a set. *)
 
 val recursive_union : name:string -> all:Relation.Tset.t -> work:Relation.Tset.t ref -> t list -> unit
-(** The work-table loop of PostgreSQL's recursive [UNION] (semi-naive),
-    shared by the mu-RA and SQL front ends. [all] holds the seed and
+(** The work-table loop of PostgreSQL's recursive [UNION] (semi-naive)
+    that {!Instance.query} runs each fixpoint with. [all] holds the seed and
     [work] its copy; the recursive [branches] read [work] through
     [Work_table]. Each round runs every branch, keeps the tuples not yet
     in [all], adds them to [all] and makes them the next working table,
@@ -49,9 +49,3 @@ val recursive_union : name:string -> all:Relation.Tset.t -> work:Relation.Tset.t
 
 val pp : Format.formatter -> t -> unit
 (** Operator-tree rendering (EXPLAIN-style). *)
-
-val rows_scanned : unit -> int
-(** Process-wide row counter (rows pulled out of any cursor), for
-    instrumentation in tests and benches. *)
-
-val reset_rows_scanned : unit -> unit

@@ -131,15 +131,15 @@ let rec pp ppf = function
   | Rel n -> Format.pp_print_string ppf n
   | Var x -> Format.fprintf ppf "%s" x
   | Cst r -> Format.fprintf ppf "<const:%d>" (R.cardinal r)
-  | Select (p, u) -> Format.fprintf ppf "@[σ[%a](%a)@]" Pred.pp p pp u
-  | Project (c, u) -> Format.fprintf ppf "@[π[%s](%a)@]" (String.concat "," c) pp u
-  | Antiproject (c, u) -> Format.fprintf ppf "@[π̃[%s](%a)@]" (String.concat "," c) pp u
+  | Select (p, u) -> Format.fprintf ppf "σ[%a](%a)" Pred.pp p pp u
+  | Project (c, u) -> Format.fprintf ppf "π[%s](%a)" (String.concat "," c) pp u
+  | Antiproject (c, u) -> Format.fprintf ppf "π̃[%s](%a)" (String.concat "," c) pp u
   | Rename (m, u) ->
     let pairs = List.map (fun (o, n) -> o ^ "→" ^ n) m in
-    Format.fprintf ppf "@[ρ[%s](%a)@]" (String.concat "," pairs) pp u
-  | Join (a, b) -> Format.fprintf ppf "@[(%a ⋈ %a)@]" pp a pp b
-  | Antijoin (a, b) -> Format.fprintf ppf "@[(%a ▷ %a)@]" pp a pp b
-  | Union (a, b) -> Format.fprintf ppf "@[(%a ∪ %a)@]" pp a pp b
-  | Fix (x, body) -> Format.fprintf ppf "@[μ(%s = %a)@]" x pp body
+    Format.fprintf ppf "ρ[%s](%a)" (String.concat "," pairs) pp u
+  | Join (a, b) -> Format.fprintf ppf "(%a ⋈ %a)" pp a pp b
+  | Antijoin (a, b) -> Format.fprintf ppf "(%a ▷ %a)" pp a pp b
+  | Union (a, b) -> Format.fprintf ppf "(%a ∪ %a)" pp a pp b
+  | Fix (x, body) -> Format.fprintf ppf "μ(%s = %a)" x pp body
 
 let to_string t = Format.asprintf "%a" pp t

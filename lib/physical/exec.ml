@@ -105,22 +105,13 @@ let worker_index side ~shared ~payload_pos =
       idxs.(w) <- Some i;
       i
 
-(* The P_plw^pg local plan, decided once on the driver from typing
-   alone (nothing is evaluated): the local fixpoint [Fix (var, __seed ∪
-   recursive branches)] ships to the per-worker databases as SQL text (a
-   WITH RECURSIVE statement), as the paper's PostgreSQL backends receive
-   it; a term outside the SQL dialect runs on the volcano executor, for
-   the given reason. [run_plw_pg] and [explain] share this decision. *)
-type local_plan = Sql of string | Volcano of string
-
+(* The P_plw^pg local fixpoint [Fix (var, __seed ∪ recursive branches)]:
+   each worker registers its partition of the constant part as [__seed]
+   and the broadcast relations as tables in its local database, and runs
+   this term there ({!Localdb.Instance.query}, a work-table loop as
+   PostgreSQL's WITH RECURSIVE). [run_plw_pg] and [explain] share it. *)
 let local_seed = "__seed"
-
-let local_plan ~env ~var recs =
-  let term = Term.Fix (var, Term.union_all (Term.Rel local_seed :: recs)) in
-  match Localdb.To_sql.of_term (Mura.Typing.env env) term with
-  | sql -> (term, Sql sql)
-  | exception (Localdb.To_sql.Unsupported reason | Mura.Typing.Type_error reason) ->
-    (term, Volcano reason)
+let local_term ~var recs = Term.Fix (var, Term.union_all (Term.Rel local_seed :: recs))
 
 (* ------------------------------------------------------------------ *)
 (* Distributed evaluation                                              *)
@@ -451,12 +442,7 @@ and run_plw_pg ctx ~var ~body ~init ~stable =
   in
   Metrics.record_superstep m;
   let schema = Dds.schema init in
-  let local_term, plan =
-    local_plan
-      ~env:((local_seed, schema) :: List.map (fun (n, r) -> (n, Rel.schema r)) broadcast_tables)
-      ~var
-      (snd (Fcond.split ~var body))
-  in
+  let term = local_term ~var (snd (Fcond.split ~var body)) in
   let result =
     Trace.span (Trace.get ()) ~cat:"fixpoint"
       ~attrs:[ ("var", Trace.Str var); ("i", Trace.Int 1) ]
@@ -469,12 +455,7 @@ and run_plw_pg ctx ~var ~body ~init ~stable =
         let db = Localdb.Instance.create () in
         List.iter (fun (n, r) -> Localdb.Instance.register db n r) broadcast_tables;
         Localdb.Instance.register db local_seed (Rel.of_tset schema (Tset.copy part));
-        let local_result =
-          match plan with
-          | Sql sql -> Localdb.Sql.query db sql
-          | Volcano _ -> Localdb.Instance.query db local_term
-        in
-        Rel.tuples (Rel.relayout schema local_result))
+        Rel.tuples (Rel.relayout schema (Localdb.Instance.query db term)))
       init
   in
   let result = match stable with [] -> Dds.distinct result | _ -> result in
@@ -497,18 +478,6 @@ let explain ctx term =
         Buffer.add_string buf s;
         Buffer.add_char buf '\n')
       fmt
-  in
-  (* the P_plw^pg local plan: the same decision the executor takes *)
-  let local_plan_line indent x body consts recs =
-    let env =
-      (local_seed, Mura.Typing.infer tenv (Term.union_all consts))
-      :: List.filter_map
-           (fun n -> Option.map (fun r -> (n, Rel.schema r)) (List.assoc_opt n ctx.tables))
-           (Term.free_rels body)
-    in
-    match local_plan ~env ~var:x recs with
-    | _, Sql _ -> line indent "local plan: SQL"
-    | _, Volcano reason -> line indent "local plan: volcano (%s)" reason
   in
   (* join/antijoin path -> the lowering a fixpoint's variable part gives
      it (Pipeline.branch_notes; the factors of a P_plw^s factor join are
@@ -596,8 +565,8 @@ let explain ctx term =
           recs;
         List.iteri (fun i r -> go (indent + 2) (child path (n_consts + i)) r) recs;
         if plan = P_plw_pg then
-          (try local_plan_line (indent + 1) x body consts recs
-           with Mura.Typing.Type_error _ | Schema.Schema_error _ | Fcond.Not_fcond _ -> ())
+          line (indent + 1) "local fixpoint on each worker's database: %s"
+            (Term.to_string (local_term ~var:x recs))
       | exception Fcond.Not_fcond msg -> line (indent + 1) "! not F_cond: %s" msg)
   in
   line 0 "Execution: compiled columnar pipelines (fused batch operators)";

@@ -22,8 +22,11 @@
       recursive side, is composed from the factors and probed whole
       (see {!Pipeline.compile}).
     - {b P_plw_pg}: same distribution scheme, but each worker runs its
-      complete local fixpoint inside a single mapPartitions call on its
-      local database instance (the PostgreSQL stand-in).
+      complete local fixpoint inside a single mapPartitions call: the
+      term [Fix (X, __seed ∪ recursive branches)] run with
+      {!Localdb.Instance.query} on its local database instance (the
+      PostgreSQL stand-in), [__seed] being its partition of the
+      constant part.
 
     Plan selection (Sec. IV-B-c): when the fixpoint has a stable column,
     repartition by it and use P_plw (no final distinct needed — the local
@@ -94,12 +97,12 @@ val explain : ctx -> Mura.Term.t -> string
 (** Describe the physical plan that {!exec_dds} would choose, without
     executing it: operator tree with join strategies and, per fixpoint,
     the selected plan, the stable columns, the repartitioning, (for
-    P_plw^pg) the per-worker local plan and (for P_plw^s) the lowering
-    of each factor join in a recursive branch. Fixpoint plan selection
-    mirrors execution exactly; so does the factor-join lowering, for
-    which the two fix-free factors are evaluated on the driver. Other
-    join strategy choices are stated as rules (sizes are only known at
-    run time). *)
+    P_plw^pg) the local fixpoint term each worker's database runs and
+    (for P_plw^s) the lowering of each factor join in a recursive
+    branch. Fixpoint plan selection mirrors execution exactly; so does
+    the factor-join lowering, for which the two fix-free factors are
+    evaluated on the driver. Other join strategy choices are stated as
+    rules (sizes are only known at run time). *)
 
 val run : ctx -> Mura.Term.t -> Relation.Rel.t
 (** [exec_dds] followed by a collect to the driver. *)

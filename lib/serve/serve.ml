@@ -126,7 +126,6 @@ type t = {
   max_inflight : int;
   plan_capacity : int;
   cache_budget : int;
-  max_plans : int;
   lock : Mutex.t;  (* guards every mutable field below *)
   admit_cond : Condition.t;
   cluster_lock : Mutex.t;
@@ -191,7 +190,7 @@ type t = {
 }
 
 let create ?(max_inflight = 1) ?(plan_cache_capacity = 128)
-    ?(result_cache_bytes = 64 * 1024 * 1024) ?(max_plans = 120) ?(sample_every = 0)
+    ?(result_cache_bytes = 64 * 1024 * 1024) ?(sample_every = 0)
     ?(slow_threshold_ms = infinity) ?(slow_log_capacity = 64) ?config ~cluster () =
   if max_inflight < 1 then invalid_arg "Serve.create: max_inflight < 1";
   let exec_config =
@@ -215,7 +214,6 @@ let create ?(max_inflight = 1) ?(plan_cache_capacity = 128)
     max_inflight;
     plan_capacity = plan_cache_capacity;
     cache_budget = result_cache_bytes;
-    max_plans;
     lock = Mutex.create ();
     admit_cond = Condition.create ();
     cluster_lock = Mutex.create ();
@@ -575,10 +573,10 @@ let release t =
 (* Evaluation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let optimize_term t tbl term =
+let optimize_term tbl term =
   let tenv = Mura.Typing.env (List.map (fun (n, r) -> (n, Rel.schema r)) tbl) in
   let stats = Cost.Stats.of_tables tbl in
-  Rewrite.Engine.optimize ~max_plans:t.max_plans ~cost:(Cost.Estimate.cost stats) tenv term
+  Rewrite.Engine.optimize ~max_plans:120 ~cost:(Cost.Estimate.cost stats) tenv term
 
 (* per-evaluation accounting, folded into the response and (for queries
    breaching the slow threshold) the slow-query log *)
@@ -713,7 +711,7 @@ let evaluate t ~key ~deps ~v0 ~tbl ~optimize ~st term =
         Mutex.unlock t.lock;
         tele_cache ~cache:"plan" "miss";
         (* rewriting is pure CPU work — run it outside the lock *)
-        let best = optimize_term t tbl term in
+        let best = optimize_term tbl term in
         Mutex.lock t.lock;
         plan_store t key best deps;
         Mutex.unlock t.lock;
@@ -964,7 +962,7 @@ let explain ?(optimize = true) t term =
   Mutex.lock t.lock;
   let tbl = t.tbl in
   Mutex.unlock t.lock;
-  let plan = if optimize then optimize_term t tbl term else term in
+  let plan = if optimize then optimize_term tbl term else term in
   Mutex.lock t.cluster_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.cluster_lock) @@ fun () ->
   let ctx = Exec.session t.exec_config tbl in

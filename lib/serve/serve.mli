@@ -87,7 +87,6 @@ val create :
   ?max_inflight:int ->
   ?plan_cache_capacity:int ->
   ?result_cache_bytes:int ->
-  ?max_plans:int ->
   ?sample_every:int ->
   ?slow_threshold_ms:float ->
   ?slow_log_capacity:int ->
@@ -104,7 +103,6 @@ val create :
     - [plan_cache_capacity] (default 128): optimized plans kept, LRU.
     - [result_cache_bytes] (default 64 MiB): result-cache budget under
       the {!Distsim.Metrics.tuple_bytes} size model, LRU.
-    - [max_plans] (default 120): rewriter plan-space budget.
     - [sample_every] (default 0 = off): capture a full per-query trace
       for every N-th submitted query ({!Telemetry.Sampler}, 1-in-N on
       the query id). The server installs its own tracer only while a

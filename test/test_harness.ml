@@ -217,17 +217,18 @@ let test_explain_text () =
   check_bool "physical plan" true (contains s "physical plan")
 
 (* a forced plan shows in the explained physical plan, and P_plw^pg
-   adds its local route *)
+   adds the local fixpoint its workers run *)
 let test_explain_forced_plan () =
   let g = Graphgen.Generators.add_labels ~labels:[ "a" ] (Lazy.force analyze_graph) in
   let explain force_plan = R.explain ?force_plan ~graph:g ~query:analyze_query () in
   check_bool "default chooses P_plw^s" true (contains (explain None) "plan=P_plw^s");
   let gld = explain (Some Physical.Exec.P_gld) in
   check_bool "forced P_gld" true (contains gld "plan=P_gld");
-  check_bool "no local plan under P_gld" false (contains gld "local plan:");
+  check_bool "no local fixpoint under P_gld" false (contains gld "local fixpoint");
   let pg = explain (Some Physical.Exec.P_plw_pg) in
   check_bool "forced P_plw^pg" true (contains pg "plan=P_plw^pg");
-  check_bool "P_plw^pg local route" true (contains pg "local plan: SQL")
+  check_bool "P_plw^pg local fixpoint" true
+    (contains pg "local fixpoint on each worker's database: ")
 
 let test_analyze_annotated_plan () =
   let a = Lazy.force analysis in
@@ -242,8 +243,8 @@ let test_analyze_annotated_plan () =
   | o -> Alcotest.failf "analyze outcome: %s" (R.cell_text o)
 
 (* EXPLAIN ANALYZE over Q1-Q49 on small graphs, under the chosen plans
-   and with every fixpoint forced onto P_gld and onto P_plw^pg (SQL text
-   or the volcano executor per worker): each traced run returns
+   and with every fixpoint forced onto P_gld and onto P_plw^pg (a local
+   fixpoint on each worker's database): each traced run returns
    Mura.Eval's result, and its root reports it *)
 let test_analyze_corpus () =
   let check graph specs =

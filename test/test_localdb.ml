@@ -22,8 +22,7 @@ let db_with_edges () =
 let test_catalog () =
   let db = db_with_edges () in
   Alcotest.(check bool) "lookup" true (Localdb.Instance.lookup db "E" <> None);
-  Localdb.Instance.unregister db "E";
-  Alcotest.(check bool) "gone" true (Localdb.Instance.lookup db "E" = None)
+  Alcotest.(check bool) "unknown" true (Localdb.Instance.lookup db "F" = None)
 
 let test_scan_filter () =
   let db = db_with_edges () in
@@ -81,90 +80,8 @@ let test_explain () =
   Alcotest.(check bool) "mentions Filter" true (contains text "Filter");
   Alcotest.(check bool) "mentions SeqScan" true (contains text "SeqScan")
 
-let test_rows_scanned_counts () =
-  let db = db_with_edges () in
-  Localdb.Plan.reset_rows_scanned ();
-  ignore (Localdb.Instance.query db (Term.Rel "E"));
-  Alcotest.(check bool) "rows counted" true (Localdb.Plan.rows_scanned () >= Rel.cardinal edges)
-
-(* ------------------------------------------------------------------ *)
-(* SQL layer                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let sql_db () =
-  let db = Localdb.Instance.create () in
-  Localdb.Instance.register db "edge" edges;
-  db
-
-let run_sql db q = Localdb.Sql.query db q
-
-let test_sql_select_where () =
-  let db = sql_db () in
-  check_rel "select *" edges (run_sql db "SELECT * FROM edge");
-  check_rel "where" (Rel.select (Pred.Eq_const ("src", 2)) edges)
-    (run_sql db "SELECT * FROM edge WHERE src = 2");
-  check_rel "projection + alias"
-    (Rel.rename [ ("src", "a") ] (Rel.project [ "src" ] edges))
-    (run_sql db "SELECT src AS a FROM edge")
-
-let test_sql_join () =
-  let db = sql_db () in
-  let expected =
-    Mura.Eval.eval (Mura.Eval.env [ ("E", edges) ])
-      (Term.Antiproject
-         ( [ "m" ],
-           Term.Join (Term.rename1 "trg" "m" (Term.Rel "E"), Term.rename1 "src" "m" (Term.Rel "E"))
-         ))
-  in
-  check_rel "two-hop join"
-    (Rel.rename [ ("src", "x"); ("trg", "y") ] expected)
-    (run_sql db
-       "SELECT a.src AS x, b.trg AS y FROM edge a JOIN edge b ON a.trg = b.src")
-
-let test_sql_union_subquery () =
-  let db = sql_db () in
-  let reversed = Rel.rename [ ("src", "trg"); ("trg", "src") ] edges in
-  check_rel "union with subquery" (Rel.union edges reversed)
-    (run_sql db
-       "SELECT src, trg FROM edge UNION SELECT t.trg AS src, t.src AS trg FROM (SELECT * FROM edge) t")
-
-let test_sql_recursive_cte () =
-  let db = sql_db () in
-  let expected =
-    Rel.rename [ ("src", "x"); ("trg", "y") ]
-      (Mura.Eval.eval (Mura.Eval.env [ ("E", edges) ]) (Mura.Patterns.closure (Term.Rel "E")))
-  in
-  check_rel "WITH RECURSIVE transitive closure" expected
-    (run_sql db
-       "WITH RECURSIVE tc AS (SELECT src AS x, trg AS y FROM edge UNION SELECT tc.x, e.trg AS y \
-        FROM tc JOIN edge e ON tc.y = e.src) SELECT * FROM tc")
-
-let test_sql_errors () =
-  let db = sql_db () in
-  let expect_fail q =
-    match run_sql db q with
-    | (_ : Rel.t) -> Alcotest.failf "expected Sql_error for %S" q
-    | exception Localdb.Sql.Sql_error _ -> ()
-  in
-  expect_fail "SELECT * FROM missing";
-  expect_fail "SELECT nope FROM edge";
-  expect_fail "SELECT src FROM edge WHERE";
-  expect_fail "SELECT * FROM edge UNION SELECT src FROM edge";
-  expect_fail
-    "WITH RECURSIVE tc AS (SELECT tc.x AS x FROM tc UNION SELECT src AS x FROM edge) SELECT * FROM tc"
-
-let test_to_sql_roundtrip () =
-  let db = sql_db () in
-  Localdb.Instance.register db "E" edges;
-  let tenv = Mura.Typing.env [ ("E", Rel.schema edges); ("edge", Rel.schema edges) ] in
-  let term = Term.Select (Pred.Eq_const ("src", 1), Mura.Patterns.closure (Term.Rel "E")) in
-  let sql = Localdb.To_sql.of_term tenv term in
-  let expected = Mura.Eval.eval (Mura.Eval.env [ ("E", edges) ]) term in
-  check_rel "mu-RA -> SQL -> result" expected (run_sql db sql)
-
 (* random terms, half of them joining a zero-arity side (π[] or an
-   antiprojection dropping every column) inside or outside a fixpoint:
-   To_sql must reject those, not emit an empty select list *)
+   antiprojection dropping every column) inside or outside a fixpoint *)
 let term_or_zero_arity_gen =
   let open QCheck2.Gen in
   let side =
@@ -178,18 +95,6 @@ let term_or_zero_arity_gen =
       (Gen_terms.term_gen ()) side bool
   in
   pair (oneof [ Gen_terms.term_gen (); zero_arity ]) Gen_terms.env_gen
-
-let prop_to_sql_roundtrip =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:80 ~name:"to_sql roundtrip ≡ mura on random terms"
-       term_or_zero_arity_gen (fun (t, tables) ->
-         let db = Localdb.Instance.create () in
-         List.iter (fun (n, r) -> Localdb.Instance.register db n r) tables;
-         let tenv = Mura.Typing.env (List.map (fun (n, r) -> (n, Rel.schema r)) tables) in
-         let expected = Mura.Eval.eval (Mura.Eval.env tables) t in
-         match Localdb.To_sql.of_term tenv t with
-         | sql -> Rel.equal expected (Localdb.Sql.query db sql)
-         | exception Localdb.To_sql.Unsupported _ -> true))
 
 let random_graph_gen =
   let open QCheck2.Gen in
@@ -221,8 +126,8 @@ let prop_localdb_same_generation =
 
 let prop_random_terms_localdb =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:100 ~name:"random terms: localdb ≡ mura"
-       Gen_terms.term_and_env_gen (fun (t, tables) ->
+    (QCheck2.Test.make ~count:100 ~name:"random terms: localdb ≡ mura" term_or_zero_arity_gen
+       (fun (t, tables) ->
          let db = Localdb.Instance.create () in
          List.iter (fun (n, r) -> Localdb.Instance.register db n r) tables;
          Rel.equal (Mura.Eval.eval (Mura.Eval.env tables) t) (Localdb.Instance.query db t)))
@@ -236,23 +141,12 @@ let () =
           Alcotest.test_case "scan+filter" `Quick test_scan_filter;
           Alcotest.test_case "join" `Quick test_join_plan;
           Alcotest.test_case "union/antijoin" `Quick test_union_antijoin;
-          Alcotest.test_case "rows scanned" `Quick test_rows_scanned_counts;
           Alcotest.test_case "explain" `Quick test_explain;
         ] );
       ( "recursion",
         [
           Alcotest.test_case "closure" `Quick test_recursive_closure;
           Alcotest.test_case "fix inside expression" `Quick test_fix_inside_expression;
-        ] );
-      ( "sql",
-        [
-          Alcotest.test_case "select/where" `Quick test_sql_select_where;
-          Alcotest.test_case "join" `Quick test_sql_join;
-          Alcotest.test_case "union/subquery" `Quick test_sql_union_subquery;
-          Alcotest.test_case "recursive CTE" `Quick test_sql_recursive_cte;
-          Alcotest.test_case "errors" `Quick test_sql_errors;
-          Alcotest.test_case "to_sql roundtrip" `Quick test_to_sql_roundtrip;
-          prop_to_sql_roundtrip;
         ] );
       ("properties", [ prop_localdb_eq_mura; prop_localdb_same_generation; prop_random_terms_localdb ]);
     ]

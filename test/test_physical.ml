@@ -37,12 +37,26 @@ let session_on ?force_plan ?(workers = 4) tables =
 let session ?force_plan ?workers () = session_on ?force_plan ?workers [ ("E", edges) ]
 
 (* fixpoints joining a zero-arity side (a projection on no column, an
-   antiprojection dropping every column): outside the SQL dialect, so
-   P_plw^pg runs them on the volcano executor *)
+   antiprojection dropping every column) *)
 let zero_arity_fixpoints =
   List.map
     (fun side -> Term.Fix ("X", Term.Union (Term.Rel "E", Term.Join (Term.Var "X", side))))
     [ Term.Project ([], Term.Rel "E"); Term.Antiproject ([ "src"; "trg" ], Term.Rel "E") ]
+
+(* a fixpoint whose recursive branch joins a constant relation: the
+   shape Serve.resolve_fixes leaves when it splices a resolved fixpoint
+   into a term as a [Term.Cst] *)
+let cst_branch_fixpoint =
+  let hops = rel [ "src"; "trg" ] [ [ 6; 20 ]; [ 20; 21 ]; [ 12; 30 ] ] in
+  Term.Fix
+    ( "X",
+      Term.Union
+        ( Term.Rel "E",
+          Term.Antiproject
+            ( [ "_m" ],
+              Term.Join
+                (Term.Rename ([ ("trg", "_m") ], Term.Var "X"), Term.Rename ([ ("src", "_m") ], Term.Cst hops))
+            ) ) )
 
 let test_plan_agreement plan () =
   List.iter
@@ -53,7 +67,7 @@ let test_plan_agreement plan () =
           let ctx = session ?force_plan:plan ~workers () in
           check_rel "plan agreement" expected (Exec.run ctx term))
         [ 1; 4 ])
-    (closure_term :: zero_arity_fixpoints)
+    (closure_term :: cst_branch_fixpoint :: zero_arity_fixpoints)
 
 let test_auto_selection_stable () =
   let ctx = session () in
@@ -565,19 +579,28 @@ let test_analyze_deltas () =
       | l -> Alcotest.failf "expected one fixpoint report, got %d" (List.length l))
     [ Exec.P_gld; Exec.P_plw_s ]
 
-(* under EXPLAIN ANALYZE, P_plw^pg takes the same local route as a plain
-   run: SQL text for the closure, the volcano fallback for a zero-arity
-   join side, each returning Mura.Eval's relation *)
-let test_analyze_plw_pg_fallbacks () =
+(* P_plw^pg runs one local route: EXPLAIN names the local fixpoint each
+   worker's database runs (its seed partition [__seed] unioned with the
+   recursive branches), and the plain and analyzed runs both return
+   Mura.Eval's relation *)
+let test_analyze_plw_pg_local () =
   List.iter
-    (fun (term, route) ->
+    (fun term ->
       let expected = Mura.Eval.eval (Mura.Eval.env [ ("E", edges) ]) term in
+      let local =
+        match term with
+        | Term.Fix (x, body) ->
+          let _, recs = Mura.Fcond.split ~var:x body in
+          Term.to_string (Term.Fix (x, Term.union_all (Term.Rel "__seed" :: recs)))
+        | _ -> Alcotest.fail "expected a fixpoint"
+      in
       let explained = Exec.explain (session ~force_plan:Exec.P_plw_pg ()) term in
-      check_bool ("local route " ^ route) true (contains_sub explained ("local plan: " ^ route));
+      check_bool "local fixpoint named" true
+        (contains_sub explained ("local fixpoint on each worker's database: " ^ local));
       check_rel "plain run" expected (Exec.run (session ~force_plan:Exec.P_plw_pg ()) term);
       let _, traced, _ = analyzed ~force_plan:Exec.P_plw_pg term in
       check_rel "analyzed run" expected traced)
-    ((closure_term, "SQL") :: List.map (fun t -> (t, "volcano (")) zero_arity_fixpoints)
+    (closure_term :: cst_branch_fixpoint :: zero_arity_fixpoints)
 
 let test_analyze_render () =
   let _, _, tree = analyzed closure_term in
@@ -720,8 +743,8 @@ let test_explain_exec_mode () =
 module Sh = Physical.Pipeline.Shell
 
 (* results match the oracle and the counters their pins on all three
-   fixpoint plans (P_plw^pg's local fixpoints running as SQL text) and
-   every worker count *)
+   fixpoint plans (P_plw^pg's local fixpoints running on each worker's
+   database) and every worker count *)
 let test_shell_parity () =
   List.iter
     (fun (gname, g) ->
@@ -762,7 +785,8 @@ let test_shell_explain () =
   check_bool "fixpoint plan listed" true (contains_sub text "Fixpoint ");
   let ctx3 = session ~force_plan:Exec.P_plw_pg () in
   let text3 = Exec.explain ctx3 closure_term in
-  check_bool "P_plw^pg local plan verdict" true (contains_sub text3 "local plan: SQL");
+  check_bool "P_plw^pg local fixpoint" true
+    (contains_sub text3 "local fixpoint on each worker's database: ");
   check_bool "P_plw^pg branch join" true (contains_sub text3 "Join (local database)");
   (* a variable part names the lowering of its branch operators, never
      the shell's size rule *)
@@ -1017,7 +1041,7 @@ let () =
             test_analyze_no_observable_effect;
           Alcotest.test_case "root actual = result cardinality" `Quick test_analyze_root_actual;
           Alcotest.test_case "fixpoint deltas recorded" `Quick test_analyze_deltas;
-          Alcotest.test_case "plw_pg local fallbacks" `Quick test_analyze_plw_pg_fallbacks;
+          Alcotest.test_case "plw_pg local fixpoint" `Quick test_analyze_plw_pg_local;
           Alcotest.test_case "render" `Quick test_analyze_render;
         ] );
       ( "plans",
