@@ -1,8 +1,7 @@
 (* murashell — an interactive shell for recursive graph queries.
 
    The shell is a single-tenant client of the serving layer: one cluster
-   and its worker pool are created at startup (not per command, which
-   would leak a domain pool per query), one [Serve.t] wraps it, and
+   is created at startup (not per command), one [Serve.t] wraps it, and
    every query goes through the plan/result caches — resubmitting a
    query hits the cache and returns without touching the cluster.
 
@@ -174,7 +173,7 @@ let print_stats () =
     Printf.printf "  telemetry: %d slow queries logged, %d traces captured\n"
       s.Serve.slow_queries s.Serve.traces_captured
 
-(* replace the server (new pool size): carry the graph over *)
+(* replace the server (new worker count): carry the graph over *)
 let set_workers n =
   let graph = Serve.relation st.serve "E" in
   Serve.shutdown st.serve;

@@ -127,6 +127,37 @@ pg_records=$(grep -o '"broadcast_records": *[0-9]*' "$plw_pg_report" | head -n 1
 [ -n "$s_records" ] && [ "$s_records" = "$pg_records" ] ||
   { echo "broadcast records differ: P_plw^s '$s_records', P_plw^pg '$pg_records'" >&2; exit 1; }
 
+# trace/counter agreement: the Chrome trace of a forced P_plw^pg run
+# must parse, hold one shuffle instant per shuffle the run's summary
+# line counts, and show each worker's local fixpoint (a localdb.fix
+# span) on that worker's track, tids 1-4
+echo "== murarun --trace smoke =="
+trace_json=$(mktemp /tmp/murarun_trace.XXXXXX.json)
+trap 'rm -f "$report" "$plw_s_report" "$plw_pg_report" "$trace_json"' EXIT
+out=$(dune exec bin/murarun.exe -- --gen yago:1000:1 --query "$q" --system plw-pg \
+        --trace "$trace_json")
+shuffles=$(printf '%s\n' "$out" | sed -n 's/.*(\([0-9]*\) shuffles, .*/\1/p' | head -n 1)
+[ -n "$shuffles" ] || { echo "--trace run printed no '(N shuffles, ...)' line" >&2; exit 1; }
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$trace_json" "$shuffles" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    evs = json.load(f)["traceEvents"]
+n = sum(1 for e in evs if e.get("ph") == "i" and e.get("name") == "shuffle")
+assert n == int(sys.argv[2]), f"trace has {n} shuffle instants, the run counts {sys.argv[2]}"
+tids = {e["tid"] for e in evs if e.get("ph") == "X" and e.get("name") == "localdb.fix"}
+assert {1, 2, 3, 4} <= tids, f"localdb.fix spans on tracks {sorted(tids)}, not on all of 1-4"
+EOF
+else
+  n=$(grep -c '"name":"shuffle"' "$trace_json" || true)
+  [ "$n" = "$shuffles" ] ||
+    { echo "trace has $n shuffle instants, the run counts $shuffles" >&2; exit 1; }
+  for tid in 1 2 3 4; do
+    grep '"name":"localdb.fix"' "$trace_json" | grep -q "\"tid\":$tid," ||
+      { echo "no localdb.fix span on worker track $tid" >&2; exit 1; }
+  done
+fi
+
 # every-plan parity gate: quick-scale run of the plan-regret table; every
 # plan the rewriter explores for Q1-Q49 runs on the four-worker cluster
 # and must return the relation Mura.Eval gives for the chosen plan (the
@@ -142,7 +173,7 @@ dune exec bench/main.exe -- --quick regret
 # admission-wait fields
 echo "== murarun --serve smoke =="
 serve_report=$(mktemp /tmp/murarun_serve.XXXXXX.json)
-trap 'rm -f "$report" "$plw_s_report" "$plw_pg_report" "$serve_report"' EXIT
+trap 'rm -f "$report" "$plw_s_report" "$plw_pg_report" "$trace_json" "$serve_report"' EXIT
 dune exec bin/murarun.exe -- --gen er:500:0.006 --labels a \
   --query "?x, ?y <- ?x a+ ?y" --serve 3 --serve-repeat 3 --report "$serve_report"
 if command -v python3 >/dev/null 2>&1; then
@@ -187,7 +218,8 @@ dune exec bench/main.exe -- --quick micro_telemetry
 # buckets — and must have captured at least one per-query trace
 echo "== murarun --serve --metrics-out smoke =="
 metrics_out=$(mktemp /tmp/murarun_metrics.XXXXXX.json)
-trap 'rm -f "$report" "$plw_s_report" "$plw_pg_report" "$serve_report" "$metrics_out"' EXIT
+trap 'rm -f "$report" "$plw_s_report" "$plw_pg_report" "$trace_json" "$serve_report" \
+  "$metrics_out"' EXIT
 out=$(dune exec bin/murarun.exe -- --gen er:500:0.006 --labels a \
         --query "?x, ?y <- ?x a+ ?y" --serve 3 --serve-repeat 3 \
         --metrics-out "$metrics_out" --sample 1 --slow-ms 0.001)

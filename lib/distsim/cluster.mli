@@ -1,28 +1,15 @@
 (** A simulated cluster: a driver plus a fixed set of workers.
 
-    Each worker owns one partition slot per dataset. Workers can execute
-    their partition work on real OCaml domains ([parallel = true]) or
-    sequentially (deterministic, default); in both modes the per-worker
-    compute time is measured and the stage time is the maximum across
-    workers, which is what a synchronous Spark stage would cost.
-    Exchanges (the wide operations of [Dds]) run on the driver in both
-    modes, so a parallel cluster charges the same stages, supersteps and
-    communication as a sequential one: the pool runs stage compute only.
-
-    In parallel mode the cluster owns a {e persistent} worker-domain
-    pool: [workers - 1] domains are spawned once at {!make} (the driver
-    domain doubles as worker 0) and reused by every stage, each fed
-    through a one-slot job queue guarded by a mutex/condvar pair. This
-    amortises the domain-spawn cost that a per-stage
-    [Domain.spawn]/[Domain.join] would pay on every fixpoint iteration.
-    The pool survives worker exceptions (they are re-raised on the
-    driver; the domains keep serving later stages) and is joined by
-    {!shutdown} — called explicitly by long-lived owners and as an
-    [at_exit] safety net otherwise. *)
+    Each worker owns one partition slot per dataset. A stage runs every
+    worker's partition work in turn on the calling domain, which keeps
+    runs deterministic; each worker's compute time is measured, and the
+    stage is charged the maximum across workers, which is what a
+    synchronous Spark stage would cost. Exchanges (the wide operations
+    of [Dds]) run on the driver, between stages. *)
 
 type t
 
-val make : ?parallel:bool -> workers:int -> unit -> t
+val make : workers:int -> unit -> t
 (** @raise Invalid_argument if [workers < 1]. *)
 
 val workers : t -> int
@@ -31,21 +18,13 @@ val metrics : t -> Metrics.t
 (** The cluster-lifetime metric accumulator (reset between experiments
     with {!Metrics.reset}). *)
 
-val pool_size : t -> int
-(** Number of live pool domains (0 for sequential clusters and after
-    {!shutdown}). *)
-
-val shutdown : t -> unit
-(** Join the persistent worker-domain pool. Idempotent; a no-op on
-    sequential clusters. After shutdown the cluster remains usable, with
-    stages executing sequentially on the driver. *)
-
 exception Concurrent_dispatch
 (** Raised by {!run_stage} when a stage is dispatched while another is
     already in flight on the same cluster. The runtime has a {e single
     driver} invariant: one cluster executes one evaluation at a time
     (stages of two queries must never interleave — they would corrupt
-    the shared metric accumulator and race on the pool's job slots).
+    the shared metric accumulator). Sessions on other domains
+    ([Serve]'s callers) could otherwise reach {!run_stage} together.
     Callers that accept concurrent queries must serialize evaluations
     through an admission queue ([Serve] is the canonical entry point);
     this exception is the loud backstop for code that bypasses it. *)
@@ -55,10 +34,10 @@ val busy : t -> bool
     domain is inside {!run_stage}). *)
 
 val run_stage : t -> (int -> 'a) -> 'a array
-(** [run_stage c f] runs [f w] for every worker index [w] (on the
-    persistent pool in parallel mode), meters the stage (max per-worker
-    time) and returns the per-worker results. Exceptions raised by any
-    [f w] are re-raised on the driver; the pool stays usable for
-    subsequent stages. When tracing is enabled the stage span carries a
-    [dispatch_ns] attribute and [pool.occupancy] counter samples.
+(** [run_stage c f] runs [f w] for every worker index [w] in turn,
+    meters the stage (max per-worker time, straggler ratio) and returns
+    the per-worker results. Worker [w]'s trace events land on track
+    [w + 1]. An exception raised by any [f w] is re-raised once every
+    worker has run; the cluster is idle afterwards and runs the next
+    stage as usual.
     @raise Concurrent_dispatch if another stage is already in flight. *)

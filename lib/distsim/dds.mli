@@ -11,10 +11,8 @@
     distinct, shuffle join, collect) are charged on the owning cluster's
     {!Metrics.t}.
 
-    Every exchange runs on the driver, whether or not the cluster owns
-    a worker pool ({!Cluster.run_stage} runs stage compute), so a
-    parallel cluster charges the same stages, supersteps and
-    communication as a sequential one. *)
+    Every exchange runs on the driver, between the compute stages that
+    {!Cluster.run_stage} runs. *)
 
 type partitioning =
   | Arbitrary  (** no placement guarantee *)

@@ -155,8 +155,8 @@ let straggler_ratio m = Hist.max_value m.straggler
 (* Debug counter proving the compiled output path presizes correctly:
    process-wide count of insert-triggered hash-table growths (explicit
    presizing never counts). Surfaced here so benches and tests reach it
-   through the metrics API; the counter itself lives in [Relation.Tset]
-   because worker domains grow sets concurrently. *)
+   through the metrics API; the counter itself lives in [Relation.Tset],
+   where every insert can reach it. *)
 let rehash_grows () = Relation.Tset.rehash_grow_count ()
 
 let pp ppf m =

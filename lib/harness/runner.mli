@@ -12,7 +12,10 @@ val run_matrix :
   systems:Systems.system list ->
   (string * Systems.workload) list ->
   row list
-(** One row per workload, one cell per system. *)
+(** One row per workload, one cell per system, each timed once in list
+    order. The first workload is first run once under every system and
+    its outcomes discarded, so the process's warm-up does not fall on
+    whichever system comes first. *)
 
 val cell_text : Systems.outcome -> string
 (** "1.234" (seconds), "fail", or "t/o". *)

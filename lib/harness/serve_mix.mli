@@ -1,5 +1,5 @@
 (** The [muraserve] scenario: a concurrent query mix against one
-    {!Serve} instance over the shared worker pool.
+    {!Serve} instance over one shared cluster.
 
     [sessions] client domains each submit the full query [mix] [repeat]
     times; every query text is re-translated per submission (fresh
@@ -28,7 +28,7 @@ type config = {
 }
 
 val default_config : config
-(** 4 workers (sequential), 4 sessions, 4 repeats, 2 admission slots,
+(** 4 workers, 4 sessions, 4 repeats, 2 admission slots,
     sampling and slow log off. *)
 
 type result = {
@@ -56,7 +56,7 @@ type result = {
 
 val run : ?mix:mix -> config -> graph:Relation.Rel.t -> result
 (** Build a cluster + server, register [graph] as [E], run the mix and
-    tear the pool down. Client failures propagate. *)
+    shut the server down. Client failures propagate. *)
 
 val print : result -> unit
 (** Human-readable summary on stdout. *)

@@ -59,13 +59,8 @@ let rec compile db vars (term : Term.t) : Plan.t * Schema.t =
     let extra_pos = Schema.positions rs extra in
     let merge lt rt = Tuple.concat lt (Tuple.project extra_pos rt) in
     let join =
-      {
-        Plan.left;
-        left_key = Schema.positions ls shared;
-        right;
-        right_key = Schema.positions rs shared;
-        merge;
-      }
+      Plan.join ~left ~left_key:(Schema.positions ls shared) ~right
+        ~right_key:(Schema.positions rs shared) ~merge
     in
     (Plan.Hash_join join, out)
   | Antijoin (a, b) ->
@@ -73,13 +68,8 @@ let rec compile db vars (term : Term.t) : Plan.t * Schema.t =
     let right, rs = compile db vars b in
     let shared = Schema.common ls rs in
     let join =
-      {
-        Plan.left;
-        left_key = Schema.positions ls shared;
-        right;
-        right_key = Schema.positions rs shared;
-        merge = (fun lt _ -> lt);
-      }
+      Plan.join ~left ~left_key:(Schema.positions ls shared) ~right
+        ~right_key:(Schema.positions rs shared) ~merge:(fun lt _ -> lt)
     in
     (Plan.Hash_anti join, ls)
   | Union (a, b) ->

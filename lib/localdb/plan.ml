@@ -1,6 +1,15 @@
 module Tset = Relation.Tset
 module Tuple = Relation.Tuple
 
+module H = Hashtbl.Make (struct
+  type t = Tuple.t
+
+  let equal = Tuple.equal
+  let hash = Tuple.hash
+end)
+
+type build = Tuple.t list H.t
+
 type t =
   | Scan of Relation.Rel.t
   | Work_table of Tset.t ref
@@ -17,16 +26,20 @@ and join = {
   right : t;
   right_key : int array;
   merge : Tuple.t -> Tuple.t -> Tuple.t;
+  mutable built : build option;
 }
 
 type cursor = unit -> Tuple.t option
 
-module H = Hashtbl.Make (struct
-  type t = Tuple.t
+let join ~left ~left_key ~right ~right_key ~merge =
+  { left; left_key; right; right_key; merge; built = None }
 
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
+let rec reads_work_table = function
+  | Work_table _ -> true
+  | Scan _ -> false
+  | Filter (_, child) | Map (_, child) | Distinct child -> reads_work_table child
+  | Hash_join j | Hash_anti j -> reads_work_table j.left || reads_work_table j.right
+  | Append children -> List.exists reads_work_table children
 
 let drain cursor f =
   let rec go () =
@@ -38,7 +51,22 @@ let drain cursor f =
   in
   go ()
 
-let rec open_cursor plan : cursor =
+(* The right side's hash table by its join key. A side that reads no
+   working table is the same at every open, so its table is built once
+   and kept, as PostgreSQL keeps a hash join's table on rescan when the
+   inner side's parameters did not change. *)
+let rec build_side j =
+  match j.built with
+  | Some table -> table
+  | None ->
+    let table = H.create 256 in
+    drain (open_cursor j.right) (fun tu ->
+        let key = Tuple.project j.right_key tu in
+        H.replace table key (tu :: Option.value ~default:[] (H.find_opt table key)));
+    if not (reads_work_table j.right) then j.built <- Some table;
+    table
+
+and open_cursor plan : cursor =
   match plan with
   | Scan rel ->
     let items = ref (Relation.Rel.to_list rel) in
@@ -71,14 +99,9 @@ let rec open_cursor plan : cursor =
       (match next () with
       | Some tu -> Some (f tu)
       | None -> None)
-  | Hash_join { left; left_key; right; right_key; merge } ->
+  | Hash_join ({ left; left_key; merge; _ } as j) ->
     (* build on the right, probe from the left *)
-    let table = H.create 256 in
-    drain (open_cursor right) (fun tu ->
-        let key = Tuple.project right_key tu in
-        match H.find_opt table key with
-        | Some l -> H.replace table key (tu :: l)
-        | None -> H.replace table key [ tu ]);
+    let table = build_side j in
     let next_left = open_cursor left in
     let pending = ref [] in
     let current_left = ref [||] in
@@ -99,9 +122,8 @@ let rec open_cursor plan : cursor =
           | None -> pull ()))
     in
     pull
-  | Hash_anti { left; left_key; right; right_key; merge = _ } ->
-    let table = H.create 256 in
-    drain (open_cursor right) (fun tu -> H.replace table (Tuple.project right_key tu) ());
+  | Hash_anti ({ left; left_key; _ } as j) ->
+    let table = build_side j in
     let next_left = open_cursor left in
     let rec pull () =
       match next_left () with

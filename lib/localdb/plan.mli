@@ -7,6 +7,9 @@
     overhead that distinguishes this backend from the set-at-a-time
     SetRDD path (Fig. 7 of the paper). *)
 
+type build
+(** A join's right side, hashed by its join key. *)
+
 type t =
   | Scan of Relation.Rel.t
   | Work_table of Relation.Tset.t ref
@@ -27,13 +30,29 @@ and join = {
   merge : Relation.Tuple.t -> Relation.Tuple.t -> Relation.Tuple.t;
       (** builds the output tuple from (left, right); for [Hash_anti] it
           is unused *)
+  mutable built : build option;
+      (** the right side's table, kept once built when [right] reads no
+          [Work_table] *)
 }
+
+val join :
+  left:t ->
+  left_key:int array ->
+  right:t ->
+  right_key:int array ->
+  merge:(Relation.Tuple.t -> Relation.Tuple.t -> Relation.Tuple.t) ->
+  join
+(** A join whose table is not built yet. *)
 
 type cursor = unit -> Relation.Tuple.t option
 (** Pull-based cursor; [None] signals exhaustion. *)
 
 val open_cursor : t -> cursor
-(** Fresh cursor over the plan (re-openable; hash sides are rebuilt). *)
+(** Fresh cursor over the plan. Re-opening re-reads every input; a join
+    whose right side reads no [Work_table] hashes that side at its first
+    open only, and later opens probe the same table (PostgreSQL keeps
+    the table on rescan when the inner side's parameters did not
+    change). *)
 
 val run : t -> Relation.Tset.t
 (** Drain a cursor into a set. *)

@@ -490,7 +490,7 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
   let prepares = ref [] in
   let row rop out_schema ptrans = A_rop { rop = Some rop; out_schema; ptrans } in
   (* probe over a driver-side relation, the immutable index shared by
-     every worker domain (with no shared column it is the broadcast
+     every worker (with no shared column it is the broadcast
      cartesian) *)
   let bcast_probe sr rel =
     let rs = Rel.schema rel in

@@ -119,8 +119,7 @@ let eval_rpq ?source ?target g regex =
     Metrics.record_superstep m;
     if !supersteps > config.max_supersteps then raise (Engine_failure "superstep budget exceeded");
     (* compute phase: one stage across workers *)
-    (* resolve label handles on the driver: the interner is not safe to
-       call from worker domains *)
+    (* label handles per NFA state, resolved once per superstep *)
     let transitions_of =
       let cache = Hashtbl.create 8 in
       fun q ->
@@ -135,9 +134,6 @@ let eval_rpq ?source ?target g regex =
           Hashtbl.replace cache q l;
           l
     in
-    for q = 0 to Nfa.size nfa - 1 do
-      ignore (transitions_of q)
-    done;
     let stage_results =
       Cluster.run_stage config.cluster (fun w ->
           let part = g.parts.(w) in

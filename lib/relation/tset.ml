@@ -51,8 +51,8 @@ let resize_to s size =
 (* Growth events triggered by inserts (as opposed to explicit presizing via
    [reserve]/[copy_with_capacity], which never count). Presized hot paths —
    batch->set conversion, the exchange's presized destinations — are expected
-   to keep this at zero; the micro benches assert it. Atomic because worker
-   domains insert into disjoint sets concurrently. *)
+   to keep this at zero; the micro benches assert it. Atomic because serving
+   sessions on different domains insert into disjoint sets concurrently. *)
 let rehash_grows = Atomic.make 0
 let rehash_grow_count () = Atomic.get rehash_grows
 let reset_rehash_grows () = Atomic.set rehash_grows 0

@@ -295,8 +295,7 @@ let tele_gauges t =
 let shutdown t =
   Mutex.lock t.lock;
   t.closed <- true;
-  Mutex.unlock t.lock;
-  Cluster.shutdown t.cluster
+  Mutex.unlock t.lock
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)

@@ -4,7 +4,7 @@
     process and turns it from a one-shot experiment harness into a
     query {e service}: multiple client sessions submit mu-RA (or UCRPQ)
     queries concurrently, and the server schedules them onto the shared
-    worker pool while reusing as much work as it can across tenants.
+    cluster while reusing as much work as it can across tenants.
 
     Four layers, outermost first:
 
@@ -15,8 +15,8 @@
       [max_inflight] in flight and dispatched fairly across sessions
       ({!fair_pick}). Admitted evaluations still serialize their actual
       cluster segments on an internal lock; [max_inflight > 1] exists so
-      that overlapping queries can {e share} in-flight work, not so they
-      can race the pool.
+      that overlapping queries can {e share} in-flight work, not so their
+      stages can interleave.
     - {b Plan cache}: logical optimization (rewriting + costing) is
       memoized on the {!Mura.Normal.key} of the submitted term, so
       alpha-renamed or commutatively reordered resubmissions skip the
@@ -94,8 +94,9 @@ val create :
   cluster:Distsim.Cluster.t ->
   unit ->
   t
-(** [create ~cluster ()] wraps [cluster] in a server. The server does
-    not take ownership of the cluster's worker pool until {!shutdown}.
+(** [create ~cluster ()] wraps [cluster] in a server. Sessions may
+    submit from any domain; an admitted evaluation runs its cluster
+    stages on the submitting domain.
 
     - [max_inflight] (default 1): concurrent admitted evaluations.
       Values > 1 enable cross-query fixpoint sharing; cluster stages
@@ -122,9 +123,8 @@ val create :
 val cluster : t -> Distsim.Cluster.t
 
 val shutdown : t -> unit
-(** Reject new queries and join the cluster's worker pool. Idempotent.
-    Already-admitted evaluations complete (sequentially if the pool is
-    gone — {!Distsim.Cluster.shutdown} semantics). *)
+(** Reject new queries. Idempotent. Already-admitted evaluations
+    complete; the cluster stays usable by its owner. *)
 
 (** {1 Sessions} *)
 

@@ -6,7 +6,7 @@
     is a strict no-op (a single tag test — no allocation, no lock), so
     telemetry calls can live in hot paths unconditionally. An enabled
     registry guards its series table with one mutex; updates from
-    concurrent session and worker domains serialize there, which is
+    concurrent session domains serialize there, which is
     cheap at the stage/shuffle/query granularity the runtime uses.
 
     Series are identified by a metric name plus a sorted label set —

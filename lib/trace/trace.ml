@@ -4,19 +4,19 @@
    A [Trace.t] collects nested spans and point events. Every event is
    timestamped twice: with the wall clock and with the runtime's
    simulated clock (wired to [Distsim.Metrics.sim_time_ns] by
-   [Cluster.make]), so that traces taken in sequential mode are
-   deterministic and comparable across runs.
+   [Cluster.make]), so that the simulated timeline is deterministic and
+   comparable across runs.
 
-   The collector is safe to use from worker domains: the event buffer
-   and the per-track span stacks are protected by one mutex, and the
-   current track id (0 = driver, w+1 = worker w) lives in domain-local
-   storage. A [Disabled] tracer is a no-op: [span] runs its thunk
+   The collector is safe to use from several domains (serving sessions
+   record from their own): the event buffer and the per-track span
+   stacks are protected by one mutex, and the current track id
+   (0 = driver, w+1 = worker w) lives in domain-local storage. A [Disabled] tracer is a no-op: [span] runs its thunk
    directly and no allocation or locking happens, so instrumentation
    can stay in hot paths permanently. *)
 
 type value = Str of string | Int of int | Float of float | Bool of bool
 type attrs = (string * value) list
-type kind = Span | Instant | Counter
+type kind = Span | Instant
 
 type event = {
   id : int; (* allocation order = open order *)
@@ -208,32 +208,6 @@ let instant t ?(cat = "") ?(attrs = []) name =
             attrs = with_amb attrs;
           })
 
-(* A named gauge sample (e.g. worker-pool occupancy). Rendered by the
-   Chrome exporter as a counter track ("ph":"C"). *)
-let counter t ?(cat = "") ?(attrs = []) name v =
-  match t with
-  | Disabled -> ()
-  | Enabled s ->
-    let tid = Domain.DLS.get tid_key in
-    locked s (fun () ->
-        let parent = match !(stack_of s tid) with [] -> -1 | top :: _ -> top.oid in
-        let id = s.next_id in
-        s.next_id <- id + 1;
-        push_event s
-          {
-            id;
-            parent;
-            name;
-            cat;
-            tid;
-            wall_start_us = now_us ();
-            wall_dur_us = 0.;
-            sim_start_ns = s.sim_clock ();
-            sim_dur_ns = 0.;
-            kind = Counter;
-            attrs = ("value", Float v) :: with_amb attrs;
-          })
-
 (* Attach an attribute to the innermost open span of the current track
    (e.g. a result computed inside the span body, like partition skew). *)
 let set_attr t key v =
@@ -338,7 +312,6 @@ module Chrome = struct
     match e.kind with
     | Span -> Json.obj (common @ [ ("ph", Json.str "X"); ("dur", Json.num dur) ])
     | Instant -> Json.obj (common @ [ ("ph", Json.str "i"); ("s", Json.str "t") ])
-    | Counter -> Json.obj (common @ [ ("ph", Json.str "C") ])
 
   let thread_name_json tid name =
     Json.obj
@@ -391,7 +364,7 @@ module Jsonl = struct
         ("name", Json.str e.name);
         ("cat", Json.str e.cat);
         ("tid", string_of_int e.tid);
-        ("kind", Json.str (match e.kind with Span -> "span" | Instant -> "instant" | Counter -> "counter"));
+        ("kind", Json.str (match e.kind with Span -> "span" | Instant -> "instant"));
         ("wall_start_us", Json.num e.wall_start_us);
         ("wall_dur_us", Json.num e.wall_dur_us);
         ("sim_start_ns", Json.num e.sim_start_ns);
@@ -425,8 +398,6 @@ module Rollup = struct
     mutable max_skew : float;
     mutable max_straggler : float;
     mutable dedup_dropped : int;
-    mutable counter_samples : int;
-    mutable counter_max : float;
   }
 
   let fresh_row scope id =
@@ -444,8 +415,6 @@ module Rollup = struct
       max_skew = 0.;
       max_straggler = 0.;
       dedup_dropped = 0;
-      counter_samples = 0;
-      counter_max = 0.;
     }
 
   let attr_int attrs k =
@@ -484,14 +453,6 @@ module Rollup = struct
     | Span, "stage" ->
       row.stages <- row.stages + 1;
       row.stage_sim_ns <- row.stage_sim_ns +. e.sim_dur_ns
-    | Counter, _ ->
-      (* Counter samples (pool occupancy, dedup savings, ...) used to be
-         exported to Chrome but silently dropped here; charge them to
-         the enclosing scope so they survive post-processing. *)
-      row.counter_samples <- row.counter_samples + 1;
-      (match attr_float e.attrs "value" with
-      | Some v when v > row.counter_max -> row.counter_max <- v
-      | _ -> ())
     | _ -> ());
     (match attr_float e.attrs "skew" with
     | Some s when s > row.max_skew -> row.max_skew <- s
@@ -583,38 +544,21 @@ module Rollup = struct
     Hashtbl.fold (fun var n acc -> (var, n) :: acc) counts []
     |> List.sort compare
 
-  (* Per-name summary of counter events: sample count, max and last
-     value. The names are free-form ("pool.occupancy", ...), so the
-     series table complements the per-scope charge in [accumulate]. *)
-  let counter_series evs =
-    let tbl = Hashtbl.create 4 in
-    List.iter
-      (fun e ->
-        if e.kind = Counter then begin
-          let v = Option.value ~default:0. (attr_float e.attrs "value") in
-          let n, vmax, _ = Option.value ~default:(0, neg_infinity, 0.) (Hashtbl.find_opt tbl e.name) in
-          Hashtbl.replace tbl e.name (n + 1, Float.max vmax v, v)
-        end)
-      evs;
-    Hashtbl.fold (fun name (n, vmax, last) acc -> (name, n, vmax, last) :: acc) tbl []
-    |> List.sort compare
-
   let pp_rows ppf rows =
     let header =
-      Printf.sprintf "%-32s %6s %8s %10s %12s %7s %10s %7s %12s %6s %9s %10s %6s %8s" "scope"
-        "spans" "shuffles" "sh.records" "sh.bytes" "bcasts" "bc.records" "stages" "stage sim ms"
-        "skew" "straggler" "dedup.drop" "ctr.n" "ctr.max"
+      Printf.sprintf "%-32s %6s %8s %10s %12s %7s %10s %7s %12s %6s %9s %10s" "scope" "spans"
+        "shuffles" "sh.records" "sh.bytes" "bcasts" "bc.records" "stages" "stage sim ms" "skew"
+        "straggler" "dedup.drop"
     in
     Format.fprintf ppf "%s@." header;
     Format.fprintf ppf "%s@." (String.make (String.length header) '-');
     List.iter
       (fun r ->
         Format.fprintf ppf
-          "%-32s %6d %8d %10d %12d %7d %10d %7d %12.3f %6.2f %9.2f %10d %6d %8.1f@."
+          "%-32s %6d %8d %10d %12d %7d %10d %7d %12.3f %6.2f %9.2f %10d@."
           (if String.length r.scope > 32 then String.sub r.scope 0 32 else r.scope)
           r.spans r.shuffles r.shuffled_records r.shuffled_bytes r.broadcasts r.broadcast_records
-          r.stages (r.stage_sim_ns /. 1e6) r.max_skew r.max_straggler r.dedup_dropped
-          r.counter_samples r.counter_max)
+          r.stages (r.stage_sim_ns /. 1e6) r.max_skew r.max_straggler r.dedup_dropped)
       rows
 
   let to_string t =
@@ -628,15 +572,6 @@ module Rollup = struct
     | rows ->
       Format.fprintf ppf "@.== per-iteration rollup ==@.";
       pp_rows ppf rows);
-    (match counter_series evs with
-    | [] -> ()
-    | series ->
-      Format.fprintf ppf "@.== counter series ==@.";
-      Format.fprintf ppf "%-32s %8s %10s %10s@." "counter" "samples" "max" "last";
-      List.iter
-        (fun (name, n, vmax, last) ->
-          Format.fprintf ppf "%-32s %8d %10.1f %10.1f@." name n vmax last)
-        series);
     Format.pp_print_flush ppf ();
     Buffer.contents buf
 end

@@ -3,18 +3,19 @@
 
     A tracer collects nested spans and point events, each timestamped by
     both the wall clock and the runtime's simulated clock
-    ({!Distsim.Metrics.sim_time_ns}, wired by [Cluster.make]), so traces
-    taken in sequential mode are deterministic. A {!disabled} tracer is
+    ({!Distsim.Metrics.sim_time_ns}, wired by [Cluster.make]), so the
+    simulated timeline of a trace is deterministic. A {!disabled} tracer is
     a strict no-op: [span t name f] runs [f] directly, records nothing
     and takes no lock, so instrumentation can live in hot paths.
 
-    The collector is domain-safe: the event buffer is protected by a
-    mutex and the current track id (0 = driver, [w+1] = worker [w]) is
-    domain-local ({!with_tid}). *)
+    The collector is domain-safe, because serving sessions record from
+    their own domains: the event buffer is protected by a mutex and the
+    current track id (0 = driver, [w+1] = worker [w]) is domain-local
+    ({!with_tid}). *)
 
 type value = Str of string | Int of int | Float of float | Bool of bool
 type attrs = (string * value) list
-type kind = Span | Instant | Counter
+type kind = Span | Instant
 
 type event = {
   id : int;  (** allocation order = open order *)
@@ -57,8 +58,8 @@ val with_ambient_attrs : attrs -> (unit -> 'a) -> 'a
 (** Run a thunk with extra domain-local attributes appended to every
     event this domain records inside it (any tracer, including one
     installed later). The serving layer threads [("query_id", Int qid)]
-    through a whole evaluation this way; scopes nest. Spans opened by
-    other domains (pool workers) do not inherit the attributes. *)
+    through a whole evaluation this way, worker stages included, since
+    they run on the evaluating domain; scopes nest. *)
 
 val ambient_attrs : unit -> attrs
 (** The current domain's ambient attributes ([] outside any scope). *)
@@ -71,12 +72,6 @@ val span : t -> ?cat:string -> ?attrs:attrs -> string -> (unit -> 'a) -> 'a
 
 val instant : t -> ?cat:string -> ?attrs:attrs -> string -> unit
 (** Record a point event (e.g. one shuffle, with record/byte counts). *)
-
-val counter : t -> ?cat:string -> ?attrs:attrs -> string -> float -> unit
-(** [counter t name v] records a named gauge sample (the value is stored
-    in the ["value"] attribute); the Chrome exporter renders the series
-    as a counter track. Used by the worker-domain pool to expose its
-    occupancy over time. *)
 
 val set_attr : t -> string -> value -> unit
 (** Attach an attribute to the innermost open span of the current track
@@ -136,10 +131,6 @@ module Rollup : sig
     mutable dedup_dropped : int;
         (** tuples dropped by the iteration-shuffle seen filter (summed
             from the [dedup_dropped] attr of repartition spans) *)
-    mutable counter_samples : int;
-        (** counter events charged to this scope (previously dropped by
-            the rollup even though the Chrome exporter rendered them) *)
-    mutable counter_max : float;  (** max counter value seen in this scope *)
   }
 
   val per_operator : event list -> row list
@@ -157,14 +148,8 @@ module Rollup : sig
   (** Shuffles occurring inside iteration spans, per fixpoint variable
       (0 for P_plw: its loop is shuffle-free). *)
 
-  val counter_series : event list -> (string * int * float * float) list
-  (** Per counter name: sample count, max value and last value — the
-      post-processed view of [counter] gauge series (pool occupancy,
-      dedup savings), sorted by name. *)
-
   val pp_rows : Format.formatter -> row list -> unit
 
   val to_string : t -> string
-  (** Both rollup tables plus the counter-series table, rendered for
-      terminal display. *)
+  (** Both rollup tables, rendered for terminal display. *)
 end

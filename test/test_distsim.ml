@@ -135,15 +135,6 @@ let test_single_worker () =
     (Rel.natural_join edges (Rel.rename [ ("src", "trg"); ("trg", "n") ] edges))
     (Dds.collect (Dds.join_shuffle d (Dds.of_rel c (Rel.rename [ ("src", "trg"); ("trg", "n") ] edges))))
 
-let test_parallel_domains () =
-  (* same results with real multicore execution *)
-  let c = Cluster.make ~parallel:true ~workers:4 () in
-  let d = Dds.of_rel ~by:[ "src" ] c edges in
-  let j = Dds.join_shuffle d (Dds.of_rel c (Rel.rename [ ("src", "trg"); ("trg", "n") ] edges)) in
-  check_rel "parallel join"
-    (Rel.natural_join edges (Rel.rename [ ("src", "trg"); ("trg", "n") ] edges))
-    (Dds.collect j)
-
 let test_metrics_accounting () =
   let m = Metrics.create () in
   Metrics.record_shuffle m ~records:100 ~bytes:3200;
@@ -187,30 +178,21 @@ let test_deadline () =
   check_bool "cleared" false (Deadline.active ());
   Deadline.check_now ()
 
-(* ---- persistent worker-domain pool ---- *)
+(* ---- stage failures ---- *)
 
-let test_pool_lifecycle () =
-  let c = Cluster.make ~parallel:true ~workers:4 () in
-  check_int "three pool domains" 3 (Cluster.pool_size c);
-  Alcotest.(check (array int)) "stage on pool" [| 0; 1; 4; 9 |]
-    (Cluster.run_stage c (fun w -> w * w));
-  Alcotest.(check (array int)) "pool reused" [| 1; 2; 3; 4 |]
-    (Cluster.run_stage c (fun w -> w + 1));
-  Cluster.shutdown c;
-  check_int "pool joined" 0 (Cluster.pool_size c);
-  Alcotest.(check (array int)) "sequential after shutdown" [| 0; 2; 4; 6 |]
-    (Cluster.run_stage c (fun w -> 2 * w));
-  Cluster.shutdown c (* idempotent *)
-
-let test_pool_survives_exception () =
-  let c = Cluster.make ~parallel:true ~workers:4 () in
+(* A worker that raises mid-stage fails the stage on the driver; the
+   cluster is idle afterwards and the next stage runs and is charged. *)
+let test_stage_survives_exception () =
+  let c = Cluster.make ~workers:4 () in
+  let m = Cluster.metrics c in
   (match Cluster.run_stage c (fun w -> if w = 2 then failwith "boom" else w) with
   | _ -> Alcotest.fail "expected the worker exception on the driver"
   | exception Failure msg -> Alcotest.(check string) "re-raised on driver" "boom" msg);
-  check_int "pool still alive" 3 (Cluster.pool_size c);
-  Alcotest.(check (array int)) "pool still serves stages" [| 0; 10; 20; 30 |]
+  check_bool "idle after the failed stage" false (Cluster.busy c);
+  let stages = m.Metrics.stages in
+  Alcotest.(check (array int)) "next stage runs" [| 0; 10; 20; 30 |]
     (Cluster.run_stage c (fun w -> 10 * w));
-  Cluster.shutdown c
+  check_int "next stage charged" (stages + 1) m.Metrics.stages
 
 (* Single-driver invariant: a second evaluation dispatching a stage while
    one is in flight must be rejected (the admission queue in [Serve] is
@@ -244,85 +226,6 @@ let test_concurrent_dispatch_guard () =
   (* the guard resets: later (serialized) stages run normally *)
   Alcotest.(check (array int)) "stage after refusal" [| 0; 2 |]
     (Cluster.run_stage c (fun w -> 2 * w))
-
-(* ---- worker pool through the physical layer ---- *)
-
-module Exec = Physical.Exec
-module Patterns = Mura.Patterns
-
-(* Input volume of the parity tests: large enough that every exchange
-   moves thousands of records, forces Tset resizes and fans its stages
-   out over the pool. *)
-let big_n = 10_000
-
-(* deterministic graph with cycles, diamonds and a tail: disjoint copies
-   of one 60-edge, 17-node component, enough of them to exceed [big_n]
-   edges *)
-let tier1_graph =
-  let copy k =
-    List.init 60 (fun i -> [| (17 * k) + (i mod 17); (17 * k) + (((i * 7) + 3 + (i / 17)) mod 17) |])
-  in
-  Rel.of_tuples (sch [ "src"; "trg" ]) (List.concat (List.init ((big_n / 60) + 1) copy))
-
-(* the five communication counters plus the charged stages and
-   supersteps *)
-let shuffle_counters m =
-  Metrics.
-    ( m.shuffles,
-      m.shuffled_records,
-      m.shuffled_bytes,
-      m.broadcasts,
-      m.broadcast_records,
-      m.stages,
-      m.supersteps )
-
-let run_physical ~parallel ?plan term =
-  let c = Cluster.make ~parallel ~workers:4 () in
-  let config = { (Exec.default_config c) with Exec.force_plan = plan } in
-  let ctx = Exec.session config [ ("E", tier1_graph) ] in
-  let r = Exec.run ctx term in
-  let counters = shuffle_counters (Cluster.metrics c) in
-  let fixpoints =
-    List.map
-      (fun (fr : Exec.fix_report) -> (fr.iterations, fr.deltas))
-      (Exec.report ctx).Exec.fixpoints
-  in
-  Cluster.shutdown c;
-  (List.sort compare (Rel.to_list r), counters, fixpoints)
-
-let tier1_queries =
-  [
-    ("closure", Patterns.closure (Mura.Term.Rel "E"), [ None; Some Exec.P_gld ]);
-    ( "reach",
-      Patterns.reach (Value.of_int 0),
-      [ None; Some Exec.P_gld; Some Exec.P_plw_s; Some Exec.P_plw_pg ] );
-    ("same_generation", Patterns.same_generation (), [ None; Some Exec.P_gld ]);
-  ]
-
-(* the pool is a pure scheduling change: results, the five communication
-   counters, the charged stages and supersteps, and every fixpoint's
-   iteration count and delta curve match a sequential cluster *)
-let test_pool_matches_sequential () =
-  let stages (_, _, _, _, _, s, _) = s in
-  let divergences =
-    List.concat_map
-      (fun (name, term, plans) ->
-        List.filter_map
-          (fun plan ->
-            let name = name ^ match plan with None -> "" | Some p -> " under " ^ Exec.plan_name p in
-            let r_s, c_s, f_s = run_physical ~parallel:false ?plan term in
-            let r_p, c_p, f_p = run_physical ~parallel:true ?plan term in
-            if r_s <> r_p then Some (name ^ ": results diverged")
-            else if c_s <> c_p then
-              Some
-                (Printf.sprintf "%s: counters diverged (stages: %d sequential, %d parallel)" name
-                   (stages c_s) (stages c_p))
-            else if f_s <> f_p then Some (name ^ ": iterations/deltas diverged")
-            else None)
-          plans)
-      tier1_queries
-  in
-  if divergences <> [] then Alcotest.fail (String.concat "; " divergences)
 
 (* property: any pipeline of distributed ops agrees with the centralized
    kernel *)
@@ -488,8 +391,12 @@ let test_stage_feeds_histograms () =
   check_int "one per-worker slot per worker" 4 (Array.length m.Metrics.per_worker_ns)
 
 (* -------------------------------------------------------------- *)
-(* Exchange parity: parallel cluster vs sequential cluster         *)
+(* Exchange parity: exchanges against the centralized kernel      *)
 (* -------------------------------------------------------------- *)
+
+(* Input volume of the parity tests: large enough that every exchange
+   moves thousands of records and forces Tset resizes. *)
+let big_n = 10_000
 
 (* [src] unique; a [skew] fraction of tuples share one hot [trg] key, so
    repartitioning by [trg] is both heavily skewed and moves most rows —
@@ -500,105 +407,85 @@ let big_rel ?(n = big_n) ?(skew = 0.5) () =
     (sch [ "src"; "trg" ])
     (List.init n (fun i -> [| i; (if i < hot then 7 else i * 3) |]))
 
-(* Run [scenario] on a sequential and on a parallel cluster of the same
-   size; result partitions and counters must be identical: the pool
-   runs stage compute, and every exchange runs on the driver either
-   way. *)
-let check_shuffle_parity name ?(workers = 4) scenario =
-  let run ~parallel =
-    let c = Cluster.make ~parallel ~workers () in
-    let d = scenario c in
-    let parts = Array.init (Dds.num_partitions d) (fun i -> Tset.copy (Dds.partition d i)) in
-    let cnt = shuffle_counters (Cluster.metrics c) in
-    Cluster.shutdown c;
-    (parts, cnt)
-  in
-  let seq_parts, seq_cnt = run ~parallel:false in
-  let pool_parts, pool_cnt = run ~parallel:true in
-  check_int (name ^ ": same partition count") (Array.length seq_parts) (Array.length pool_parts);
-  Array.iteri
-    (fun i p ->
-      check_bool (Printf.sprintf "%s: partition %d identical" name i) true
-        (Tset.equal p pool_parts.(i)))
-    seq_parts;
-  check_bool (name ^ ": counters identical") true (seq_cnt = pool_cnt)
+(* Run [scenario] on a cluster of [workers]: the collected result must
+   equal [expected] (the centralized kernel's answer), and a hashed
+   result must hold every tuple on its hash target. *)
+let check_shuffle_parity name ?(workers = 4) ~expected scenario =
+  let c = Cluster.make ~workers () in
+  let d = scenario c in
+  check_int (name ^ ": one partition per worker") workers (Dds.num_partitions d);
+  check_rel (name ^ ": collected result") expected (Dds.collect d);
+  match Dds.partitioning d with
+  | Dds.Arbitrary -> ()
+  | Dds.Hashed by ->
+    let positions = Schema.positions (Dds.schema d) by in
+    for w = 0 to workers - 1 do
+      Tset.iter
+        (fun tu ->
+          let target = if workers = 1 then 0 else Tuple.hash_positions positions tu mod workers in
+          if target <> w then
+            Alcotest.failf "%s: a tuple hashed to worker %d sits on worker %d" name target w)
+        (Dds.partition d w)
+    done
 
 let test_shuffle_parity_repartition () =
   let r = big_rel () in
-  check_shuffle_parity "repartition" (fun c ->
+  check_shuffle_parity "repartition" ~expected:r (fun c ->
       Dds.repartition ~by:[ "trg" ] (Dds.of_rel ~by:[ "src" ] c r))
 
 let test_shuffle_parity_of_rel () =
   let r = big_rel ~skew:0.9 () in
-  check_shuffle_parity "of_rel hashed" (fun c -> Dds.of_rel ~by:[ "trg" ] c r);
-  check_shuffle_parity "of_rel round-robin" (fun c -> Dds.of_rel c r)
+  check_shuffle_parity "of_rel hashed" ~expected:r (fun c -> Dds.of_rel ~by:[ "trg" ] c r);
+  check_shuffle_parity "of_rel round-robin" ~expected:r (fun c -> Dds.of_rel c r)
 
 let test_shuffle_parity_collect () =
   let r = big_rel () in
-  let run ~parallel =
-    let c = Cluster.make ~parallel ~workers:4 () in
-    let out = Dds.collect (Dds.of_rel ~by:[ "src" ] c r) in
-    let cnt = shuffle_counters (Cluster.metrics c) in
-    Cluster.shutdown c;
-    (out, cnt)
-  in
-  let seq, seq_cnt = run ~parallel:false in
-  let pool, pool_cnt = run ~parallel:true in
-  check_rel "collect parity" seq pool;
-  check_bool "collect counters identical" true (seq_cnt = pool_cnt)
+  let c = Cluster.make ~workers:4 () in
+  check_rel "collect parity" r (Dds.collect (Dds.of_rel ~by:[ "src" ] c r))
 
 let test_shuffle_parity_joins () =
   let a = big_rel ~skew:0.3 () in
   let b =
     Rel.of_tuples (sch [ "trg"; "dst" ]) (List.init big_n (fun i -> [| i * 2; i + 100_000 |]))
   in
-  check_shuffle_parity "join_shuffle" (fun c ->
+  check_shuffle_parity "join_shuffle" ~expected:(Rel.natural_join a b) (fun c ->
       Dds.join_shuffle (Dds.of_rel ~by:[ "src" ] c a) (Dds.of_rel ~by:[ "dst" ] c b));
-  check_shuffle_parity "antijoin_shuffle" (fun c ->
+  check_shuffle_parity "antijoin_shuffle" ~expected:(Rel.antijoin a b) (fun c ->
       Dds.antijoin_shuffle (Dds.of_rel ~by:[ "src" ] c a) (Dds.of_rel ~by:[ "dst" ] c b))
 
-(* degenerate exchanges: one worker (no pool) and empty inputs *)
+(* degenerate exchanges: one worker and empty inputs *)
 let test_shuffle_parity_edges () =
   let r = big_rel ~n:60 () in
-  check_shuffle_parity "workers=1" ~workers:1 (fun c ->
+  check_shuffle_parity "workers=1" ~workers:1 ~expected:r (fun c ->
       Dds.repartition ~by:[ "trg" ] (Dds.of_rel ~by:[ "src" ] c r));
   let empty = Rel.of_tuples (sch [ "src"; "trg" ]) [] in
-  check_shuffle_parity "empty dataset" (fun c ->
+  check_shuffle_parity "empty dataset" ~expected:empty (fun c ->
       Dds.repartition ~by:[ "trg" ] (Dds.of_rel ~by:[ "src" ] c empty));
-  check_shuffle_parity "empty round-robin" (fun c -> Dds.of_rel c empty)
+  check_shuffle_parity "empty round-robin" ~expected:empty (fun c -> Dds.of_rel c empty)
 
 (* -------------------------------------------------------------- *)
 (* The iteration-shuffle seen filter                              *)
 (* -------------------------------------------------------------- *)
 
-(* The seen filter drops re-routed tuples map-side: same drop counts,
-   partitions and counters on a sequential and a parallel cluster. *)
+(* The seen filter drops re-routed tuples map-side: the drops are
+   counted and charged, and dropped tuples are not shuffled. *)
 let test_seen_filter_drops () =
   let r = big_rel () in
-  let run ~parallel =
-    let c = Cluster.make ~parallel ~workers:4 () in
-    let m = Cluster.metrics c in
-    let seen = Dds.seen_filter c in
-    let d = Dds.of_rel ~by:[ "src" ] c r in
-    let first = Dds.repartition ~seen ~by:[ "trg" ] d in
-    check_int "nothing dropped on first routing" 0 (Dds.seen_dropped seen);
-    check_int "first routing complete" (Rel.cardinal r) (Dds.cardinal first);
-    let records_after_first = m.Metrics.shuffled_records in
-    (* route the very same dataset again: everything was seen *)
-    let again = Dds.repartition ~seen ~by:[ "trg" ] d in
-    check_int "re-derivations dropped" (Rel.cardinal r) (Dds.seen_dropped seen);
-    check_int "second routing empty" 0 (Dds.cardinal again);
-    check_int "drops charged" (Rel.cardinal r) m.Metrics.dedup_dropped_records;
-    check_int "dropped tuples not shuffled" records_after_first m.Metrics.shuffled_records;
-    let out = Dds.collect first in
-    let cnt = (Dds.seen_dropped seen, m.Metrics.dedup_dropped_records, shuffle_counters m) in
-    Cluster.shutdown c;
-    (out, cnt)
-  in
-  let seq_out, seq_cnt = run ~parallel:false in
-  let pool_out, pool_cnt = run ~parallel:true in
-  check_rel "sequential/parallel filtered partitions agree" seq_out pool_out;
-  check_bool "sequential/parallel dedup counters identical" true (seq_cnt = pool_cnt)
+  let c = Cluster.make ~workers:4 () in
+  let m = Cluster.metrics c in
+  let seen = Dds.seen_filter c in
+  let d = Dds.of_rel ~by:[ "src" ] c r in
+  let first = Dds.repartition ~seen ~by:[ "trg" ] d in
+  check_int "nothing dropped on first routing" 0 (Dds.seen_dropped seen);
+  check_int "first routing complete" (Rel.cardinal r) (Dds.cardinal first);
+  let records_after_first = m.Metrics.shuffled_records in
+  (* route the very same dataset again: everything was seen *)
+  let again = Dds.repartition ~seen ~by:[ "trg" ] d in
+  check_int "re-derivations dropped" (Rel.cardinal r) (Dds.seen_dropped seen);
+  check_int "second routing empty" 0 (Dds.cardinal again);
+  check_int "drops charged" (Rel.cardinal r) m.Metrics.dedup_dropped_records;
+  check_int "dropped tuples not shuffled" records_after_first m.Metrics.shuffled_records;
+  check_rel "filtered routing keeps the input" r (Dds.collect first)
 
 (* antijoin_shuffle must sample output-partition sizes like every other
    wide op: two repartitions (4 samples each on 4 workers) plus the
@@ -632,13 +519,10 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "hash colocation" `Quick test_hash_partitioning_colocates;
           Alcotest.test_case "single worker" `Quick test_single_worker;
-          Alcotest.test_case "parallel domains" `Quick test_parallel_domains;
         ] );
       ( "pool",
         [
-          Alcotest.test_case "lifecycle" `Quick test_pool_lifecycle;
-          Alcotest.test_case "survives worker exception" `Quick test_pool_survives_exception;
-          Alcotest.test_case "pool ≡ sequential on tier-1 queries" `Quick test_pool_matches_sequential;
+          Alcotest.test_case "survives worker exception" `Quick test_stage_survives_exception;
           Alcotest.test_case "concurrent dispatch refused" `Quick test_concurrent_dispatch_guard;
         ] );
       ( "narrow",

@@ -80,6 +80,39 @@ let test_explain () =
   Alcotest.(check bool) "mentions Filter" true (contains text "Filter");
   Alcotest.(check bool) "mentions SeqScan" true (contains text "SeqScan")
 
+(* A join whose right side reads no working table hashes it at its
+   first open only: a second open (the next round of a work-table loop)
+   probes the same table. A right side that reads the working table is
+   re-read at every open. *)
+let test_constant_build_side_once () =
+  let pulled = ref 0 in
+  let counting child =
+    Localdb.Plan.Map
+      ( (fun tu ->
+          incr pulled;
+          tu),
+        child )
+  in
+  let work = ref (Tset.of_list [ [| 2 |]; [| 3 |] ]) in
+  let plan right =
+    Localdb.Plan.Hash_join
+      (Localdb.Plan.join ~left:(Localdb.Plan.Work_table work) ~left_key:[| 0 |] ~right
+         ~right_key:[| 0 |] ~merge:(fun l r -> [| l.(0); r.(1) |]))
+  in
+  let rows plan = List.sort compare (Tset.to_list (Localdb.Plan.run plan)) in
+  let constant = plan (counting (Localdb.Plan.Scan edges)) in
+  Alcotest.(check (list (array int))) "first open" [ [| 2; 3 |]; [| 2; 5 |]; [| 3; 4 |] ]
+    (rows constant);
+  work := Tset.of_list [ [| 5 |] ];
+  Alcotest.(check (list (array int))) "second open sees the new working table" [ [| 5; 1 |] ]
+    (rows constant);
+  Alcotest.(check int) "each build-side row pulled once" (Rel.cardinal edges) !pulled;
+  pulled := 0;
+  let recursive = plan (counting (Localdb.Plan.Map ((fun tu -> [| tu.(0); tu.(0) |]), Localdb.Plan.Work_table work))) in
+  ignore (Localdb.Plan.run recursive);
+  ignore (Localdb.Plan.run recursive);
+  Alcotest.(check int) "a working-table build side is re-read at every open" 2 !pulled
+
 (* random terms, half of them joining a zero-arity side (π[] or an
    antiprojection dropping every column) inside or outside a fixpoint *)
 let term_or_zero_arity_gen =
@@ -147,6 +180,8 @@ let () =
         [
           Alcotest.test_case "closure" `Quick test_recursive_closure;
           Alcotest.test_case "fix inside expression" `Quick test_fix_inside_expression;
+          Alcotest.test_case "constant build side hashed once" `Quick
+            test_constant_build_side_once;
         ] );
       ("properties", [ prop_localdb_eq_mura; prop_localdb_same_generation; prop_random_terms_localdb ]);
     ]

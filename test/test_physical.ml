@@ -476,13 +476,13 @@ let pins =
     ("lower_capture/P_plw^s/w4", 900, [ (3, [320; 320; 0]) ], (5, 1396, 44672, 3, 360, 0));
   ]
 
-let run_pinned ?force_plan ?(threshold = -1) ?parallel ~workers name term tables =
+let run_pinned ?force_plan ?(threshold = -1) ~workers name term tables =
   let key =
     Printf.sprintf "%s/%s/w%d" name
       (match force_plan with None -> "auto" | Some p -> Exec.plan_name p)
       workers
   in
-  let cluster = Cluster.make ?parallel ~workers () in
+  let cluster = Cluster.make ~workers () in
   let base = Exec.default_config cluster in
   let config =
     {
@@ -911,15 +911,9 @@ let factor_tables =
 
 (* Results match Mura.Eval, and iterations, delta curves and
    communication counters match the pins (recorded on the unfactorized
-   executor), on P_gld and P_plw^s with 1 and 4 workers, and with 4
-   worker domains sharing each broadcast index. *)
+   executor), on P_gld and P_plw^s with 1 and 4 workers. *)
 let test_factorized_parity () =
-  List.iter
-    (fun (name, term) ->
-      pin_matrix ("factor_" ^ name) term factor_tables;
-      run_pinned ~force_plan:Exec.P_plw_s ~parallel:true ~workers:4 ("factor_" ^ name) term
-        factor_tables)
-    factor_cases
+  List.iter (fun (name, term) -> pin_matrix ("factor_" ^ name) term factor_tables) factor_cases
 
 (* The (a/-a)+ branch's candidates (rows its chain emits into the dedup
    builder, summed over iterations): pinned, with the counts of the
@@ -998,14 +992,13 @@ let rec find_lowering (n : Exec.Analyze.node) =
   | None -> List.find_map find_lowering n.children
 
 (* Each case agrees with Mura.Eval and its pins on P_gld and P_plw^s with
-   1 and 4 workers and on 4 worker domains, and EXPLAIN and EXPLAIN
-   ANALYZE name the lowering of its factor join. *)
+   1 and 4 workers, and EXPLAIN and EXPLAIN ANALYZE name the lowering of
+   its factor join. *)
 let test_factor_lowering () =
   List.iter
     (fun (name, term, note) ->
       let key = "lower_" ^ name in
       pin_matrix key term lowering_tables;
-      run_pinned ~force_plan:Exec.P_plw_s ~parallel:true ~workers:4 key term lowering_tables;
       let explained = Exec.explain (session_on ~force_plan:Exec.P_plw_s lowering_tables) term in
       check_bool (name ^ ": EXPLAIN names the lowering") true (contains_sub explained note);
       let _, _, tree = analyzed ~force_plan:Exec.P_plw_s ~tables:lowering_tables term in

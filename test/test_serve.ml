@@ -35,8 +35,8 @@ let edges2 = rel [ "src"; "trg" ] [ [ 1; 2 ]; [ 2; 3 ]; [ 7; 8 ] ]
 let eval_on graph term = Mura.Eval.eval (Mura.Eval.env [ ("E", graph) ]) term
 
 let make_serve ?max_inflight ?plan_cache_capacity ?result_cache_bytes ?force_plan ?(workers = 2)
-    ?(parallel = false) ?(graph = edges) () =
-  let cluster = Cluster.make ~parallel ~workers () in
+    ?(graph = edges) () =
+  let cluster = Cluster.make ~workers () in
   let config =
     match force_plan with
     | None -> None
@@ -256,9 +256,9 @@ let test_shared_fixpoint_batching () =
   Serve.shutdown t
 
 (* the cluster-level guard cannot fire through the serve layer, even
-   with several admitted evaluations on real domains *)
+   with several admitted evaluations from sessions on their own domains *)
 let test_no_concurrent_dispatch_through_serve () =
-  let t = make_serve ~max_inflight:3 ~workers:2 ~parallel:true () in
+  let t = make_serve ~max_inflight:3 ~workers:2 () in
   let queries =
     [
       Patterns.closure (Term.Rel "E");
@@ -369,7 +369,7 @@ let test_rapid_update_batches () =
    snapshot (entirely-old or entirely-new), and once the stream settles
    the served result is the fresh one *)
 let test_update_mid_evaluation () =
-  let t = make_serve ~workers:2 ~parallel:true () in
+  let t = make_serve ~workers:2 () in
   let q () = Patterns.closure (Term.Rel "E") in
   ignore (Serve.query t (Serve.open_session t) (q ()));
   let ins = rel [ "src"; "trg" ] [ [ 6; 20 ]; [ 20; 21 ] ] in
@@ -650,6 +650,57 @@ let test_update_validation () =
   | exception _ -> Alcotest.fail "empty update raised");
   Serve.shutdown t
 
+(* [f ()] on another domain, failing the test if it has not returned
+   within [seconds] (a query blocked on a stale promise never would) *)
+let within ~seconds what f =
+  let out = Atomic.make None in
+  let d = Domain.spawn (fun () -> Atomic.set out (Some (try Ok (f ()) with e -> Error e))) in
+  let give_up = Unix.gettimeofday () +. seconds in
+  while Atomic.get out = None && Unix.gettimeofday () < give_up do
+    Domain.cpu_relax ()
+  done;
+  match Atomic.get out with
+  | None -> Alcotest.failf "%s did not return within %.0f s" what seconds
+  | Some r -> (
+    Domain.join d;
+    match r with Ok v -> v | Error e -> raise e)
+
+(* An evaluation that fails inside a cluster stage leaves the server
+   consistent. An expired deadline fires in the absorb stage: the dedup
+   builder's [Tset.add_cols] ticks it, and the closure of a 200-node
+   chain derives far more than the 8192 rows between two amortised
+   checks. *)
+let test_stage_failure_recovers () =
+  let chain = rel [ "src"; "trg" ] (List.init 199 (fun i -> [ i; i + 1 ])) in
+  let t = make_serve ~workers:4 ~graph:chain () in
+  let sn = Serve.open_session t in
+  let q () = Patterns.closure (Term.Rel "E") in
+  Deadline.set ~seconds_from_now:(-1.);
+  (* align the amortised check: after the tick that raises here, the
+     next check fires exactly 8192 ticks into the evaluation *)
+  (try
+     while true do
+       Deadline.tick ()
+     done
+   with Deadline.Expired -> ());
+  let failure = try ignore (Serve.query t sn (q ())); None with e -> Some e in
+  Deadline.clear ();
+  (match failure with
+  | Some Deadline.Expired -> ()
+  | Some e -> Alcotest.failf "unexpected failure: %s" (Printexc.to_string e)
+  | None -> Alcotest.fail "the expired deadline did not fail the evaluation");
+  let s = Serve.stats t in
+  check_int "failure counted" 1 s.Serve.failed;
+  check_int "no evaluation in flight" 0 s.Serve.inflight;
+  check_int "nothing queued" 0 s.Serve.queued;
+  check_bool "cluster idle" false (Cluster.busy (Serve.cluster t));
+  let r = within ~seconds:30. "the resubmitted query" (fun () -> Serve.query t sn (q ())) in
+  check_bool "evaluated afresh, not joined to the failed evaluation" false
+    (r.Serve.shared || r.Serve.result_hit);
+  check_rel "resubmitted result correct" (eval_on chain (q ())) r.Serve.rel;
+  check_int "one completed" 1 (Serve.stats t).Serve.completed;
+  Serve.shutdown t
+
 let test_wait_accounting () =
   let t = make_serve () in
   let sn = Serve.open_session t in
@@ -709,5 +760,6 @@ let () =
         [
           Alcotest.test_case "lifecycle and failures" `Quick test_session_lifecycle;
           Alcotest.test_case "wait accounting" `Quick test_wait_accounting;
+          Alcotest.test_case "failed stage recovers" `Quick test_stage_failure_recovers;
         ] );
     ]

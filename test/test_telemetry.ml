@@ -278,7 +278,7 @@ let edges =
     [ [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ]; [ 4; 5 ]; [ 5; 1 ]; [ 3; 6 ] ]
 
 let make_serve ?sample_every ?slow_threshold_ms ?slow_log_capacity () =
-  let cluster = Cluster.make ~parallel:false ~workers:2 () in
+  let cluster = Cluster.make ~workers:2 () in
   let t = Serve.create ?sample_every ?slow_threshold_ms ?slow_log_capacity ~cluster () in
   Serve.register t "E" edges;
   t

@@ -269,34 +269,6 @@ let test_sim_clock_monotonic () =
         Alcotest.failf "instant %s has a duration" e.Trace.name)
     evs
 
-let test_counter_events () =
-  let tr = Trace.make () in
-  Trace.counter tr ~cat:"pool" "pool.occupancy" 3.;
-  Trace.counter tr "pool.occupancy" 0.;
-  (match Trace.events tr with
-  | [ a; b ] ->
-    check_bool "kind is Counter" true (a.Trace.kind = Trace.Counter);
-    check_bool "value attr" true (List.assoc_opt "value" a.Trace.attrs = Some (Trace.Float 3.));
-    check_bool "second sample" true (List.assoc_opt "value" b.Trace.attrs = Some (Trace.Float 0.))
-  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs));
-  match field "traceEvents" (parse_json (Trace.Chrome.to_string tr)) with
-  | Some (Arr evs) ->
-    check_bool "exported with phase C" true (List.exists (fun e -> field "ph" e = Some (Str "C")) evs)
-  | _ -> Alcotest.fail "missing traceEvents"
-
-(* a traced parallel stage samples the domain pool's occupancy *)
-let test_pool_occupancy_sampled () =
-  let tr, () =
-    traced (fun () ->
-        let c = Distsim.Cluster.make ~parallel:true ~workers:4 () in
-        ignore (Distsim.Cluster.run_stage c (fun w -> w));
-        Distsim.Cluster.shutdown c)
-  in
-  check_bool "pool.occupancy counter present" true
-    (List.exists
-       (fun (e : Trace.event) -> e.Trace.kind = Trace.Counter && e.Trace.name = "pool.occupancy")
-       (Trace.events tr))
-
 (* ------------------------------------------------------------------ *)
 (* Rollup: the paper's shuffle asymmetry, observed from the trace      *)
 (* ------------------------------------------------------------------ *)
@@ -418,40 +390,6 @@ let test_jsonl () =
       | _ -> Alcotest.fail "jsonl line is not an object")
     lines
 
-(* counter events used to be exported to Chrome but silently dropped by
-   the rollup; they must now be charged to the enclosing scope and
-   summarized per name *)
-let test_rollup_counters () =
-  let tr = Trace.make () in
-  ignore
-    (Trace.span tr ~cat:"op" "Join" (fun () ->
-         Trace.counter tr ~cat:"pool" "pool.occupancy" 3.;
-         Trace.counter tr ~cat:"pool" "pool.occupancy" 1.;
-         Trace.counter tr ~cat:"dds" "dds.dedup_dropped" 42.));
-  let evs = Trace.events tr in
-  (match Trace.Rollup.counter_series evs with
-  | [ ("dds.dedup_dropped", 1, 42., 42.); ("pool.occupancy", 2, 3., 1.) ] -> ()
-  | series ->
-    Alcotest.failf "unexpected counter series: %s"
-      (String.concat "; "
-         (List.map
-            (fun (n, s, m, l) -> Printf.sprintf "%s n=%d max=%.0f last=%.0f" n s m l)
-            series)));
-  let rows = Trace.Rollup.per_operator evs in
-  let join =
-    List.find (fun (r : Trace.Rollup.row) -> r.Trace.Rollup.scope = "Join") rows
-  in
-  check_int "counter samples charged to the operator" 3 join.Trace.Rollup.counter_samples;
-  check_bool "max counter value retained" true (join.Trace.Rollup.counter_max = 42.);
-  let rendered = Trace.Rollup.to_string tr in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  check_bool "rendered rollup includes the counter-series table" true
-    (contains rendered "== counter series ==")
-
 (* domain-local ambient attributes land on every event kind and are
    restored on scope exit *)
 let test_ambient_attrs () =
@@ -460,11 +398,10 @@ let test_ambient_attrs () =
     [ ("query_id", Trace.Int 7) ]
     (fun () ->
       ignore (Trace.span tr "s" (fun () -> ()));
-      Trace.instant tr "i";
-      Trace.counter tr "c" 1.);
+      Trace.instant tr "i");
   check_bool "scope restored" true (Trace.ambient_attrs () = []);
   let evs = Trace.events tr in
-  check_int "three events" 3 (List.length evs);
+  check_int "two events" 2 (List.length evs);
   List.iter
     (fun (e : Trace.event) ->
       check_bool
@@ -501,14 +438,11 @@ let () =
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
           Alcotest.test_case "metrics unperturbed" `Quick test_metrics_unperturbed;
           Alcotest.test_case "sim clock monotonic" `Quick test_sim_clock_monotonic;
-          Alcotest.test_case "counter events" `Quick test_counter_events;
-          Alcotest.test_case "pool occupancy sampled" `Quick test_pool_occupancy_sampled;
         ] );
       ( "rollup",
         [
           Alcotest.test_case "P_plw vs P_gld shuffle asymmetry" `Quick test_rollup_asymmetry;
           Alcotest.test_case "per-operator and per-iteration rows" `Quick test_rollup_rows;
-          Alcotest.test_case "counter events survive the rollup" `Quick test_rollup_counters;
           Alcotest.test_case "ambient attrs on every event kind" `Quick test_ambient_attrs;
         ] );
       ( "exporters",
